@@ -4,7 +4,10 @@ Every experiment is described by an ExperimentConfig (flat key-value
 parameters, master seed, engine selection, sample budget) and produces a
 Report whose JSON serialization is byte-identical across runs with the
 same config and seed, except for the wall-clock field.  Exit status is 0
-iff every asserted check passed; report-only rows never fail a run.
+iff every asserted check passed (1 otherwise); report-only rows never fail
+a run.  Bad input -- a ConfigError or any other ValueError raised while
+building or running the experiment -- exits with status 2 and a one-line
+``config error:`` message.
 
 Configs can come from a ``key=value`` file (--config) with command-line
 flags taking precedence; unknown keys are rejected.
@@ -13,7 +16,9 @@ flags taking precedence; unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -26,13 +31,14 @@ from .errors import ConfigError
 from .probability import (
     Estimate,
     ExactProbability,
+    above_threshold,
     coverage_exact,
     coverage_mc,
 )
 from .rng import CounterStream
-from .setfamily import SetFamily, elements_of, family_from_text, mask_of
-from .sunflowers import ThresholdParams, extract_robust_sunflower
-from .monotone import ClosureParams, MonotoneFunction, closure, is_closed
+from .setfamily import SetFamily, check_spread, elements_of, family_from_text, mask_of
+from .sunflowers import ThresholdParams, extract_robust_sunflower, spread_radius
+from .monotone import ClosureParams, MonotoneFunction, closure, is_closed, iter_masks_of_weight
 from .harnik_raz import (
     HRParams,
     build_hr_family,
@@ -80,13 +86,13 @@ class ExperimentConfig:
 
 
 def _check(name: str, value, bound=None, passed: Optional[bool] = None, **extra) -> dict:
-    row = {"name": name, "value": _plain(value), "bound": _plain(bound)}
+    """One check row; an ``extra`` column named ``status`` never replaces pass/fail."""
+    row = {k: _plain(v) for k, v in extra.items()}
+    row.update(name=name, value=_plain(value), bound=_plain(bound))
     if passed is None:
         row["status"] = "report-only"
     else:
         row["status"] = "pass" if passed else "fail"
-    for k, v in sorted(extra.items()):
-        row[k] = _plain(v)
     return row
 
 
@@ -96,13 +102,7 @@ def _plain(v):
     if isinstance(v, ExactProbability):
         return _plain(v.value)
     if isinstance(v, Estimate):
-        return {
-            "value": v.value,
-            "half_width": v.half_width,
-            "confidence": v.confidence,
-            "samples": v.samples,
-            "seed": v.seed,
-        }
+        return dataclasses.asdict(v)
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
     if isinstance(v, dict):
@@ -134,14 +134,21 @@ def _load_family(config: ExperimentConfig, n: int) -> SetFamily:
     if kind == "random":
         m, size = int(parts[1]), int(parts[2])
         stream = CounterStream(config.require_seed(), stream=7)
-        masks = set()
-        while len(masks) < m:
-            mask = 0
-            while mask.bit_count() < size:
-                mask |= 1 << stream.next_below(n)
-            masks.add(mask)
-        return SetFamily.from_masks(n, masks)
+        return SetFamily.from_masks(n, _random_masks(stream, n, size, m))
     raise ConfigError(f"unknown family spec {spec!r}")
+
+
+def _random_masks(stream: CounterStream, n: int, size: int, count: int) -> set[int]:
+    """``count`` distinct random ``size``-subsets of [n], drawn element by element."""
+    if count > math.comb(n, size):
+        raise ConfigError(f"cannot draw {count} distinct {size}-subsets of [{n}]")
+    masks: set[int] = set()
+    while len(masks) < count:
+        mask = 0
+        while mask.bit_count() < size:
+            mask |= 1 << stream.next_below(n)
+        masks.add(mask)
+    return masks
 
 
 def _parse_elements(text: str, n: int) -> int:
@@ -234,7 +241,7 @@ def _run_hr_verify(config: ExperimentConfig) -> dict:
         checks.append(_check("negative-reject-rate", nvalue, nbound, None))
         for size in range(1, min(params.c, 2) + 1):
             worst = None
-            for mask_elems in _all_small_subsets(params.n, size):
+            for mask_elems in iter_masks_of_weight(params.n, size):
                 v, b = verify_minterm_spread(hr, mask_elems, "exact")
                 if worst is None or v > worst[0]:
                     worst = (v, b)
@@ -258,12 +265,6 @@ def _run_hr_verify(config: ExperimentConfig) -> dict:
                len(hr.family) <= params.n_polynomials)
     )
     return {"checks": checks, "payload": {"qualifying": hr.n_qualifying}}
-
-
-def _all_small_subsets(n: int, size: int):
-    from .monotone import iter_masks_of_weight
-
-    return iter_masks_of_weight(n, size)
 
 
 def _run_clique_verify(config: ExperimentConfig) -> dict:
@@ -295,16 +296,8 @@ def _run_clique_verify(config: ExperimentConfig) -> dict:
 
 
 def _run_clique_extract(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    fam_spec = str(config.params["family"])
-    if os.path.exists(fam_spec):
-        with open(fam_spec, "r", encoding="utf-8") as fh:
-            sf = family_from_text(fh.read())
-        family = CliqueFamily.from_masks(sf.n, sf.members)
-        n = sf.n
-    else:
-        sf = _load_family(config, n)
-        family = CliqueFamily.from_masks(n, sf.members)
+    sf = _load_family(config, int(config.params["n"]))  # a family file brings its own n
+    family = CliqueFamily.from_masks(sf.n, sf.members)
     p = float(Fraction(str(config.params["p"])))
     q = float(Fraction(str(config.params.get("q", 1))))
     eps = float(Fraction(str(config.params["eps"])))
@@ -316,7 +309,7 @@ def _run_clique_extract(config: ExperimentConfig) -> dict:
             result.verified,
             True,
             result.verified if result.status == "ok" else None,
-            status=result.status,
+            extraction_status=result.status,
         )
     ]
     payload = {
@@ -411,8 +404,6 @@ def _run_spread_experiment(config: ExperimentConfig) -> dict:
     eps = float(Fraction(str(config.params["eps"])))
     B = float(config.params.get("B", 1.0))
     seed = config.require_seed()
-    from .setfamily import check_spread
-    from .sunflowers import spread_radius
 
     r = spread_radius(size, p, eps, ThresholdParams(B=B))
     stream = CounterStream(seed, stream=3)
@@ -420,16 +411,10 @@ def _run_spread_experiment(config: ExperimentConfig) -> dict:
     covered_count = 0
     rows = []
     for trial in range(count):
-        masks = set()
-        while len(masks) < members:
-            mask = 0
-            while mask.bit_count() < size:
-                mask |= 1 << stream.next_below(n)
-            masks.add(mask)
-        fam = SetFamily.from_masks(n, masks)
+        fam = SetFamily.from_masks(n, _random_masks(stream, n, size, members))
         rep = check_spread(fam, Fraction(r))
         cover = coverage_exact(fam, 0, Fraction(str(config.params["p"])))
-        hit = cover.value > 1 - Fraction(eps)
+        hit = above_threshold(cover, eps)
         if rep.is_spread:
             spread_count += 1
             if hit:
@@ -540,10 +525,10 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", help="key=value file; flags override it")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--engine", choices=["exact", "mc"], default="exact")
+    parser.add_argument("--samples", type=int, help="Monte-Carlo sample budget (default 100000)")
+    parser.add_argument("--engine", choices=["exact", "mc"], help="default exact")
     parser.add_argument("--out", help="write the report here")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--format", choices=["json", "csv"], help="default json")
     parser.add_argument(
         "--param", "-P", action="append", default=[], metavar="KEY=VALUE",
         help="subcommand parameter (repeatable)",
@@ -558,16 +543,15 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     if args.config:
         for key, val in _read_config_file(args.config).items():
             if key == "seed":
-                if args.seed is None:
-                    seed = int(val)
+                seed = int(val) if seed is None else seed
             elif key == "samples":
-                samples = int(val)
+                samples = int(val) if samples is None else samples
             elif key == "engine":
-                engine = val
+                engine = engine or val
             elif key == "out":
                 out = out or val
             elif key == "format":
-                fmt = val
+                fmt = fmt or val
             else:
                 params[key] = val
     for item in args.param:
@@ -581,10 +565,10 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         subcommand=args.subcommand,
         params=params,
         seed=seed,
-        engine=engine,
-        samples=samples,
+        engine=engine or "exact",
+        samples=100_000 if samples is None else samples,
         out=out,
-        fmt=fmt,
+        fmt=fmt or "json",
     )
 
 
@@ -593,7 +577,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = build_config(argv)
         report = run(config)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     text = emit(report, config.fmt, config.out)

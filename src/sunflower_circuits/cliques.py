@@ -8,7 +8,11 @@ families, which keeps the two notions of sunflower aligned.
 
 The (p, q) variant draws an edge-biased graph and an independent
 q-biased vertex set; the q = 1 specialization coincides with the plain
-clique-sunflower test.
+clique-sunflower test.  A member A over the vertex core B is the single
+mask (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)): p-biased edge bits,
+then q-biased vertex bits.  The coverage core of ``probability`` reduces,
+counts the integer profile sum c[a, b] p^a q^b and samples (one row of
+C(n,2)+n columns per sample, edges first) exactly as for set families.
 """
 
 from __future__ import annotations
@@ -27,13 +31,28 @@ from .probability import (
     DEFAULT_WORK_CAP_BITS,
     Estimate,
     ExactProbability,
+    RobustnessCheck,
+    above_threshold,
+    bernoulli_rows,
+    bias,
     coverage_exact,
     coverage_mc,
-    wilson_half_width,
+    ie_limit,
+    pack_rows,
+    sampled_coverage,
+    union_probability,
 )
 from .rng import CounterStream
-from .setfamily import SetFamily, canonical_key, elements_of, iter_submasks
-from .monotone import antichain_minimize, iter_masks_of_weight
+from .setfamily import (
+    SetFamily,
+    antichain_minimize,
+    canonical_key,
+    core,
+    elements_of,
+    iter_submasks,
+    uniform_size,
+)
+from .monotone import iter_masks_of_weight
 
 
 def edge_count(n: int) -> int:
@@ -132,12 +151,8 @@ def graph_from_text(text: str) -> Graph:
 def gnp_sample(n: int, p, stream: CounterStream) -> Graph:
     """One draw of the binomial random graph; consumes C(n,2) counter slots."""
     m = edge_count(n)
-    bits = stream.bernoulli_block(stream.index, m, p)
+    edges = pack_rows(stream.bernoulli_block(stream.index, m, p))[0]
     stream.index += m
-    edges = 0
-    for i in range(m):
-        if bits[i]:
-            edges |= 1 << i
     return Graph(n, edges)
 
 
@@ -233,22 +248,6 @@ class CliqueFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def core(self) -> int:
-        if not self.members:
-            raise EmptyFamilyError("core of an empty clique family")
-        y = (1 << self.n) - 1
-        for m in self.members:
-            y &= m
-        return y
-
-    def uniform_size(self) -> int:
-        if not self.members:
-            raise EmptyFamilyError("uniform size of an empty clique family")
-        size = self.members[0].bit_count()
-        if any(m.bit_count() != size for m in self.members):
-            raise ValueError("clique family is not uniform")
-        return size
-
 
 def clique_minterms(f: Callable[[Graph], int], size: int, n: int) -> CliqueFamily:
     """All A of the given size with f(K_A) = 1 and f(K_{A-a}) = 0 for each a."""
@@ -268,13 +267,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _edge_family(s: CliqueFamily) -> SetFamily:
-    m = edge_count(s.n)
-    if m == 0:
-        raise ValueError("need at least two vertices for an edge family")
-    return SetFamily.from_masks(m, (clique_edges(a) for a in s.members))
-
-
 def clique_coverage(
     s: CliqueFamily,
     core_vertices: int,
@@ -286,36 +278,23 @@ def clique_coverage(
     seed: int = 0,
 ):
     """Pr[some K_A lies inside G(n,p) union K_core], via the edge ground set."""
-    if not s.members:
-        return ExactProbability(Fraction(0)) if engine == "exact" else Estimate(
-            0.0, 0.0, confidence, samples, seed
-        )
     if edge_count(s.n) == 0:
-        return ExactProbability(Fraction(1))  # only empty graphs exist
-    fam = _edge_family(s)
+        return ExactProbability(Fraction(1 if s.members else 0))  # only empty graphs exist
+    fam = SetFamily.from_masks(edge_count(s.n), (clique_edges(a) for a in s.members))
     y = clique_edges(core_vertices)
     if engine == "exact":
         return coverage_exact(fam, y, p, work_cap_bits)
     return coverage_mc(fam, y, p, samples, confidence, seed)
 
 
-def _minimize_pairs(pairs: list[tuple[int, int]]) -> list[int]:
-    """Indices of pairs not dominated componentwise by another pair."""
-    out: list[int] = []
-    for i, (e1, v1) in enumerate(pairs):
-        dominated = False
-        for j, (e2, v2) in enumerate(pairs):
-            if i == j:
-                continue
-            if e2 & e1 == e2 and v2 & v1 == v2 and (e2, v2) != (e1, v1):
-                dominated = True
-                break
-            if (e2, v2) == (e1, v1) and j < i:
-                dominated = True
-                break
-        if not dominated:
-            out.append(i)
-    return out
+def _pq_masks(s: CliqueFamily, core_vertices: int) -> tuple[int, ...]:
+    """Reduced concatenated masks: missing edges, then missing vertices above C(n,2)."""
+    b = core_vertices
+    b_edges = clique_edges(b)
+    split = edge_count(s.n)
+    return antichain_minimize(
+        (clique_edges(a) & ~b_edges) | ((a & ~b) << split) for a in s.members
+    )
 
 
 def pq_coverage_exact(
@@ -331,46 +310,27 @@ def pq_coverage_exact(
     missing edges of K_A must be in G, the missing vertices in U), so the
     union probability falls to inclusion-exclusion over subfamilies:
     each subfamily contributes p^|union of edges| q^|union of vertices|.
-    Large families fall back to conditioning on U over the vertex
-    envelope, with the edge coverage engine finishing per outcome.
+    Families beyond the inclusion-exclusion limit fall back to
+    conditioning on U over the vertex envelope, with the edge coverage
+    engine finishing per outcome.
     """
-    if not s.members:
+    pf, qf = bias(p), bias(q)
+    masks = _pq_masks(s, core_vertices)
+    if not masks:
         return ExactProbability(Fraction(0))
-    b = core_vertices
-    b_edges = clique_edges(b)
-    pairs = [(clique_edges(a) & ~b_edges, a & ~b) for a in s.members]
-    keep = _minimize_pairs(pairs)
-    pairs = [pairs[i] for i in keep]
-    if any(e == 0 and v == 0 for e, v in pairs):
+    if masks[0] == 0:
         return ExactProbability(Fraction(1))
-    pf, qf = Fraction(p), Fraction(q)
-    if len(pairs) <= 20:
-        ppow: dict[int, Fraction] = {0: Fraction(1)}
-        qpow: dict[int, Fraction] = {0: Fraction(1)}
-
-        def power(table, base, k):
-            if k not in table:
-                table[k] = power(table, base, k - 1) * base
-            return table[k]
-
-        total = Fraction(0)
-        m = len(pairs)
-        stack = [(0, 0, 0, 1)]
-        while stack:
-            start, eu, vu, sign = stack.pop()
-            for j in range(start, m):
-                e2, v2 = eu | pairs[j][0], vu | pairs[j][1]
-                total += sign * power(ppow, pf, e2.bit_count()) * power(
-                    qpow, qf, v2.bit_count()
-                )
-                stack.append((j + 1, e2, v2, -sign))
-        return ExactProbability(total)
+    split = edge_count(s.n)
+    limit = ie_limit(work_cap_bits)
+    if len(masks) <= limit:
+        return ExactProbability(union_probability(masks, split, pf, qf))
     venv = 0
-    for _, v in pairs:
-        venv |= v
+    for mask in masks:
+        venv |= mask >> split
     width = venv.bit_count()
-    if width > min(work_cap_bits, 20):
-        raise ExactIntractableError(width, min(work_cap_bits, 20))
+    if width > limit:
+        raise ExactIntractableError(width, limit)
+    b = core_vertices
     total = Fraction(0)
     for u in iter_submasks(venv):
         stripped = [a for a in s.members if a & ~b & ~u == 0]
@@ -393,52 +353,19 @@ def pq_coverage_mc(
     seed: int = 0,
 ) -> Estimate:
     """Sampled joint coverage; each sample consumes C(n,2)+n slots (edges first)."""
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    stream = CounterStream(seed, stream=0)
-    b = core_vertices
-    b_edges = clique_edges(b)
-    pairs = [(clique_edges(a) & ~b_edges, a & ~b) for a in s.members]
-    m = edge_count(s.n)
-    hits = 0
-    for _ in range(samples):
-        g = gnp_sample(s.n, p, stream)
-        u = 0
-        bits = stream.bernoulli_block(stream.index, s.n, q)
-        stream.index += s.n
-        for j in range(s.n):
-            if bits[j]:
-                u |= 1 << j
-        if any(ge & ~g.edges == 0 and av & ~u == 0 for ge, av in pairs):
-            hits += 1
-    return Estimate(
-        hits / samples, wilson_half_width(hits, samples, confidence), confidence, samples, seed
-    )
-
-
-@dataclass(frozen=True)
-class CliqueCheck:
-    decision: Optional[bool]
-    core: int
-    threshold: float
-    probability: object
-    engine: str
+    split = edge_count(s.n)
+    masks = _pq_masks(s, core_vertices)
+    return sampled_coverage(masks, split + s.n, split, p, q, samples, confidence, seed)
 
 
 def is_clique_sunflower(
     s: CliqueFamily, p, eps, engine: str = "exact", **kw
-) -> CliqueCheck:
+) -> RobustnessCheck:
     """Strict test: clique coverage over the family's vertex core > 1 - eps."""
     if not s.members:
         raise EmptyFamilyError("empty clique family")
-    y = s.core()
-    prob = clique_coverage(s, y, p, engine, **kw)
-    threshold = 1 - float(eps)
-    if engine == "exact":
-        decision = prob.value > 1 - Fraction(eps)
-    else:
-        decision = None if abs(prob.value - threshold) <= prob.half_width else prob.value > threshold
-    return CliqueCheck(decision, y, threshold, prob, engine)
+    y = core(s)
+    return RobustnessCheck.of(clique_coverage(s, y, p, engine, **kw), y, eps)
 
 
 def is_pq_clique_sunflower(
@@ -451,18 +378,15 @@ def is_pq_clique_sunflower(
     samples: int = 100_000,
     confidence: float = 0.99,
     seed: int = 0,
-) -> CliqueCheck:
+) -> RobustnessCheck:
     if not s.members:
         raise EmptyFamilyError("empty clique family")
-    b = s.core()
+    b = core(s)
     if engine == "exact":
         prob = pq_coverage_exact(s, b, p, q, work_cap_bits)
-        decision = prob.value > 1 - Fraction(eps)
-        return CliqueCheck(decision, b, 1 - float(eps), prob, "exact")
-    est = pq_coverage_mc(s, b, p, q, samples, confidence, seed)
-    threshold = 1 - float(eps)
-    decision = None if abs(est.value - threshold) <= est.half_width else est.value > threshold
-    return CliqueCheck(decision, b, threshold, est, "mc")
+    else:
+        prob = pq_coverage_mc(s, b, p, q, samples, confidence, seed)
+    return RobustnessCheck.of(prob, b, eps)
 
 
 @lru_cache(maxsize=None)
@@ -525,7 +449,7 @@ def janson_certificate(s: CliqueFamily, p, q) -> JansonCertificate:
         raise EmptyFamilyError("empty clique family")
     if not 0 < float(q) <= 1 or not 0 < float(p) <= 1:
         raise ValueError("need p, q in (0, 1]")
-    size = s.uniform_size()
+    size = uniform_size(s)
     pf, qf = Fraction(p), Fraction(q)
     mu = len(s.members) * qf**size * pf ** math.comb(size, 2)
     delta = Fraction(0)
@@ -604,7 +528,7 @@ def find_clique_sunflower(
 
     def recurse(fam: CliqueFamily, q_now: Fraction, depth: int) -> CliqueFamily:
         nonlocal certificate, status
-        size = fam.uniform_size()
+        size = uniform_size(fam)
         if size == 0:
             trace.append(CliqueTraceStep(depth, 0, len(fam), "trivial", None, None, float(q_now)))
             return fam
@@ -651,7 +575,7 @@ def find_clique_sunflower(
         return fam
 
     subfamily = recurse(s, Fraction(q), 0)
-    core_set = subfamily.core()
+    core_set = core(subfamily)
     probability = None
     verified = False
     if status == "ok":
@@ -682,17 +606,10 @@ def verify_no_kclique_bound(
     n: int, k: int, p, samples: int, seed: int = 0, confidence: float = 0.99
 ) -> Estimate:
     """Monte-Carlo Pr[G(n,p) contains a k-clique]; the target bound is 3/4."""
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
     m = edge_count(n)
-    stream = CounterStream(seed, stream=0)
     endpoints = [edge_endpoints(i) for i in range(m)]
     hits = 0
-    chunk = max(1, (1 << 21) // max(m, 1))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        bits = stream.bernoulli_block(done * m, take * m, p).reshape(take, m)
+    for bits in bernoulli_rows(seed, samples, m, m, p, p):
         for row in bits:
             adj = [0] * n
             for i in np.flatnonzero(row):
@@ -701,10 +618,7 @@ def verify_no_kclique_bound(
                 adj[v - 1] |= 1 << (u - 1)
             if _has_clique_masks(adj, k):
                 hits += 1
-        done += take
-    return Estimate(
-        hits / samples, wilson_half_width(hits, samples, confidence), confidence, samples, seed
-    )
+    return Estimate.from_hits(hits, samples, confidence, seed)
 
 
 def clique_spread_check(n: int, k: int, a_size: int) -> tuple[Fraction, Fraction]:
@@ -826,7 +740,7 @@ def clique_closure(
                 if current.eval_on_clique(a):
                     continue
                 prob = clique_coverage(current.family(), a, params.p, "exact", work_cap_bits)
-                if prob.value > 1 - Fraction(params.eps):
+                if above_threshold(prob, params.eps):
                     witness = a
                     break
             if witness is not None:

@@ -292,13 +292,6 @@ class CoeffPoly:
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
-    @classmethod
-    def from_dict(cls, d: dict[Monomial, Fraction]) -> "CoeffPoly":
-        return cls(tuple(sorted(d.items(), key=lambda kv: sorted(kv[0]))))
-
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     @property
     def support(self) -> frozenset:
         out = set()

@@ -27,8 +27,7 @@ from .probability import (
     sample_p_subset,
 )
 from .rng import CounterStream
-from .setfamily import SetFamily
-from .monotone import antichain_minimize
+from .setfamily import SetFamily, antichain_minimize
 
 DEFAULT_POLY_CAP = 1 << 22
 
@@ -115,10 +114,6 @@ def build_hr_family(params: HRParams, cap: int = DEFAULT_POLY_CAP) -> HRFamily:
             masks.add(m)
     family = SetFamily.from_masks(params.n, antichain_minimize(masks))
     return HRFamily(params, family, qualifying)
-
-
-def eval_hr(hr: HRFamily, x: int) -> int:
-    return hr.eval(x)
 
 
 def sample_positive(hr: HRFamily, stream: CounterStream) -> int:

@@ -23,18 +23,10 @@ from .probability import (
     DEFAULT_WORK_CAP_BITS,
     coverage_exact,
     coverage_mc,
+    exact_event_probability,
+    mc_event_probability,
 )
-from .setfamily import SetFamily, canonical_key
-
-
-def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
-    """Keep inclusion-minimal masks, canonically ordered."""
-    distinct = sorted(set(masks), key=canonical_key)
-    out: list[int] = []
-    for m in distinct:
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return tuple(out)
+from .setfamily import SetFamily, antichain_minimize
 
 
 @dataclass(frozen=True)
@@ -388,16 +380,8 @@ def approximate_circuit(
 
     def joint(event: Callable[[int], bool], items, dist, stream_id: int):
         if engine == "exact":
-            total = Fraction(0)
-            for x, w in items:
-                if event(x):
-                    total += w
-            return total
-        from .probability import mc_event_probability
-
-        est = mc_event_probability(
-            event, dist.sample, samples, seed=seed, stream_id=stream_id
-        )
+            return exact_event_probability(event, items).value
+        est = mc_event_probability(event, dist.sample, samples, seed=seed, stream_id=stream_id)
         return est.value
 
     approx: list[MonotoneFunction] = []

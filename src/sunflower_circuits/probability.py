@@ -5,48 +5,48 @@ p-biased random set W,
 
     coverage(F, Y, p) = Pr[ exists F in F : F subset of W union Y ].
 
-Only the elements E = union(F \\ Y) matter.  The exact engine computes the
-probability as a rational number by whichever of two strategies is cheaper:
+One core serves plain and clique families.  A member is one bit mask:
+bits below ``split`` are p-biased, bits above it q-biased.  A plain member
+F is F \\ Y with nothing above the split; a clique member A over the vertex
+core B (see ``cliques``) is (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)).
+Coverage is Pr[some mask lies inside the random set]:
 
-* inclusion-exclusion over nonempty subfamilies (2^|F'| terms after
-  antichain-minimizing the reduced family F'), or
-* enumeration of the 2^|E| restrictions of W to E, aggregated into covered
-  counts per Hamming weight (vectorized), then combined with exact weights
-  p^w (1-p)^(|E|-w).
+* reduction: ``antichain_minimize``; no mask left means 0, the zero mask 1;
+* inclusion-exclusion over the subfamilies of at most min(work cap, 20)
+  masks adds +-1 into integer counts c[a, b] keyed by the sizes of the
+  union's p- and q-parts, evaluated once as sum c[a, b] p^a q^b;
+* enumeration (plain families) of the 2^|E| restrictions of W to the
+  union E of the masks, counting covered ones per Hamming weight w
+  (vectorized), evaluated the same way with q = 1-p, b = |E|-w;
+* sampling: one chunked block sampler, row s of a ``width``-column draw
+  reading counter slots s*width + j, column j p-biased below the split and
+  q-biased above it.  Plain coverage remaps E onto contiguous bits first,
+  so its columns are the elements of E in ascending order.  Estimates
+  carry a Wilson score interval.
 
-Both refuse when the effective enumeration exceeds the work cap.  The
-Monte-Carlo engine samples W restricted to E (slot layout: sample s uses
-counter slots s*|E| + j for the j-th element of E in ascending order) and
-reports a Wilson score interval.
+Both exact strategies refuse when their work exceeds the cap.  One rule,
+``above_threshold``, decides the strict test coverage > 1 - eps.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import EmptyFamilyError, ExactIntractableError
-from .rng import CounterStream
-from .setfamily import SetFamily, core, elements_of
+from .rng import CounterStream, threshold_for
+from .setfamily import SetFamily, antichain_minimize, core, elements_of
 
 DEFAULT_WORK_CAP_BITS = 24
 _IE_LIMIT = 20  # max family size for the inclusion-exclusion strategy
-
-
-@dataclass(frozen=True)
-class PBiasedParams:
-    p: float
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise ValueError("p must be in (0, 1)")
+_CHUNK_SLOTS = 1 << 21  # counter slots drawn per sampler chunk
+_MAX_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,14 @@ class Estimate:
     samples: int
     seed: int
 
+    @classmethod
+    def from_hits(cls, hits: int, samples: int, confidence: float, seed: int) -> "Estimate":
+        """The hit frequency of at least 100 samples, with its Wilson half-width."""
+        if samples < 100:
+            raise ValueError("need at least 100 samples")
+        half_width = wilson_half_width(hits, samples, confidence)
+        return cls(hits / samples, half_width, confidence, samples, seed)
+
     @property
     def low(self) -> float:
         return max(0.0, self.value - self.half_width)
@@ -86,16 +94,7 @@ class Estimate:
         return min(1.0, self.value + self.half_width)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "half_width": self.half_width,
-                "confidence": self.confidence,
-                "samples": self.samples,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Estimate":
@@ -117,50 +116,79 @@ def wilson_half_width(hits: int, samples: int, confidence: float) -> float:
     return (z / denom) * math.sqrt(phat * (1 - phat) / samples + z * z / (4.0 * samples * samples))
 
 
+def bias(p) -> Fraction:
+    """A coordinate's acceptance probability as a rational, checked to lie in [0, 1]."""
+    pf = Fraction(p)
+    if not 0 <= pf <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return pf
+
+
+def ie_limit(work_cap_bits: int) -> int:
+    """Largest reduced family handed to inclusion-exclusion (2^size terms)."""
+    return min(work_cap_bits, _IE_LIMIT)
+
+
+def pack_rows(bits: np.ndarray) -> list[int]:
+    """Each boolean row (or a single row) as the integer whose bit j is column j."""
+    packed = np.packbits(np.atleast_2d(bits), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def sample_p_subset(n: int, p, stream: CounterStream) -> int:
     """One p-biased subset of [n]; consumes exactly n counter slots."""
-    bits = stream.bernoulli_block(stream.index, n, p)
+    mask = pack_rows(stream.bernoulli_block(stream.index, n, p))[0]
     stream.index += n
-    mask = 0
-    for j in range(n):
-        if bits[j]:
-            mask |= 1 << j
     return mask
 
 
-def _minimize_masks(masks) -> list[int]:
-    """Keep only inclusion-minimal masks (supersets are redundant for coverage)."""
-    distinct = sorted(set(masks), key=lambda m: m.bit_count())
-    out: list[int] = []
-    for m in distinct:
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return out
+def compact(masks) -> tuple[list[int], int]:
+    """Remap the union of ``masks`` onto bits 0..w-1 in ascending order; returns (masks, w)."""
+    env = 0
+    for m in masks:
+        env |= m
+    new_bit = {1 << (e - 1): 1 << j for j, e in enumerate(elements_of(env))}
+    out = []
+    for m in masks:
+        r = 0
+        while m:
+            low = m & -m
+            r |= new_bit[low]
+            m ^= low
+        out.append(r)
+    return out, len(new_bit)
 
 
-def _reduced_family(family: SetFamily, y: int) -> list[int]:
-    return _minimize_masks(m & ~y for m in family.members)
+def union_probability(masks, split: int, p: Fraction, q: Fraction) -> Fraction:
+    """Pr[some mask inside the random set], by inclusion-exclusion over subfamilies.
 
-
-def _ie_union_probability(masks: list[int], p: Fraction) -> Fraction:
-    """Pr[some mask subset of W] by inclusion-exclusion over subfamilies."""
-    powers: dict[int, Fraction] = {0: Fraction(1)}
-
-    def ppow(k: int) -> Fraction:
-        if k not in powers:
-            powers[k] = ppow(k - 1) * p
-        return powers[k]
-
-    total = Fraction(0)
+    Each subfamily adds its sign into an integer count keyed by the sizes
+    of its union's p-part (bits below ``split``) and q-part.
+    """
+    low = (1 << split) - 1
+    counts: dict[tuple[int, int], int] = {}
     m = len(masks)
     stack = [(0, 0, 1)]
     while stack:
         start, union, sign = stack.pop()
         for j in range(start, m):
             u = union | masks[j]
-            total += sign * ppow(u.bit_count())
+            key = ((u & low).bit_count(), (u >> split).bit_count())
+            counts[key] = counts.get(key, 0) + sign
             stack.append((j + 1, u, -sign))
-    return total
+    return _polynomial(counts, p, q)
+
+
+def _polynomial(counts: dict[tuple[int, int], int], p: Fraction, q: Fraction) -> Fraction:
+    """sum c[a, b] p^a q^b, summed in integers over one common denominator."""
+    top_a = max((a for a, _ in counts), default=0)
+    top_b = max((b for _, b in counts), default=0)
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    total = sum(
+        c * pn**a * pd ** (top_a - a) * qn**b * qd ** (top_b - b)
+        for (a, b), c in counts.items()
+    )
+    return Fraction(total, pd**top_a * qd**top_b)
 
 
 _POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
@@ -191,48 +219,65 @@ def coverage_exact(
     work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
 ) -> ExactProbability:
     """Exact Pr over p-biased W of: some member is contained in W union Y."""
-    pf = Fraction(p)
-    if not 0 <= pf <= 1:
-        raise ValueError("p must be in [0, 1]")
-    if not family.members:
+    pf = bias(p)
+    reduced = antichain_minimize(m & ~y for m in family.members)
+    if not reduced:
         return ExactProbability(Fraction(0))
-    reduced = _reduced_family(family, y)
     if reduced[0] == 0:
         return ExactProbability(Fraction(1))  # some member already inside Y
-    env = 0
-    for m in reduced:
-        env |= m
-    width = env.bit_count()
-    ie_ok = len(reduced) <= _IE_LIMIT
+    masks, width = compact(reduced)
+    ie_ok = len(masks) <= ie_limit(work_cap_bits)
     enum_ok = width <= min(work_cap_bits, 30)
     if not ie_ok and not enum_ok:
-        raise ExactIntractableError(min(len(reduced), width), work_cap_bits)
-    if ie_ok and (not enum_ok or len(reduced) <= width):
-        return ExactProbability(_ie_union_probability(reduced, pf))
-    # enumeration path: remap E to contiguous bits
-    positions = [e - 1 for e in elements_of(env)]
-    remap = {pos: j for j, pos in enumerate(positions)}
-    remasks = []
-    for m in reduced:
-        rm = 0
-        for pos in positions:
-            if m >> pos & 1:
-                rm |= 1 << remap[pos]
-        remasks.append(rm)
-    counts = _covered_weight_counts(remasks, width)
-    q = 1 - pf
-    prob = Fraction(0)
-    for w, cnt in enumerate(counts):
-        if cnt:
-            prob += cnt * pf**w * q ** (width - w)
-    return ExactProbability(prob)
+        raise ExactIntractableError(min(len(masks), width), work_cap_bits)
+    if ie_ok and (not enum_ok or len(masks) <= width):
+        return ExactProbability(union_probability(masks, width, pf, pf))
+    counts = _covered_weight_counts(masks, width)
+    weights = {(w, width - w): c for w, c in enumerate(counts)}
+    return ExactProbability(_polynomial(weights, pf, 1 - pf))
 
 
-def _sorted_env_positions(reduced: list[int]) -> list[int]:
-    env = 0
-    for m in reduced:
-        env |= m
-    return [e - 1 for e in elements_of(env)]
+def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Iterator[np.ndarray]:
+    """``samples`` boolean rows of ``width`` columns, in chunks of about 2^21 slots.
+
+    Row s reads counter slots s*width + j of stream 0; column j is accepted
+    with probability p below ``split`` and q at or above it, by the same
+    threshold test as ``CounterStream.bernoulli_block``.
+    """
+    thresholds = [threshold_for(bias(p))] * split + [threshold_for(bias(q))] * (width - split)
+    limit = np.array([min(t, _MAX_U64) for t in thresholds], dtype=np.uint64)
+    certain = np.array([t > _MAX_U64 for t in thresholds], dtype=bool)  # bias 1
+    stream = CounterStream(seed, stream=0)
+    chunk = max(1, _CHUNK_SLOTS // max(width, 1))
+    for done in range(0, samples, chunk):
+        take = min(chunk, samples - done)
+        # no local keeps the uint64 draws alive while the caller holds the rows
+        rows = stream.block(done * width, take * width).reshape(take, width) < limit
+        rows |= certain
+        yield rows
+
+
+def _count_covered(bits: np.ndarray, masks) -> int:
+    """Number of rows of ``bits`` containing some mask."""
+    if bits.shape[1] > 64:
+        return sum(1 for w in pack_rows(bits) if any(w & r == r for r in masks))
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    w = words.view("<u8")[:, 0]
+    covered = np.zeros(len(bits), dtype=bool)
+    for r in np.array(masks, dtype=np.uint64):
+        covered |= (w & r) == r
+    return int(covered.sum())
+
+
+def sampled_coverage(
+    masks, width: int, split: int, p, q, samples: int, confidence: float, seed: int
+) -> Estimate:
+    """Frequency of rows of ``bernoulli_rows`` that contain some mask."""
+    rows = bernoulli_rows(seed, samples, width, split, p, q)
+    hits = sum(_count_covered(bits, masks) for bits in rows)
+    return Estimate.from_hits(hits, samples, confidence, seed)
 
 
 def coverage_mc(
@@ -243,43 +288,17 @@ def coverage_mc(
     confidence: float = 0.99,
     seed: int = 0,
 ) -> Estimate:
-    """Empirical coverage frequency with a Wilson interval at ``confidence``."""
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    if not family.members:
-        return Estimate(0.0, 0.0, confidence, samples, seed)
-    reduced = _minimize_masks(m & ~y for m in family.members)
-    if reduced[0] == 0:
-        return Estimate(1.0, 0.0, confidence, samples, seed)
-    positions = _sorted_env_positions(reduced)
-    width = len(positions)
-    remap = {pos: j for j, pos in enumerate(positions)}
-    remapped = [sum(1 << remap[pos] for pos in positions if m >> pos & 1) for m in reduced]
-    stream = CounterStream(seed, stream=0)
-    hits = 0
-    chunk = max(1, (1 << 21) // max(width, 1))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        bits = stream.bernoulli_block(done * width, take * width, p).reshape(take, width)
-        if width <= 64:
-            remasks = np.array(remapped, dtype=np.uint64)
-            w = np.zeros(take, dtype=np.uint64)
-            for j in range(width):
-                w |= bits[:, j].astype(np.uint64) << np.uint64(j)
-            covered = np.zeros(take, dtype=bool)
-            for r in remasks:
-                covered |= (w & r) == r
-            hits += int(covered.sum())
-        else:
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            for row in packed:
-                w = int.from_bytes(row.tobytes(), "little")
-                if any(w & r == r for r in remapped):
-                    hits += 1
-        done += take
-    value = hits / samples
-    return Estimate(value, wilson_half_width(hits, samples, confidence), confidence, samples, seed)
+    """Empirical coverage frequency with a Wilson interval at ``confidence``.
+
+    The rows range over the elements of E only.  With no mask left, or a
+    member inside Y, the rows have no columns and the frequency is exact,
+    so the estimate has half-width 0.
+    """
+    masks, width = compact(antichain_minimize(m & ~y for m in family.members))
+    est = sampled_coverage(masks, width, width, p, p, samples, confidence, seed)
+    if not masks or masks[0] == 0:
+        return replace(est, half_width=0.0)
+    return est
 
 
 @dataclass(frozen=True)
@@ -287,7 +306,8 @@ class RobustnessCheck:
     """Decision record for the strict coverage > 1 - eps test.
 
     ``decision`` is None when a Monte-Carlo estimate lands within one
-    half-width of the threshold (indeterminate).
+    half-width of the threshold (indeterminate).  ``kernel`` is the core
+    the coverage was taken over: a vertex core for clique families.
     """
 
     decision: Optional[bool]
@@ -296,9 +316,24 @@ class RobustnessCheck:
     probability: object  # ExactProbability or Estimate
     engine: str
 
-    @property
-    def margin(self) -> float:
-        return float(self.probability) - self.threshold
+    @classmethod
+    def of(cls, probability, kernel: int, eps) -> "RobustnessCheck":
+        engine = "exact" if isinstance(probability, ExactProbability) else "mc"
+        return cls(above_threshold(probability, eps), kernel, 1 - float(eps), probability, engine)
+
+
+def above_threshold(probability, eps) -> Optional[bool]:
+    """The strict test coverage > 1 - eps.
+
+    Exact probabilities compare as rationals.  An estimate within one
+    half-width of the float threshold 1 - eps is indeterminate (None).
+    """
+    if isinstance(probability, ExactProbability):
+        return probability.value > 1 - Fraction(eps)
+    threshold = 1 - float(eps)
+    if abs(probability.value - threshold) <= probability.half_width:
+        return None
+    return probability.value > threshold
 
 
 def is_robust_sunflower(
@@ -316,17 +351,9 @@ def is_robust_sunflower(
         raise EmptyFamilyError("robustness of an empty family is undefined")
     y = core(family)
     if engine == "exact":
-        prob = coverage_exact(family, y, p, work_cap_bits)
-        decision = prob.value > 1 - Fraction(eps)
-        return RobustnessCheck(decision, y, 1 - float(eps), prob, "exact")
+        return RobustnessCheck.of(coverage_exact(family, y, p, work_cap_bits), y, eps)
     if engine == "mc":
-        est = coverage_mc(family, y, p, samples, confidence, seed)
-        threshold = 1 - float(eps)
-        if abs(est.value - threshold) <= est.half_width:
-            decision = None
-        else:
-            decision = est.value > threshold
-        return RobustnessCheck(decision, y, threshold, est, "mc")
+        return RobustnessCheck.of(coverage_mc(family, y, p, samples, confidence, seed), y, eps)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -359,20 +386,11 @@ def mc_event_probability(
     stream_id: int = 0,
 ) -> Estimate:
     """Estimate Pr[predicate(sample)] for an arbitrary seeded sampler."""
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
     stream = CounterStream(seed, stream=stream_id)
-    hits = 0
-    for _ in range(samples):
-        if predicate(sampler(stream)):
-            hits += 1
-    return Estimate(hits / samples, wilson_half_width(hits, samples, confidence), confidence, samples, seed)
+    hits = sum(1 for _ in range(samples) if predicate(sampler(stream)))
+    return Estimate.from_hits(hits, samples, confidence, seed)
 
 
 def exact_event_probability(predicate, items) -> ExactProbability:
     """Sum the exact weights of support points satisfying the predicate."""
-    total = Fraction(0)
-    for x, w in items:
-        if predicate(x):
-            total += w
-    return ExactProbability(total)
+    return ExactProbability(sum((w for x, w in items if predicate(x)), Fraction(0)))

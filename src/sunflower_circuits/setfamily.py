@@ -120,16 +120,21 @@ class SetFamily:
         return [elements_of(m) for m in self.members]
 
 
-def canonicalize(family: SetFamily) -> SetFamily:
-    """Idempotent: families are always stored canonical."""
-    return SetFamily.from_masks(family.n, family.members)
+def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
+    """Keep inclusion-minimal masks, canonically ordered."""
+    distinct = sorted(set(masks), key=canonical_key)
+    out: list[int] = []
+    for m in distinct:
+        if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
 
 
-def core(family: SetFamily) -> int:
-    """Intersection of all members."""
+def core(family) -> int:
+    """Intersection of all members of any family with ``.n`` and ``.members``."""
     if not family.members:
         raise EmptyFamilyError("core of an empty family is undefined")
-    y = family.universe.full_mask
+    y = (1 << family.n) - 1
     for m in family.members:
         y &= m
     return y
@@ -146,8 +151,8 @@ def is_uniform(family: SetFamily, size: int) -> bool:
     return all(m.bit_count() == size for m in family.members)
 
 
-def uniform_size(family: SetFamily) -> int:
-    """Common member cardinality; raises if the family is not uniform."""
+def uniform_size(family) -> int:
+    """Common member cardinality of any family with ``.members``; raises if not uniform."""
     if not family.members:
         raise EmptyFamilyError("uniformity size of an empty family is undefined")
     size = family.members[0].bit_count()

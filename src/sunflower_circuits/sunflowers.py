@@ -25,6 +25,7 @@ from .errors import BaseCaseFailedError, ExactIntractableError, ThresholdNotMetE
 from .probability import (
     DEFAULT_WORK_CAP_BITS,
     RobustnessCheck,
+    coverage_exact,
     is_robust_sunflower,
 )
 from .setfamily import SetFamily, check_spread, core, link, uniform_size
@@ -103,8 +104,6 @@ def check_uniform_sunflower_robustness(
     With r petals of size l and disjoint petal remainders, coverage equals
     1-(1-p^(l-|kernel|))^r >= 1-(1-p^l)^r >= 1-exp(-r p^l).
     """
-    from .probability import coverage_exact
-
     r = len(sunflower.petals)
     size = uniform_size(sunflower.petals)
     cover = coverage_exact(sunflower.petals, sunflower.kernel, p, work_cap_bits)

@@ -147,3 +147,60 @@ def eval_antichain(minterms, x):
 
 def brute_agreement(w1, w2):
     return sum(1 for a, b in zip(w1, w2) if a == b)
+
+
+def pq_sample_hits(vertex_masks, b_mask, p, q, n, samples, stream):
+    """Hits of the joint (p, q) coverage event, one sample at a time.
+
+    Each sample reads C(n,2) edge slots of ``stream`` (a counter stream with
+    ``bernoulli_block`` and ``index``) and then n vertex slots, bit by bit.
+    """
+    m = n * (n - 1) // 2
+    b_edges = clique_edge_mask([i + 1 for i in iter_bits(b_mask)])
+    pairs = []
+    for a in vertex_masks:
+        a_edges = clique_edge_mask([i + 1 for i in iter_bits(a)])
+        pairs.append((a_edges & ~b_edges, a & ~b_mask))
+    hits = 0
+    for _ in range(samples):
+        bits = stream.bernoulli_block(stream.index, m, p)
+        stream.index += m
+        g = 0
+        for i in range(m):
+            if bits[i]:
+                g |= 1 << i
+        bits = stream.bernoulli_block(stream.index, n, q)
+        stream.index += n
+        u = 0
+        for j in range(n):
+            if bits[j]:
+                u |= 1 << j
+        if any(ge & ~g == 0 and av & ~u == 0 for ge, av in pairs):
+            hits += 1
+    return hits
+
+
+def set_sample_hits(members, y, p, samples, stream):
+    """Hits of plain coverage, one sample at a time, drawing only the relevant elements.
+
+    The relevant elements are the union E of the inclusion-minimal sets
+    among {F minus y}; each sample reads |E| slots of ``stream``, the
+    elements of E in ascending order, and sets them bit by bit.
+    """
+    reduced = {m & ~y for m in members}
+    reduced = [m for m in reduced if not any(k != m and k & m == k for k in reduced)]
+    env = 0
+    for m in reduced:
+        env |= m
+    positions = list(iter_bits(env))
+    hits = 0
+    for _ in range(samples):
+        bits = stream.bernoulli_block(stream.index, len(positions), p)
+        stream.index += len(positions)
+        w = 0
+        for j, pos in enumerate(positions):
+            if bits[j]:
+                w |= 1 << pos
+        if any(m & ~w == 0 for m in reduced):
+            hits += 1
+    return hits

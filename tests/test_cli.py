@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from sunflower_circuits import cli
 from sunflower_circuits.cli import (
     ExperimentConfig,
+    _check,
     build_config,
     emit,
     main,
@@ -47,6 +50,23 @@ class TestConfig:
         cfg_file.write_text("just-a-word\n")
         with pytest.raises(ConfigError):
             build_config(["hr-verify", "--config", str(cfg_file)])
+
+    def test_flags_beat_config_file(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("samples=2000\nengine=mc\nformat=csv\n")
+        config = build_config([
+            "coverage", "--config", str(cfg_file),
+            "--samples", "1000", "--engine", "exact", "--format", "json",
+        ])
+        assert (config.samples, config.engine, config.fmt) == (1000, "exact", "json")
+
+    def test_config_file_beats_defaults(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("samples=2000\nengine=mc\nformat=csv\n")
+        config = build_config(["coverage", "--config", str(cfg_file)])
+        assert (config.samples, config.engine, config.fmt) == (2000, "mc", "csv")
+        config = build_config(["coverage"])
+        assert (config.samples, config.engine, config.fmt) == (100_000, "exact", "json")
 
     def test_param_flag_parsing(self):
         config = build_config(["code-poly", "-P", "q=11", "-P", "n=9", "-P", "dim=3"])
@@ -139,6 +159,28 @@ class TestRunners:
         assert {c["status"] for c in report["checks"]} <= {"pass", "report-only"}
 
 
+class TestCheckRows:
+    def test_extra_keys_do_not_replace_status(self):
+        row = _check("x", False, True, False, status="ok")
+        assert row["status"] == "fail"
+
+    def test_unverified_clique_extraction_fails(self, monkeypatch):
+        found = cli.find_clique_sunflower
+        monkeypatch.setattr(
+            cli, "find_clique_sunflower",
+            lambda *a, **kw: dataclasses.replace(found(*a, **kw), verified=False),
+        )
+        report = run(
+            ExperimentConfig(
+                "clique-extract",
+                {"n": 12, "family": "star:11", "p": "1/2", "q": "1", "eps": "0.05"},
+            )
+        )
+        row = report["checks"][0]
+        assert row["status"] == "fail" and row["extraction_status"] == "ok"
+        assert not report["all_passed"]
+
+
 class TestEmission:
     def test_json_round_trip(self, tmp_path):
         report = run(ExperimentConfig("hr-verify", {"n": 11, "c": 2, "k": 3}))
@@ -199,6 +241,21 @@ class TestMain:
 
     def test_exit_two_on_config_error(self, capsys):
         assert main(["hr-verify", "-P", "bogus=1"]) == 2
+
+    def test_value_error_in_runner_exits_two(self, capsys):
+        assert main(["hr-verify", "-P", "n=12", "-P", "c=2", "-P", "k=3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+    def test_impossible_random_family_exits_two(self, capsys):
+        argv = ["coverage", "--seed", "1", "-P", "n=4", "-P", "family=random:20:1", "-P", "p=1/2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_impossible_spread_trials_exit_two(self, capsys):
+        argv = ["spread-experiment", "--seed", "1", "-P", "n=4", "-P", "l=2",
+                "-P", "members=7", "-P", "p=1/2", "-P", "eps=1/10"]
+        assert main(argv) == 2
 
     def test_writes_output_file(self, tmp_path):
         out = tmp_path / "r.json"

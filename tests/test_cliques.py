@@ -40,7 +40,7 @@ from sunflower_circuits.cliques import (
 )
 from sunflower_circuits.errors import BaseCaseFailedError
 from sunflower_circuits.rng import CounterStream
-from sunflower_circuits.setfamily import mask_of
+from sunflower_circuits.setfamily import core, mask_of
 
 from oracles import brute_has_clique, brute_containment_probability, brute_pq_hit
 
@@ -190,7 +190,7 @@ class TestCliqueCoverage:
 class TestPqCoverage:
     def test_q_one_matches_plain(self):
         s = CliqueFamily.from_sets(5, [(1, 2), (1, 3), (4, 5)])
-        y = s.core()
+        y = core(s)
         plain = clique_coverage(s, y, Fraction(1, 2)).value
         joint = pq_coverage_exact(s, y, Fraction(1, 2), 1).value
         assert plain == joint

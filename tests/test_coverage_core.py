@@ -1,0 +1,198 @@
+"""The shared coverage core: set and clique families through one reduction,
+one inclusion-exclusion, one block sampler and one threshold rule."""
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sunflower_circuits.cliques import (
+    CliqueFamily,
+    clique_edges,
+    is_clique_sunflower,
+    pq_coverage_exact,
+    pq_coverage_mc,
+    verify_no_kclique_bound,
+)
+from sunflower_circuits.errors import ExactIntractableError
+from sunflower_circuits.probability import (
+    Estimate,
+    ExactProbability,
+    above_threshold,
+    coverage_exact,
+    coverage_mc,
+    union_probability,
+)
+from sunflower_circuits.rng import CounterStream
+from sunflower_circuits.setfamily import SetFamily, mask_of
+
+from oracles import brute_coverage, pq_hit_inclusion_exclusion, pq_sample_hits, set_sample_hits
+
+
+def all_pairs(n):
+    return CliqueFamily.from_masks(n, [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)])
+
+
+class TestConditioningBranch:
+    @pytest.mark.parametrize("p,q", [(Fraction(1, 2), Fraction(1, 3)),
+                                     (Fraction(1, 5), Fraction(3, 4)),
+                                     (Fraction(2, 3), 1)])
+    def test_all_21_pairs_of_7_match_closed_form(self, p, q):
+        # 21 reduced members exceed the inclusion-exclusion limit of 20
+        got = pq_coverage_exact(all_pairs(7), 0, p, q).value
+        p, q = Fraction(p), Fraction(q)
+        want = sum(
+            math.comb(7, k) * q**k * (1 - q) ** (7 - k) * (1 - (1 - p) ** math.comb(k, 2))
+            for k in range(8)
+        )
+        assert got == want
+
+    def test_small_cap_also_conditions(self):
+        # the limit is min(work_cap_bits, 20): 7 members condition at cap 6
+        s = CliqueFamily.from_sets(5, [(1,)] + list(combinations(range(2, 6), 2)))
+        p, q = Fraction(1, 3), Fraction(1, 2)
+        edges = [clique_edges(a) for a in s.members]
+        want = pq_hit_inclusion_exclusion(list(s.members), edges, p, q)
+        assert pq_coverage_exact(s, 0, p, q, work_cap_bits=6).value == want
+        with pytest.raises(ExactIntractableError):
+            pq_coverage_exact(s, 0, p, q, work_cap_bits=5)
+
+
+class TestBlockSamplerMatchesPerSampleLoops:
+    @pytest.mark.parametrize("n,q", [(8, Fraction(1, 2)), (12, Fraction(2, 3)), (8, 1)])
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_same_pq_estimate(self, n, q, seed):
+        rng = random.Random(n * 100 + seed)
+        masks = {sum(1 << v for v in rng.sample(range(n), rng.randint(2, 4))) for _ in range(5)}
+        s = CliqueFamily.from_masks(n, masks)
+        b = s.members[0] & s.members[1]
+        p = Fraction(1, 2)
+        est = pq_coverage_mc(s, b, p, q, 300, seed=seed)
+        hits = pq_sample_hits(list(s.members), b, p, q, n, 300, CounterStream(seed, stream=0))
+        assert est == Estimate.from_hits(hits, 300, 0.99, seed)
+
+    @pytest.mark.parametrize("n,size", [(12, 3), (150, 2)])  # about 10 and 100 columns
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_set_estimate(self, n, size, seed):
+        rng = random.Random(n + seed)
+        masks = {sum(1 << e for e in rng.sample(range(n), size)) for _ in range(n // 2)}
+        masks |= {m | 1 << rng.randrange(n) for m in list(masks)[:3]}  # supersets to reduce away
+        f = SetFamily.from_masks(n, masks)
+        y = 1 << rng.randrange(n)
+        est = coverage_mc(f, y, Fraction(1, 3), 300, seed=seed)
+        hits = set_sample_hits(f.members, y, Fraction(1, 3), 300, CounterStream(seed, stream=0))
+        assert est == Estimate.from_hits(hits, 300, 0.99, seed)
+
+
+class TestValidationAndCaps:
+    @pytest.mark.parametrize("p", [2, -0.5, Fraction(3, 2)])
+    def test_bias_outside_unit_interval_raises(self, p):
+        f = SetFamily.from_masks(6, [0b11, 0b1100])
+        s = CliqueFamily.from_masks(4, [0b111])
+        with pytest.raises(ValueError):
+            coverage_mc(f, 0, p, 100)
+        with pytest.raises(ValueError):
+            coverage_mc(SetFamily.from_masks(6, []), 0, p, 100)
+        with pytest.raises(ValueError):
+            pq_coverage_mc(s, 0, p, 1, 100)
+        with pytest.raises(ValueError):
+            pq_coverage_mc(s, 0, Fraction(1, 2), p, 100)
+        with pytest.raises(ValueError):
+            pq_coverage_exact(s, 0, Fraction(1, 2), p)
+        with pytest.raises(ValueError):
+            verify_no_kclique_bound(6, 3, p, 100)
+
+    def test_pq_samples_minimum(self):
+        with pytest.raises(ValueError):
+            pq_coverage_mc(CliqueFamily.from_masks(4, [0b111]), 0, 0.5, 0.5, 99)
+
+    def test_ie_limit_follows_work_cap(self):
+        rng = random.Random(3)
+        masks = set()
+        while len(masks) < 20:
+            masks.add(sum(1 << e for e in rng.sample(range(24), 3)))
+        f = SetFamily.from_masks(24, masks)
+        with pytest.raises(ExactIntractableError):
+            coverage_exact(f, 0, Fraction(1, 2), work_cap_bits=4)
+
+    def test_default_cap_keeps_inclusion_exclusion_at_20(self):
+        # 20 disjoint pairs: width 40 is past enumeration, 20 members still fit
+        f = SetFamily.from_masks(40, [0b11 << (2 * i) for i in range(20)])
+        want = 1 - (1 - Fraction(1, 4)) ** 20
+        assert coverage_exact(f, 0, Fraction(1, 2)).value == want
+
+
+class TestUnionProbability:
+    def test_q_part_is_separately_biased(self):
+        # masks {e0, v0} and {e1}: Pr = pq + p - p^2 q
+        split = 2
+        masks = [0b1 | 0b1 << split, 0b10]
+        p, q = Fraction(1, 3), Fraction(3, 5)
+        assert union_probability(masks, split, p, q) == p * q + p - p * p * q
+
+
+class TestThresholdRule:
+    def test_exact_is_strict_and_rational(self):
+        assert above_threshold(ExactProbability(Fraction(9, 10)), Fraction(1, 10)) is False
+        assert above_threshold(ExactProbability(Fraction(91, 100)), Fraction(1, 10)) is True
+
+    def test_estimate_within_one_half_width_is_indeterminate(self):
+        est = Estimate(0.9, 0.01, 0.99, 1000, 0)
+        assert above_threshold(est, 0.105) is None
+        assert above_threshold(est, 0.2) is True
+        assert above_threshold(est, 0.05) is False
+
+    def test_clique_check_records_vertex_core(self):
+        s = CliqueFamily.from_sets(5, [(1, 2, 3), (1, 4, 5)])
+        chk = is_clique_sunflower(s, Fraction(1, 2), Fraction(1, 2))
+        assert chk.kernel == mask_of([1], 5)
+        assert chk.engine == "exact" and chk.threshold == 0.5
+        assert chk.decision is (chk.probability.value > Fraction(1, 2))
+
+
+def _families(max_n):
+    """(n, masks, y): arbitrary masks and Y, or a random share of all k-subsets and Y = 0.
+
+    The second kind often keeps more members after reduction than it has
+    elements, which sends ``coverage_exact`` down the enumeration path.
+    """
+    def share_of_k_subsets(n, k):
+        subsets = [sum(1 << e for e in c) for c in combinations(range(n), k)]
+        keep = st.lists(st.booleans(), min_size=len(subsets), max_size=len(subsets))
+        return keep.map(lambda flags: [m for m, f in zip(subsets, flags) if f] or subsets[:1])
+
+    def for_n(n):
+        arbitrary = st.tuples(
+            st.just(n),
+            st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=14),
+            st.integers(0, (1 << n) - 1),
+        )
+        shares = st.tuples(
+            st.just(n), st.integers(2, 3).flatmap(lambda k: share_of_k_subsets(n, k)), st.just(0)
+        )
+        return st.one_of(arbitrary, shares)
+
+    return st.integers(3, max_n).flatmap(for_n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_families(7), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(4, 5)]))
+def test_coverage_exact_matches_brute_force(data, p):
+    # few members take inclusion-exclusion, more members than elements enumerate
+    n, masks, y = data
+    f = SetFamily.from_masks(n, masks)
+    assert coverage_exact(f, y, p).value == brute_coverage(f.members, y, p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families(5), st.sampled_from([(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), 1)]))
+def test_pq_coverage_exact_matches_oracle(data, pq):
+    n, masks, _ = data
+    masks = sorted(set(masks))[:8]
+    p, q = pq
+    s = CliqueFamily.from_masks(n, masks)
+    edges = [clique_edges(a) for a in masks]
+    assert pq_coverage_exact(s, 0, p, q).value == pq_hit_inclusion_exclusion(masks, edges, p, q)

@@ -10,7 +10,6 @@ from sunflower_circuits.harnik_raz import (
     PositiveTestDistribution,
     build_hr_family,
     default_hr_parameters,
-    eval_hr,
     eval_poly_points,
     is_prime,
     iter_polynomials,
@@ -65,7 +64,7 @@ class TestBuildFamily:
         hr = build_hr_family(HRParams(5, 1, 3))
         assert hr.n_qualifying == 0
         assert len(hr.family) == 0
-        assert eval_hr(hr, (1 << 5) - 1) == 0
+        assert hr.eval((1 << 5) - 1) == 0
 
     def test_dedup(self):
         params = HRParams(11, 2, 3)
@@ -97,17 +96,17 @@ class TestBuildFamily:
 class TestEval:
     def test_full_input_accepts(self):
         hr = build_hr_family(HRParams(11, 2, 3))
-        assert eval_hr(hr, (1 << 11) - 1) == 1
+        assert hr.eval((1 << 11) - 1) == 1
 
     def test_empty_input_rejects(self):
         hr = build_hr_family(HRParams(11, 2, 3))
-        assert eval_hr(hr, 0) == 0
+        assert hr.eval(0) == 0
 
     def test_qualifying_value_set_accepts(self):
         params = HRParams(11, 2, 3)
         hr = build_hr_family(params)
         m = eval_poly_points((0, 1), params.k, params.n)  # identity map
-        assert eval_hr(hr, m) == 1
+        assert hr.eval(m) == 1
 
     def test_monotone(self):
         hr = build_hr_family(HRParams(7, 2, 3))
@@ -115,7 +114,7 @@ class TestEval:
         for _ in range(200):
             x = rng.randrange(0, 1 << 7)
             y = x | rng.randrange(0, 1 << 7)
-            assert eval_hr(hr, x) <= eval_hr(hr, y)
+            assert hr.eval(x) <= hr.eval(y)
 
 
 class TestPositiveAcceptance:
@@ -250,7 +249,7 @@ class TestSamplers:
         items = list(dist.exact_items())
         assert sum(w for _, w in items) == 1
         # acceptance probability recomputed from the support matches the count
-        acc = sum(w for m, w in items if eval_hr(hr, m))
+        acc = sum(w for m, w in items if hr.eval(m))
         assert acc == Fraction(hr.n_qualifying, 49)
 
 
