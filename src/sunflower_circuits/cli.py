@@ -7,7 +7,9 @@ same config and seed, except for the wall-clock field.  Exit status is 0
 iff every asserted check passed (1 otherwise); report-only rows never fail
 a run.  Bad input -- a ConfigError or any other ValueError raised while
 building or running the experiment -- exits with status 2 and a one-line
-``config error:`` message.
+``config error:`` message; so does a refusal (a ``RefusalError``: a work
+cap exceeded, or a guarantee that does not hold for the input), with a
+one-line ``refused:`` message.
 
 Configs can come from a ``key=value`` file (--config) with command-line
 flags taking precedence; unknown keys are rejected.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, RefusalError, TooLargeError
 from .probability import (
     Estimate,
     ExactProbability,
@@ -57,6 +59,7 @@ from .cliques import (
     verify_no_kclique_bound,
 )
 from .codes import (
+    AGREEMENT_CAP,
     Decomposition,
     CoeffPoly,
     build_polynomial,
@@ -353,6 +356,8 @@ def _run_code_poly(config: ExperimentConfig) -> dict:
     n = int(config.params["n"])
     dim = int(config.params["dim"])
     audit = str(config.params.get("audit", "false")).lower() in ("1", "true", "yes")
+    if q**dim > AGREEMENT_CAP:  # the pairwise scan below would refuse it; do so before building
+        raise TooLargeError(f"{q**dim} codewords exceed the pairwise-scan cap {AGREEMENT_CAP}")
     code = reed_solomon_code(q, n, dim)
     poly = build_polynomial(code)
     agreement = max_pairwise_agreement(code)
@@ -579,6 +584,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         report = run(config)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except RefusalError as exc:
+        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     text = emit(report, config.fmt, config.out)
     if not config.out:

@@ -26,7 +26,7 @@ from .errors import (
     NegativeConstantError,
     TooLargeError,
 )
-from .harnik_raz import is_prime
+from .harnik_raz import is_prime, polynomial_values
 
 AGREEMENT_CAP = 1 << 14
 DEFAULT_MONOMIAL_CAP = 1 << 20
@@ -56,29 +56,20 @@ class Code:
 def reed_solomon_code(q: int, n: int, dim: int) -> Code:
     """Evaluations of all q^dim polynomials of degree < dim at points 0..n-1.
 
-    Distinct polynomials of degree < dim <= n agree on at most dim-1 of the
-    n points, so the code has q^dim words and max pairwise agreement dim-1.
+    Codeword i is polynomial i of ``harnik_raz.polynomial_values``: its
+    coefficient j (degree 0 first) is digit j of i in base q.  Distinct
+    polynomials of degree < dim <= n agree on at most dim-1 of the n
+    points, so the code has q^dim words and max pairwise agreement dim-1.
+    More than 2^22 words raise ``EnumerationTooLargeError``.
     """
     if not is_prime(q):
         raise ValueError("q must be prime")
     if not 1 <= dim <= n <= q:
         raise ValueError("need 1 <= dim <= n <= q")
-    words = []
-    coeffs = [0] * dim
-    total = q**dim
-    for index in range(total):
-        v = index
-        for i in range(dim):
-            coeffs[i] = v % q
-            v //= q
-        word = []
-        for x in range(n):
-            acc = 0
-            for a in reversed(coeffs):
-                acc = (acc * x + a) % q
-            word.append(acc)
-        words.append(tuple(word))
-    return Code(q, n, tuple(words))
+    words = tuple(
+        tuple(word) for values in polynomial_values(q, dim, range(n)) for word in values.tolist()
+    )
+    return Code(q, n, words)
 
 
 def max_pairwise_agreement(code: Code, cap: int = AGREEMENT_CAP) -> int:

@@ -5,7 +5,12 @@ class EmptyFamilyError(ValueError):
     """Raised when an operation needs at least one member set."""
 
 
-class ExactIntractableError(RuntimeError):
+class RefusalError(RuntimeError):
+    """The package declines a computation: a work cap would be exceeded or
+    a construction's guarantee does not apply to the input."""
+
+
+class ExactIntractableError(RefusalError):
     """Exact enumeration would exceed the configured work cap.
 
     Callers are expected to fall back to a Monte-Carlo engine.
@@ -19,19 +24,19 @@ class ExactIntractableError(RuntimeError):
         )
 
 
-class EnumerationTooLargeError(RuntimeError):
+class EnumerationTooLargeError(RefusalError):
     """A full construction (e.g. all polynomials) exceeds its cap."""
 
 
-class ThresholdNotMetError(RuntimeError):
+class ThresholdNotMetError(RefusalError):
     """Sunflower search failed on a family below the guarantee threshold."""
 
 
-class BaseCaseFailedError(RuntimeError):
+class BaseCaseFailedError(RefusalError):
     """Extraction bottomed out on a 1-uniform family that is too small."""
 
 
-class MonomialBlowupError(RuntimeError):
+class MonomialBlowupError(RefusalError):
     """Gate-wise expansion of an arithmetic circuit exceeded the monomial cap."""
 
 
@@ -39,7 +44,7 @@ class NegativeConstantError(ValueError):
     """A monotone arithmetic circuit may only carry positive constants."""
 
 
-class TooLargeError(RuntimeError):
+class TooLargeError(RefusalError):
     """Input size exceeds a hard cap of a quadratic/exhaustive scan."""
 
 

@@ -5,6 +5,13 @@ c-1 over F_n yields the value set S_P = {P(1), ..., P(k)} inside [n]
 (residue 0 is identified with element n, all other residues with
 themselves).  The hard function is the DNF over all S_P with |S_P| >= k/2.
 
+Polynomials are indexed 0 .. n^c - 1: coefficient j of polynomial i
+(degree 0 first) is digit j of i in base n.  One evaluator,
+``polynomial_values``, gives the values of every polynomial in that order
+(``codes`` builds its Reed-Solomon codewords with it), and
+``build_hr_family`` keeps the value set of each one, by index, as the
+family's image table, which every exact count and the positive sampler read.
+
 The positive test distribution draws a uniformly random polynomial and
 returns the indicator vector of S_P -- including non-qualifying P, whose
 rejection is exactly the positive-side failure event.  The negative test
@@ -14,22 +21,28 @@ distribution is the uniform (1/2-biased) distribution on inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterator
+
+import numpy as np
 
 from .errors import EnumerationTooLargeError
 from .probability import (
     DEFAULT_WORK_CAP_BITS,
+    Estimate,
+    bernoulli_rows,
+    count_covered,
     coverage_exact,
     mc_event_probability,
-    sample_p_subset,
+    pack_rows,
 )
 from .rng import CounterStream
 from .setfamily import SetFamily, antichain_minimize
 
 DEFAULT_POLY_CAP = 1 << 22
+_CHUNK_ENTRIES = 1 << 21  # evaluator output entries per chunk
 
 
 def is_prime(n: int) -> bool:
@@ -43,6 +56,30 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def polynomial_values(q: int, dim: int, points) -> Iterator[np.ndarray]:
+    """Values mod q of all q^dim polynomials of degree < dim at ``points``.
+
+    Polynomial i has coefficient j (degree 0 first) equal to digit j of i
+    in base q.  Yields int64 arrays of shape (rows, len(points)) holding
+    consecutive polynomials, at most max(1, 2^21 // q) rows each, so a chunk
+    and a rows x q indicator of its values stay within about 2^21 entries.
+    More than ``DEFAULT_POLY_CAP`` raise ``EnumerationTooLargeError`` at once.
+    """
+    total = q**dim
+    if total > DEFAULT_POLY_CAP:
+        raise EnumerationTooLargeError(f"{q}^{dim} = {total} polynomials, cap {DEFAULT_POLY_CAP}")
+    xs = np.array(points, dtype=np.int64) % q
+    rows = max(1, _CHUNK_ENTRIES // q)
+    for lo in range(0, total, rows):
+        index = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        values = np.zeros((len(index), len(xs)), dtype=np.int64)
+        for j in reversed(range(dim)):  # Horner, highest degree first
+            values *= xs
+            values += (index // q**j % q)[:, None]
+            values %= q
+        yield values
 
 
 @dataclass(frozen=True)
@@ -68,80 +105,49 @@ class HRParams:
         return -(-self.k // 2)  # ceil(k/2)
 
 
-def _residue_bit(r: int, n: int) -> int:
-    # residue 0 maps to element n, other residues map to themselves
-    return 1 << (n - 1) if r == 0 else 1 << (r - 1)
-
-
-def eval_poly_points(coeffs: tuple[int, ...], k: int, n: int) -> int:
-    """Mask of {P(1), ..., P(k)} for P given by coefficients (low degree first)."""
-    mask = 0
-    for x in range(1, k + 1):
-        v = 0
-        for a in reversed(coeffs):
-            v = (v * x + a) % n
-        mask |= _residue_bit(v, n)
-    return mask
-
-
-def iter_polynomials(params: HRParams) -> Iterator[tuple[int, ...]]:
-    """All n^c coefficient tuples in lexicographic order (degree-0 fastest)."""
-    return product(range(params.n), repeat=params.c)
-
-
 @dataclass(frozen=True)
 class HRFamily:
     params: HRParams
     family: SetFamily  # qualifying value sets, deduplicated, antichain-minimized
     n_qualifying: int  # number of polynomials with |S_P| >= ceil(k/2)
+    images: tuple[int, ...] = field(repr=False)  # value-set mask of polynomial i, by index
 
     def eval(self, x: int) -> int:
         return 1 if any(m & x == m for m in self.family.members) else 0
 
 
-def build_hr_family(params: HRParams, cap: int = DEFAULT_POLY_CAP) -> HRFamily:
-    """Enumerate all polynomials and collect the qualifying value sets."""
-    if params.n_polynomials > cap:
-        raise EnumerationTooLargeError(
-            f"n^c = {params.n_polynomials} exceeds the cap {cap}"
-        )
-    qualifying = 0
-    masks = set()
-    for coeffs in iter_polynomials(params):
-        m = eval_poly_points(coeffs, params.k, params.n)
-        if m.bit_count() >= params.min_weight:
-            qualifying += 1
-            masks.add(m)
-    family = SetFamily.from_masks(params.n, antichain_minimize(masks))
-    return HRFamily(params, family, qualifying)
+def build_hr_family(params: HRParams) -> HRFamily:
+    """Evaluate every polynomial once; keep its value set and the qualifying ones."""
+    n = params.n
+    images: list[int] = []
+    for values in polynomial_values(n, params.c, range(1, params.k + 1)):
+        bits = np.zeros((len(values), n), dtype=bool)
+        # residue r is element r (bit r-1), residue 0 element n (bit n-1)
+        bits[np.arange(len(values))[:, None], (values - 1) % n] = True
+        images.extend(pack_rows(bits))
+    qualifying = [m for m in images if m.bit_count() >= params.min_weight]
+    family = SetFamily.from_masks(n, antichain_minimize(qualifying))
+    return HRFamily(params, family, len(qualifying), tuple(images))
 
 
 def sample_positive(hr: HRFamily, stream: CounterStream) -> int:
-    """Uniform random polynomial, returned as the mask of its value set."""
-    coeffs = tuple(stream.next_below(hr.params.n) for _ in range(hr.params.c))
-    return eval_poly_points(coeffs, hr.params.k, hr.params.n)
+    """Uniform random polynomial, returned as the mask of its value set.
 
-
-def sample_negative(hr: HRFamily, stream: CounterStream) -> int:
-    return sample_p_subset(hr.params.n, Fraction(1, 2), stream)
+    Draws the c coefficients with ``next_below(n)``, degree 0 first.
+    """
+    n = hr.params.n
+    return hr.images[sum(stream.next_below(n) * n**j for j in range(hr.params.c))]
 
 
 class PositiveTestDistribution:
     """Distribution of value-set masks of a uniform random polynomial."""
 
-    def __init__(self, hr: HRFamily, cap: int = DEFAULT_POLY_CAP):
+    def __init__(self, hr: HRFamily):
         self.hr = hr
-        self.cap = cap
 
     def exact_items(self):
-        params = self.hr.params
-        if params.n_polynomials > self.cap:
-            raise EnumerationTooLargeError("positive support too large")
-        counts: dict[int, int] = {}
-        for coeffs in iter_polynomials(params):
-            m = eval_poly_points(coeffs, params.k, params.n)
-            counts[m] = counts.get(m, 0) + 1
-        total = params.n_polynomials
+        counts = Counter(self.hr.images)
+        total = self.hr.params.n_polynomials
         for m in sorted(counts):
             yield m, Fraction(counts[m], total)
 
@@ -189,14 +195,10 @@ def verify_negative_rejection(
     if mode == "exact":
         accept = coverage_exact(hr.family, 0, Fraction(1, 2), work_cap_bits)
         return 1 - accept.value, bound
-    est = mc_event_probability(
-        lambda m: hr.eval(m) == 0,
-        lambda stream: sample_negative(hr, stream),
-        samples,
-        confidence=confidence,
-        seed=seed,
-    )
-    return est, bound
+    half = Fraction(1, 2)
+    rows = bernoulli_rows(seed, samples, params.n, params.n, half, half)
+    covered = sum(count_covered(bits, hr.family.members) for bits in rows)
+    return Estimate.from_hits(samples - covered, samples, confidence, seed), bound
 
 
 def verify_minterm_spread(
@@ -210,13 +212,7 @@ def verify_minterm_spread(
         raise ValueError("|A| must be at most c")
     bound = Fraction(params.k, params.n) ** size
     if mode == "exact":
-        if params.n_polynomials > DEFAULT_POLY_CAP:
-            raise EnumerationTooLargeError("spread enumeration too large")
-        hits = sum(
-            1
-            for coeffs in iter_polynomials(params)
-            if eval_poly_points(coeffs, params.k, params.n) & a_mask == a_mask
-        )
+        hits = sum(1 for m in hr.images if m & a_mask == a_mask)
         return Fraction(hits, params.n_polynomials), bound
     est = mc_event_probability(
         lambda m: m & a_mask == a_mask,
@@ -245,20 +241,11 @@ def verify_cwise_independence(
     size = len(points)
     if size > params.c:
         raise ValueError("need at most c constraints")
-    if params.n_polynomials > DEFAULT_POLY_CAP:
-        raise EnumerationTooLargeError("independence enumeration too large")
-    hits = 0
-    for coeffs in iter_polynomials(params):
-        ok = True
-        for j, a in zip(points, values):
-            v = 0
-            for co in reversed(coeffs):
-                v = (v * j + co) % params.n
-            if v != a % params.n:
-                ok = False
-                break
-        if ok:
-            hits += 1
+    target = np.array([a % params.n for a in values], dtype=np.int64)
+    hits = sum(
+        int((chunk == target).all(axis=1).sum())
+        for chunk in polynomial_values(params.n, params.c, points)
+    )
     return Fraction(hits, params.n_polynomials), Fraction(1, params.n**size)
 
 

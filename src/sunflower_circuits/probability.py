@@ -257,7 +257,7 @@ def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Ite
         yield rows
 
 
-def _count_covered(bits: np.ndarray, masks) -> int:
+def count_covered(bits: np.ndarray, masks) -> int:
     """Number of rows of ``bits`` containing some mask."""
     if bits.shape[1] > 64:
         return sum(1 for w in pack_rows(bits) if any(w & r == r for r in masks))
@@ -276,7 +276,7 @@ def sampled_coverage(
 ) -> Estimate:
     """Frequency of rows of ``bernoulli_rows`` that contain some mask."""
     rows = bernoulli_rows(seed, samples, width, split, p, q)
-    hits = sum(_count_covered(bits, masks) for bits in rows)
+    hits = sum(count_covered(bits, masks) for bits in rows)
     return Estimate.from_hits(hits, samples, confidence, seed)
 
 

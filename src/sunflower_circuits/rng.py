@@ -38,9 +38,14 @@ def mix64(z: int) -> int:
 
 
 def _block_mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _NP_MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer over a uint64 array, in place, with one shift buffer."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _NP_MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _NP_MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def threshold_for(p) -> int:
@@ -98,8 +103,10 @@ class CounterStream:
 
     def block(self, start: int, count: int) -> np.ndarray:
         """Outputs for slots [start, start+count) as a uint64 array."""
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _block_mix(np.uint64(self.key) + idx * _NP_GOLDEN)
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= _NP_GOLDEN
+        z += np.uint64(self.key)
+        return _block_mix(z)
 
     def bernoulli_block(self, start: int, count: int, p) -> np.ndarray:
         """Boolean array: slot i accepted with probability ~p (see threshold_for)."""

@@ -204,3 +204,25 @@ def set_sample_hits(members, y, p, samples, stream):
         if any(m & ~w == 0 for m in reduced):
             hits += 1
     return hits
+
+
+def index_digits(index, q, dim):
+    """Coefficients of polynomial ``index``: digit j in base q, degree 0 first."""
+    return tuple(index // q**j % q for j in range(dim))
+
+
+def poly_value(coeffs, x, q):
+    """P(x) mod q by scalar Horner, coefficients degree 0 first."""
+    v = 0
+    for a in reversed(coeffs):
+        v = (v * x + a) % q
+    return v
+
+
+def hr_value_set(coeffs, k, n):
+    """Mask of {P(1), ..., P(k)} over F_n: residue r > 0 is element r, residue 0 element n."""
+    mask = 0
+    for x in range(1, k + 1):
+        v = poly_value(coeffs, x, n)
+        mask |= 1 << ((v if v else n) - 1)
+    return mask

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,31 @@ class TestMain:
         argv = ["spread-experiment", "--seed", "1", "-P", "n=4", "-P", "l=2",
                 "-P", "members=7", "-P", "p=1/2", "-P", "eps=1/10"]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],
+        ["sunflower-extract", "-P", "n=4", "-P", "family=star:3", "-P", "p=1/2",
+         "-P", "eps=1/100", "-P", "B=1"],
+        ["hr-verify", "-P", "n=31", "-P", "c=2", "-P", "k=6"],
+        ["code-poly", "-P", "q=13", "-P", "n=13", "-P", "dim=4"],  # pairwise-scan cap
+    ])
+    def test_refusal_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and len(err.strip().splitlines()) == 1
+
+    def test_code_poly_over_cap_returns_at_once(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "sunflower_circuits", "code-poly",
+             "-P", "q=101", "-P", "n=50", "-P", "dim=5"],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("refused: TooLargeError: ")
+        assert len(done.stderr.strip().splitlines()) == 1
 
     def test_writes_output_file(self, tmp_path):
         out = tmp_path / "r.json"

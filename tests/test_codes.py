@@ -26,9 +26,13 @@ from sunflower_circuits.codes import (
     size_lower_bound_report,
     verify_decomposition,
 )
-from sunflower_circuits.errors import NegativeConstantError, TooLargeError
+from sunflower_circuits.errors import (
+    EnumerationTooLargeError,
+    NegativeConstantError,
+    TooLargeError,
+)
 
-from oracles import brute_agreement
+from oracles import brute_agreement, index_digits, poly_value
 
 
 class TestReedSolomon:
@@ -54,18 +58,8 @@ class TestReedSolomon:
         def oracle_max_agreement(q, n, dim):
             best = 0
             for index in range(1, q**dim):
-                coeffs = []
-                v = index
-                for _ in range(dim):
-                    coeffs.append(v % q)
-                    v //= q
-                roots = 0
-                for x in range(n):
-                    acc = 0
-                    for a in reversed(coeffs):
-                        acc = (acc * x + a) % q
-                    if acc == 0:
-                        roots += 1
+                coeffs = index_digits(index, q, dim)
+                roots = sum(1 for x in range(n) if poly_value(coeffs, x, q) == 0)
                 best = max(best, roots)
             return best
 
@@ -76,6 +70,18 @@ class TestReedSolomon:
                     if q**dim <= 2048:
                         code = reed_solomon_code(q, n, dim)
                         assert max_pairwise_agreement(code) == dim - 1
+
+    @pytest.mark.parametrize("q,n,dim", [(5, 5, 2), (7, 5, 1), (11, 9, 3), (13, 13, 4)])
+    def test_codewords_match_scalar_horner(self, q, n, dim):
+        code = reed_solomon_code(q, n, dim)
+        assert code.codewords == tuple(
+            tuple(poly_value(index_digits(i, q, dim), x, q) for x in range(n))
+            for i in range(q**dim)
+        )
+
+    def test_word_cap_refuses_at_once(self):
+        with pytest.raises(EnumerationTooLargeError):
+            reed_solomon_code(101, 50, 5)  # 101^5 words
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

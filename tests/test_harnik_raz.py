@@ -3,25 +3,28 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sunflower_circuits import harnik_raz
 from sunflower_circuits.errors import EnumerationTooLargeError
 from sunflower_circuits.harnik_raz import (
     HRParams,
     PositiveTestDistribution,
     build_hr_family,
     default_hr_parameters,
-    eval_poly_points,
     is_prime,
-    iter_polynomials,
-    sample_negative,
+    polynomial_values,
     sample_positive,
     verify_cwise_independence,
     verify_minterm_spread,
     verify_negative_rejection,
     verify_positive_acceptance,
 )
+from sunflower_circuits.probability import mc_event_probability, sample_p_subset
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import elements_of, mask_of
+
+from oracles import hr_value_set, index_digits, poly_value
 
 
 class TestParams:
@@ -43,14 +46,46 @@ class TestParams:
 
 class TestPolyEvaluation:
     def test_identity_polynomial(self):
-        assert elements_of(eval_poly_points((0, 1), 3, 11)) == (1, 2, 3)
+        hr = build_hr_family(HRParams(11, 2, 3))
+        assert elements_of(hr.images[0 + 1 * 11]) == (1, 2, 3)  # P(x) = x
 
     def test_constant_polynomial(self):
-        assert elements_of(eval_poly_points((7,), 5, 11)) == (7,)
+        hr = build_hr_family(HRParams(11, 1, 5))
+        assert elements_of(hr.images[7]) == (7,)
 
     def test_residue_zero_maps_to_n(self):
         # P(x) = 2x + 1 mod 5 at 1..3 gives residues {3, 0, 2} -> elements {2, 3, 5}
-        assert elements_of(eval_poly_points((1, 2), 3, 5)) == (2, 3, 5)
+        hr = build_hr_family(HRParams(5, 2, 3))
+        assert elements_of(hr.images[1 + 2 * 5]) == (2, 3, 5)
+        assert hr.images[1 + 2 * 5] == hr_value_set((1, 2), 3, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rows_and_images_match_scalar_horner(self, data):
+        n = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+        k = data.draw(st.integers(2, n - 1))
+        c = data.draw(st.integers(1, min(k - 1, 3)))
+        points = data.draw(st.lists(st.integers(0, 2 * n), max_size=4))
+        rows = [row for chunk in polynomial_values(n, c, points) for row in chunk.tolist()]
+        hr = build_hr_family(HRParams(n, c, k))
+        assert len(rows) == len(hr.images) == n**c
+        for i, (row, image) in enumerate(zip(rows, hr.images)):
+            coeffs = index_digits(i, n, c)
+            assert row == [poly_value(coeffs, x, n) for x in points]
+            assert image == hr_value_set(coeffs, k, n)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(harnik_raz, "_CHUNK_ENTRIES", 50)
+        chunks = list(polynomial_values(7, 3, (1, 2, 6)))
+        assert len(chunks) == 7**3 // (50 // 7)
+        rows = [row for chunk in chunks for row in chunk.tolist()]
+        assert rows == [
+            [poly_value(index_digits(i, 7, 3), x, 7) for x in (1, 2, 6)] for i in range(7**3)
+        ]
+
+    def test_cap_checked_before_work(self):
+        with pytest.raises(EnumerationTooLargeError):
+            next(polynomial_values(101, 5, range(50)))
 
 
 class TestBuildFamily:
@@ -70,8 +105,8 @@ class TestBuildFamily:
         params = HRParams(11, 2, 3)
         hr = build_hr_family(params)
         masks = set()
-        for coeffs in iter_polynomials(params):
-            m = eval_poly_points(coeffs, params.k, params.n)
+        for i in range(params.n_polynomials):
+            m = hr_value_set(index_digits(i, params.n, params.c), params.k, params.n)
             if m.bit_count() >= params.min_weight:
                 masks.add(m)
         assert set(hr.family.members) <= masks
@@ -79,7 +114,7 @@ class TestBuildFamily:
 
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError):
-            build_hr_family(HRParams(101, 4, 50), cap=1 << 20)
+            build_hr_family(HRParams(101, 4, 50))
 
     def test_minterm_weights_at_least_half_k(self):
         for n, c, k in ((11, 2, 3), (13, 2, 5), (7, 2, 3)):
@@ -105,7 +140,7 @@ class TestEval:
     def test_qualifying_value_set_accepts(self):
         params = HRParams(11, 2, 3)
         hr = build_hr_family(params)
-        m = eval_poly_points((0, 1), params.k, params.n)  # identity map
+        m = hr.images[0 + 1 * params.n]  # identity map
         assert hr.eval(m) == 1
 
     def test_monotone(self):
@@ -158,6 +193,19 @@ class TestNegativeRejection:
         hr = build_hr_family(HRParams(5, 1, 3))
         value, _ = verify_negative_rejection(hr)
         assert value == 1
+
+    @pytest.mark.parametrize("n,c,k", [(5, 1, 3), (13, 2, 4), (67, 2, 3)])
+    def test_mc_matches_per_sample_loop(self, n, c, k):
+        # widths 5 and 13 take the 64-bit row path, 67 the wide one; HR(5,1,3) is empty
+        hr = build_hr_family(HRParams(n, c, k))
+        est, _ = verify_negative_rejection(hr, "mc", samples=1000, seed=4)
+        loop = mc_event_probability(
+            lambda m: hr.eval(m) == 0,
+            lambda stream: sample_p_subset(n, Fraction(1, 2), stream),
+            1000,
+            seed=4,
+        )
+        assert est == loop
 
     def test_mc_close_to_exact(self):
         hr = build_hr_family(HRParams(11, 2, 3))
@@ -240,8 +288,17 @@ class TestSamplers:
     def test_negative_mean_weight(self):
         hr = build_hr_family(HRParams(11, 2, 3))
         stream = CounterStream(3)
-        total = sum(sample_negative(hr, stream).bit_count() for _ in range(2000))
+        total = sum(sample_p_subset(11, Fraction(1, 2), stream).bit_count() for _ in range(2000))
         assert abs(total / (2000 * 11) - 0.5) < 0.03
+
+    @pytest.mark.parametrize("n,c,k", [(11, 2, 3), (13, 3, 5)])
+    def test_positive_is_oracle_of_drawn_coefficients(self, n, c, k):
+        hr = build_hr_family(HRParams(n, c, k))
+        stream, twin = CounterStream(8), CounterStream(8)
+        for _ in range(300):
+            coeffs = tuple(twin.next_below(n) for _ in range(c))
+            assert sample_positive(hr, stream) == hr_value_set(coeffs, k, n)
+        assert stream.index == twin.index
 
     def test_exact_distribution_sums_to_one(self):
         hr = build_hr_family(HRParams(7, 2, 3))
