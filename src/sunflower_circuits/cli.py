@@ -5,11 +5,14 @@ parameters, master seed, engine selection, sample budget) and produces a
 Report whose JSON serialization is byte-identical across runs with the
 same config and seed, except for the wall-clock field.  Exit status is 0
 iff every asserted check passed (1 otherwise); report-only rows never fail
-a run.  Bad input -- a ConfigError or any other ValueError raised while
-building or running the experiment -- exits with status 2 and a one-line
-``config error:`` message; so does a refusal (a ``RefusalError``: a work
-cap exceeded, or a guarantee that does not hold for the input), with a
-one-line ``refused:`` message.
+a run.  Bad input -- a ConfigError (an unknown or missing key, a missing
+seed) or any other ValueError (an unknown engine or mode, a value out of
+range) raised while building or running the experiment -- exits with
+status 2 and a one-line ``config error:`` message; so does a refusal (a
+``RefusalError``: a work cap exceeded, or a guarantee that does not hold
+for the input), with a one-line ``refused:`` message.  The sample budget
+(--samples) serves every Monte-Carlo path, the fallbacks of the
+extractions included.
 
 Configs can come from a ``key=value`` file (--config) with command-line
 flags taking precedence; unknown keys are rejected.
@@ -36,6 +39,7 @@ from .probability import (
     above_threshold,
     coverage_exact,
     coverage_mc,
+    exact_engine,
 )
 from .rng import CounterStream
 from .setfamily import SetFamily, check_spread, elements_of, family_from_text, mask_of
@@ -72,6 +76,13 @@ from .codes import (
 )
 
 
+class Params(dict):
+    """Subcommand parameters; looking up a missing one raises ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing parameter {key!r}")
+
+
 @dataclass
 class ExperimentConfig:
     subcommand: str
@@ -81,6 +92,9 @@ class ExperimentConfig:
     samples: int = 100_000
     out: Optional[str] = None
     fmt: str = "json"
+
+    def __post_init__(self):
+        self.params = Params(self.params)
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -114,31 +128,30 @@ def _plain(v):
 
 
 def _load_family(config: ExperimentConfig, n: int) -> SetFamily:
-    spec = config.params.get("family")
-    if spec is None:
-        raise ConfigError("missing 'family' (path or star:<m>/disjoint:<m>:<l>/random:<m>:<l>)")
+    spec = config.params["family"]
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return family_from_text(fh.read())
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *args = spec.split(":")
+    if len(args) != {"star": 1, "disjoint": 2, "random": 2}.get(kind):
+        raise ConfigError(
+            f"unknown family spec {spec!r} (path or star:<m>/disjoint:<m>:<l>/random:<m>:<l>)"
+        )
+    counts = [int(a) for a in args]
     if kind == "star":
-        m = int(parts[1])
+        m = counts[0]
         if m + 1 > n:
             raise ConfigError("star family needs n >= m+1")
         return SetFamily.from_sets(n, [(1, x) for x in range(2, m + 2)])
+    m, size = counts
     if kind == "disjoint":
-        m, size = int(parts[1]), int(parts[2])
         if m * size > n:
             raise ConfigError("disjoint family needs n >= m*size")
         return SetFamily.from_sets(
             n, [range(i * size + 1, (i + 1) * size + 1) for i in range(m)]
         )
-    if kind == "random":
-        m, size = int(parts[1]), int(parts[2])
-        stream = CounterStream(config.require_seed(), stream=7)
-        return SetFamily.from_masks(n, _random_masks(stream, n, size, m))
-    raise ConfigError(f"unknown family spec {spec!r}")
+    stream = CounterStream(config.require_seed(), stream=7)
+    return SetFamily.from_masks(n, _random_masks(stream, n, size, m))
 
 
 def _random_masks(stream: CounterStream, n: int, size: int, count: int) -> set[int]:
@@ -170,7 +183,7 @@ def _run_coverage(config: ExperimentConfig) -> dict:
     family = _load_family(config, n)
     y = _parse_elements(str(config.params.get("Y", "")), n)
     p = Fraction(str(config.params["p"]))
-    if config.engine == "exact":
+    if exact_engine(config.engine):
         prob = coverage_exact(family, y, p)
         checks = [_check("coverage", prob, None, None, engine="exact")]
     else:
@@ -186,7 +199,7 @@ def _run_sunflower_extract(config: ExperimentConfig) -> dict:
     eps = float(Fraction(str(config.params["eps"])))
     params = ThresholdParams(B=float(config.params.get("B", 64.0)))
     seed = config.seed if config.seed is not None else 0
-    result = extract_robust_sunflower(family, p, eps, params, seed=seed)
+    result = extract_robust_sunflower(family, p, eps, params, config.samples, seed)
     checks = [
         _check(
             "extraction-verified",
@@ -234,10 +247,10 @@ def _run_hr_verify(config: ExperimentConfig) -> dict:
     params = HRParams(
         n=int(config.params["n"]), c=int(config.params["c"]), k=int(config.params["k"])
     )
-    mode = str(config.params.get("mode", "exact"))
+    exact = exact_engine(str(config.params.get("mode", "exact")))
     hr = build_hr_family(params)
     checks = []
-    if mode == "exact":
+    if exact:
         value, bound = verify_positive_acceptance(hr, "exact")
         checks.append(_check("positive-accept-rate", value, bound, value >= bound))
         nvalue, nbound = verify_negative_rejection(hr, "exact")
@@ -276,7 +289,12 @@ def _run_clique_verify(config: ExperimentConfig) -> dict:
         k, p, eps = clique_parameters(n, float(config.params["delta"]))
     else:
         k = int(config.params["k"])
-        p = float(Fraction(str(config.params["p"]))) if "p" in config.params else n ** (-2.0 / (k - 1))
+        if "p" in config.params:
+            p = float(Fraction(str(config.params["p"])))
+        elif k < 2:
+            raise ConfigError("deriving p = n^(-2/(k-1)) needs k >= 2; give p instead")
+        else:
+            p = n ** (-2.0 / (k - 1))
         eps = float(n) ** (-k)
     seed = config.require_seed()
     est = verify_no_kclique_bound(n, k, p, config.samples, seed)
@@ -305,7 +323,7 @@ def _run_clique_extract(config: ExperimentConfig) -> dict:
     q = float(Fraction(str(config.params.get("q", 1))))
     eps = float(Fraction(str(config.params["eps"])))
     seed = config.seed if config.seed is not None else 0
-    result = find_clique_sunflower(family, p, q, eps, seed=seed)
+    result = find_clique_sunflower(family, p, q, eps, config.samples, seed)
     checks = [
         _check(
             "extraction-verified",

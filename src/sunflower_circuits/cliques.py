@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import BaseCaseFailedError, EmptyFamilyError, ExactIntractableError
 from .probability import (
-    DEFAULT_WORK_CAP_BITS,
     Estimate,
     ExactProbability,
     RobustnessCheck,
@@ -37,6 +37,7 @@ from .probability import (
     bias,
     coverage_exact,
     coverage_mc,
+    exact_engine,
     ie_limit,
     pack_rows,
     sampled_coverage,
@@ -272,19 +273,18 @@ def clique_coverage(
     core_vertices: int,
     p,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
-    confidence: float = 0.99,
     seed: int = 0,
 ):
     """Pr[some K_A lies inside G(n,p) union K_core], via the edge ground set."""
+    exact = exact_engine(engine)
     if edge_count(s.n) == 0:
         return ExactProbability(Fraction(1 if s.members else 0))  # only empty graphs exist
     fam = SetFamily.from_masks(edge_count(s.n), (clique_edges(a) for a in s.members))
     y = clique_edges(core_vertices)
-    if engine == "exact":
-        return coverage_exact(fam, y, p, work_cap_bits)
-    return coverage_mc(fam, y, p, samples, confidence, seed)
+    if exact:
+        return coverage_exact(fam, y, p)
+    return coverage_mc(fam, y, p, samples, seed)
 
 
 def _pq_masks(s: CliqueFamily, core_vertices: int) -> tuple[int, ...]:
@@ -297,13 +297,7 @@ def _pq_masks(s: CliqueFamily, core_vertices: int) -> tuple[int, ...]:
     )
 
 
-def pq_coverage_exact(
-    s: CliqueFamily,
-    core_vertices: int,
-    p,
-    q,
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
-) -> ExactProbability:
+def pq_coverage_exact(s: CliqueFamily, core_vertices: int, p, q) -> ExactProbability:
     """Exact Pr[some A: K_A inside G union K_B and A inside U union B].
 
     The per-member event is a conjunction of independent coordinates (the
@@ -321,7 +315,7 @@ def pq_coverage_exact(
     if masks[0] == 0:
         return ExactProbability(Fraction(1))
     split = edge_count(s.n)
-    limit = ie_limit(work_cap_bits)
+    limit = ie_limit()
     if len(masks) <= limit:
         return ExactProbability(union_probability(masks, split, pf, qf))
     venv = 0
@@ -337,25 +331,19 @@ def pq_coverage_exact(
         if not stripped:
             continue
         sub = CliqueFamily.from_masks(s.n, stripped)
-        cover = clique_coverage(sub, b, p, "exact", work_cap_bits)
+        cover = clique_coverage(sub, b, p, "exact")
         weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
         total += weight * cover.value
     return ExactProbability(total)
 
 
 def pq_coverage_mc(
-    s: CliqueFamily,
-    core_vertices: int,
-    p,
-    q,
-    samples: int,
-    confidence: float = 0.99,
-    seed: int = 0,
+    s: CliqueFamily, core_vertices: int, p, q, samples: int, seed: int = 0
 ) -> Estimate:
     """Sampled joint coverage; each sample consumes C(n,2)+n slots (edges first)."""
     split = edge_count(s.n)
     masks = _pq_masks(s, core_vertices)
-    return sampled_coverage(masks, split + s.n, split, p, q, samples, confidence, seed)
+    return sampled_coverage(masks, split + s.n, split, p, q, samples, seed)
 
 
 def is_clique_sunflower(
@@ -374,18 +362,16 @@ def is_pq_clique_sunflower(
     q,
     eps,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
-    confidence: float = 0.99,
     seed: int = 0,
 ) -> RobustnessCheck:
     if not s.members:
         raise EmptyFamilyError("empty clique family")
     b = core(s)
-    if engine == "exact":
-        prob = pq_coverage_exact(s, b, p, q, work_cap_bits)
+    if exact_engine(engine):
+        prob = pq_coverage_exact(s, b, p, q)
     else:
-        prob = pq_coverage_mc(s, b, p, q, samples, confidence, seed)
+        prob = pq_coverage_mc(s, b, p, q, samples, seed)
     return RobustnessCheck.of(prob, b, eps)
 
 
@@ -442,8 +428,10 @@ def janson_certificate(s: CliqueFamily, p, q) -> JansonCertificate:
 
     mu sums the individual appearance probabilities q^l p^C(l,2);
     delta_bar sums, over ordered pairs with |A cap A'| = j in [1, l-1],
-    the joint probabilities q^(2l-j) p^(2C(l,2)-C(j,2)).  Pairs with
-    disjoint members share no edges or vertices and drop out.
+    the joint probabilities q^(2l-j) p^(2C(l,2)-C(j,2)); the pairs are
+    counted per j, so at most l-1 terms are evaluated.  Pairs with
+    disjoint members share no edges or vertices and drop out, and only a
+    member paired with itself shares all l vertices.
     """
     if not s.members:
         raise EmptyFamilyError("empty clique family")
@@ -451,15 +439,14 @@ def janson_certificate(s: CliqueFamily, p, q) -> JansonCertificate:
         raise ValueError("need p, q in (0, 1]")
     size = uniform_size(s)
     pf, qf = Fraction(p), Fraction(q)
-    mu = len(s.members) * qf**size * pf ** math.comb(size, 2)
-    delta = Fraction(0)
-    for a in s.members:
-        for a2 in s.members:
-            if a == a2:
-                continue
-            j = (a & a2).bit_count()
-            if j >= 1:
-                delta += qf ** (2 * size - j) * pf ** (2 * math.comb(size, 2) - math.comb(j, 2))
+    edges = math.comb(size, 2)
+    mu = len(s.members) * qf**size * pf**edges
+    shared = Counter((a & a2).bit_count() for a in s.members for a2 in s.members)
+    delta = sum(
+        (shared[j] * qf ** (2 * size - j) * pf ** (2 * edges - math.comb(j, 2))
+         for j in range(1, size)),
+        Fraction(0),
+    )
     exponent = float(mu * mu / (mu + delta))
     return JansonCertificate(float(mu), float(delta), exponent, math.exp(-exponent), mu, delta)
 
@@ -502,7 +489,6 @@ def find_clique_sunflower(
     p,
     q,
     eps,
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> CliqueSunflowerResult:
@@ -580,11 +566,9 @@ def find_clique_sunflower(
     verified = False
     if status == "ok":
         try:
-            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "exact", work_cap_bits)
+            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "exact")
         except ExactIntractableError:
-            chk = is_pq_clique_sunflower(
-                subfamily, p, q, eps, "mc", samples=mc_samples, seed=seed
-            )
+            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "mc", mc_samples, seed)
         probability = chk.probability
         verified = chk.decision is True
     return CliqueSunflowerResult(
@@ -602,9 +586,7 @@ def clique_parameters(n: int, delta: float) -> tuple[int, float, float]:
     return k, p, eps
 
 
-def verify_no_kclique_bound(
-    n: int, k: int, p, samples: int, seed: int = 0, confidence: float = 0.99
-) -> Estimate:
+def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> Estimate:
     """Monte-Carlo Pr[G(n,p) contains a k-clique]; the target bound is 3/4."""
     m = edge_count(n)
     endpoints = [edge_endpoints(i) for i in range(m)]
@@ -618,7 +600,7 @@ def verify_no_kclique_bound(
                 adj[v - 1] |= 1 << (u - 1)
             if _has_clique_masks(adj, k):
                 hits += 1
-    return Estimate.from_hits(hits, samples, confidence, seed)
+    return Estimate.from_hits(hits, samples, seed)
 
 
 def clique_spread_check(n: int, k: int, a_size: int) -> tuple[Fraction, Fraction]:
@@ -721,11 +703,7 @@ class CliqueApproxParams:
             raise ValueError("scan_max must be >= 2")
 
 
-def clique_closure(
-    f: CliqueShapedFunction,
-    params: CliqueApproxParams,
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
-) -> CliqueShapedFunction:
+def clique_closure(f: CliqueShapedFunction, params: CliqueApproxParams) -> CliqueShapedFunction:
     """Minimal clique-closed function above f.
 
     The scan ranges over clique inputs K_A with |A| in {2, ..., scan_max}
@@ -739,7 +717,7 @@ def clique_closure(
             for a in iter_masks_of_weight(f.n, size):
                 if current.eval_on_clique(a):
                     continue
-                prob = clique_coverage(current.family(), a, params.p, "exact", work_cap_bits)
+                prob = clique_coverage(current.family(), a, params.p, "exact")
                 if above_threshold(prob, params.eps):
                     witness = a
                     break
@@ -757,12 +735,12 @@ def clique_trim(f: CliqueShapedFunction, trim_max) -> CliqueShapedFunction:
 
 
 def clique_approx_or(
-    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams, **kw
+    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams
 ) -> CliqueShapedFunction:
-    return clique_trim(clique_closure(clique_or(f, g), params, **kw), params.trim_max)
+    return clique_trim(clique_closure(clique_or(f, g), params), params.trim_max)
 
 
 def clique_approx_and(
-    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams, **kw
+    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams
 ) -> CliqueShapedFunction:
-    return clique_trim(clique_closure(wedge(f, g), params, **kw), params.trim_max)
+    return clique_trim(clique_closure(wedge(f, g), params), params.trim_max)

@@ -45,9 +45,11 @@ class Code:
             raise ValueError("alphabet size q must be prime")
         if len(set(self.codewords)) != len(self.codewords):
             raise ValueError("codewords must be distinct")
-        for c in self.codewords:
-            if len(c) != self.n or any(not 0 <= v < self.q for v in c):
-                raise ValueError("codeword coordinates must lie in [0, q)")
+        if set(map(len, self.codewords)) - {self.n}:
+            raise ValueError(f"every codeword must have length {self.n}")
+        values = set().union(*self.codewords)  # the distinct coordinates, gathered in C
+        if values and not 0 <= min(values) <= max(values) < self.q:
+            raise ValueError("codeword coordinates must lie in [0, q)")
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -72,7 +74,7 @@ def reed_solomon_code(q: int, n: int, dim: int) -> Code:
     return Code(q, n, words)
 
 
-def max_pairwise_agreement(code: Code, cap: int = AGREEMENT_CAP) -> int:
+def max_pairwise_agreement(code: Code) -> int:
     """Max number of equal coordinates over distinct codeword pairs.
 
     Agreement counts every coordinate with equal values, zeros included;
@@ -81,8 +83,8 @@ def max_pairwise_agreement(code: Code, cap: int = AGREEMENT_CAP) -> int:
     m = len(code.codewords)
     if m < 2:
         raise ValueError("need at least two codewords")
-    if m > cap:
-        raise TooLargeError(f"{m} codewords exceed the pairwise-scan cap {cap}")
+    if m > AGREEMENT_CAP:
+        raise TooLargeError(f"{m} codewords exceed the pairwise-scan cap {AGREEMENT_CAP}")
     arr = np.array(code.codewords, dtype=np.int16)
     best = 0
     for i in range(m - 1):
@@ -123,10 +125,10 @@ class MonomialSet:
         return len(self.monomials)
 
 
-def build_polynomial(code: Code, cap: int = DEFAULT_MONOMIAL_CAP) -> MonomialSet:
+def build_polynomial(code: Code) -> MonomialSet:
     """One degree-n monomial per codeword (distinct words give distinct monomials)."""
-    if len(code) > cap:
-        raise TooLargeError(f"{len(code)} monomials exceed the cap {cap}")
+    if len(code) > DEFAULT_MONOMIAL_CAP:
+        raise TooLargeError(f"{len(code)} monomials exceed the cap {DEFAULT_MONOMIAL_CAP}")
     monos = tuple(
         sorted(
             (codeword_monomial(w, code.q) for w in code.codewords),
@@ -219,7 +221,7 @@ class GateFlags:
 
 
 def circuit_to_monomials(
-    circuit: ArithCircuit, cap: int = DEFAULT_MONOMIAL_CAP
+    circuit: ArithCircuit,
 ) -> tuple[dict[Monomial, Fraction], list[GateFlags]]:
     """Expand the circuit bottom-up into monomial->coefficient form.
 
@@ -248,7 +250,7 @@ def circuit_to_monomials(
                 for m2, c2 in polys[gate[2] - 1].items():
                     key = m1 | m2
                     poly[key] = poly.get(key, Fraction(0)) + c1 * c2
-        if len(poly) > cap:
+        if len(poly) > DEFAULT_MONOMIAL_CAP:
             raise MonomialBlowupError(f"gate {idx} holds {len(poly)} monomials")
         multilinear = True
         if gate[0] == "mul":

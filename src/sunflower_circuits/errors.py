@@ -11,7 +11,7 @@ class RefusalError(RuntimeError):
 
 
 class ExactIntractableError(RefusalError):
-    """Exact enumeration would exceed the configured work cap.
+    """Exact enumeration would exceed the work cap (``probability.DEFAULT_WORK_CAP_BITS``).
 
     Callers are expected to fall back to a Monte-Carlo engine.
     """

@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError
 from .probability import (
-    DEFAULT_WORK_CAP_BITS,
     Estimate,
     bernoulli_rows,
     count_covered,
     coverage_exact,
+    exact_engine,
     mc_event_probability,
     pack_rows,
 )
@@ -156,8 +156,7 @@ class PositiveTestDistribution:
 
 
 def verify_positive_acceptance(
-    hr: HRFamily, mode: str = "exact", samples: int = 100_000, seed: int = 0,
-    confidence: float = 0.99,
+    hr: HRFamily, mode: str = "exact", samples: int = 100_000, seed: int = 0
 ):
     """(Pr[f(pos)=1], 1-(k-1)/n): acceptance rate on the positive distribution.
 
@@ -167,22 +166,17 @@ def verify_positive_acceptance(
     """
     params = hr.params
     bound = 1 - Fraction(params.k - 1, params.n)
-    if mode == "exact":
+    if exact_engine(mode):
         value = Fraction(hr.n_qualifying, params.n_polynomials)
         return value, bound
     est = mc_event_probability(
-        lambda m: hr.eval(m) == 1,
-        lambda stream: sample_positive(hr, stream),
-        samples,
-        confidence=confidence,
-        seed=seed,
+        lambda m: hr.eval(m) == 1, lambda stream: sample_positive(hr, stream), samples, seed
     )
     return est, float(bound)
 
 
 def verify_negative_rejection(
-    hr: HRFamily, mode: str = "exact", samples: int = 100_000, seed: int = 0,
-    confidence: float = 0.99, work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
+    hr: HRFamily, mode: str = "exact", samples: int = 100_000, seed: int = 0
 ):
     """(Pr[f(neg)=0], 1 - 2^-(k/2 - c log2 n)).
 
@@ -192,34 +186,30 @@ def verify_negative_rejection(
     params = hr.params
     exponent = params.k / 2 - params.c * math.log2(params.n)
     bound = 1.0 - 2.0 ** (-exponent)
-    if mode == "exact":
-        accept = coverage_exact(hr.family, 0, Fraction(1, 2), work_cap_bits)
+    if exact_engine(mode):
+        accept = coverage_exact(hr.family, 0, Fraction(1, 2))
         return 1 - accept.value, bound
     half = Fraction(1, 2)
     rows = bernoulli_rows(seed, samples, params.n, params.n, half, half)
     covered = sum(count_covered(bits, hr.family.members) for bits in rows)
-    return Estimate.from_hits(samples - covered, samples, confidence, seed), bound
+    return Estimate.from_hits(samples - covered, samples, seed), bound
 
 
 def verify_minterm_spread(
-    hr: HRFamily, a_mask: int, mode: str = "exact", samples: int = 100_000,
-    seed: int = 0, confidence: float = 0.99,
+    hr: HRFamily, a_mask: int, mode: str = "exact", samples: int = 100_000, seed: int = 0
 ):
     """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c."""
     params = hr.params
+    exact = exact_engine(mode)
     size = a_mask.bit_count()
     if size > params.c:
         raise ValueError("|A| must be at most c")
     bound = Fraction(params.k, params.n) ** size
-    if mode == "exact":
+    if exact:
         hits = sum(1 for m in hr.images if m & a_mask == a_mask)
         return Fraction(hits, params.n_polynomials), bound
     est = mc_event_probability(
-        lambda m: m & a_mask == a_mask,
-        lambda stream: sample_positive(hr, stream),
-        samples,
-        confidence=confidence,
-        seed=seed,
+        lambda m: m & a_mask == a_mask, lambda stream: sample_positive(hr, stream), samples, seed
     )
     return est, float(bound)
 

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .probability import (
-    DEFAULT_WORK_CAP_BITS,
     coverage_exact,
     coverage_mc,
+    exact_engine,
     exact_event_probability,
     mc_event_probability,
 )
@@ -133,41 +133,31 @@ class ClosednessReport(NamedTuple):
     probability: Optional[object]
 
 
-def _acceptance_probability(
-    f: MonotoneFunction, a: int, params: ClosureParams, engine: str,
-    work_cap_bits: int, samples: int, seed: int,
-):
-    """Pr[f(N or x_A) = 1] for noise N, as coverage of f's minterms over Y=A."""
-    fam = f.minterm_family()
-    if engine == "exact":
-        return coverage_exact(fam, a, params.noise_p, work_cap_bits)
-    return coverage_mc(fam, a, params.noise_p, samples, seed=seed)
-
-
 def is_closed(
     f: MonotoneFunction,
     params: ClosureParams,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
     seed: int = 0,
-    _candidates: Optional[list[int]] = None,
 ) -> ClosednessReport:
     """Scan A with |A| <= c in canonical order; report the first violation.
 
     A violation is a set A with f(x_A) = 0 whose noisy acceptance
-    probability strictly exceeds 1 - eps.  The scan includes the empty
-    set, so a closure can reach the constant 1.
+    probability Pr[f(N or x_A) = 1], the coverage of f's minterms over
+    Y = A, strictly exceeds 1 - eps.  The scan includes the empty set, so a
+    closure can reach the constant 1.
     """
+    exact = exact_engine(engine)
     threshold = 1 - Fraction(params.eps)
-    candidates = _candidates if _candidates is not None else iter_masks_up_to(f.n, params.c)
-    for a in candidates:
+    fam = f.minterm_family()
+    for a in iter_masks_up_to(f.n, params.c):
         if f(a):
             continue
-        prob = _acceptance_probability(f, a, params, engine, work_cap_bits, samples, seed)
-        if engine == "exact":
+        if exact:
+            prob = coverage_exact(fam, a, params.noise_p)
             violated = prob.value > threshold
         else:
+            prob = coverage_mc(fam, a, params.noise_p, samples, seed=seed)
             violated = prob.value - prob.half_width > float(threshold)
         if violated:
             return ClosednessReport(False, a, prob)
@@ -178,28 +168,19 @@ def closure(
     f: MonotoneFunction,
     params: ClosureParams,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
     seed: int = 0,
-    scan: str = "canonical",
 ) -> MonotoneFunction:
     """The minimal closed monotone function above f.
 
     Fixpoint iteration: while some A violates closedness, add the indicator
-    of A and rescan from the smallest A.  The scan order is fixed for
-    determinism but does not affect the fixpoint (the closure is unique);
-    ``scan="reversed"`` exists to let tests witness that invariance.
+    of A and rescan from the smallest A.  Every A added lies below the
+    unique closure (any closed g >= f accepts it), so the fixed canonical
+    scan order makes runs deterministic without changing the fixpoint.
     """
-    candidates = list(iter_masks_up_to(f.n, params.c))
-    if scan == "reversed":
-        candidates = list(reversed(candidates))
-    elif scan != "canonical":
-        raise ValueError("scan must be 'canonical' or 'reversed'")
     current = f
     while True:
-        report = is_closed(
-            current, params, engine, work_cap_bits, samples, seed, _candidates=candidates
-        )
+        report = is_closed(current, params, engine, samples, seed)
         if report.closed:
             return current
         current = current | MonotoneFunction.indicator(f.n, report.witness)
@@ -358,7 +339,6 @@ def approximate_circuit(
     pos_dist,
     neg_dist,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
     seed: int = 0,
 ) -> tuple[MonotoneFunction, ErrorLedger]:
@@ -375,11 +355,12 @@ def approximate_circuit(
     union-bound the end-to-end disagreement between the circuit and the
     final approximator (the errors telescope through the DAG).
     """
-    pos_items = list(pos_dist.exact_items()) if engine == "exact" else None
-    neg_items = list(neg_dist.exact_items()) if engine == "exact" else None
+    exact = exact_engine(engine)
+    pos_items = list(pos_dist.exact_items()) if exact else None
+    neg_items = list(neg_dist.exact_items()) if exact else None
 
     def joint(event: Callable[[int], bool], items, dist, stream_id: int):
-        if engine == "exact":
+        if exact:
             return exact_event_probability(event, items).value
         est = mc_event_probability(event, dist.sample, samples, seed=seed, stream_id=stream_id)
         return est.value
@@ -393,9 +374,7 @@ def approximate_circuit(
             continue
         fa, fb = approx[gate[1] - 1], approx[gate[2] - 1]
         raw = fa | fb if gate[0] == "or" else fa & fb
-        ap = trim(
-            closure(raw, params, engine, work_cap_bits, samples, seed), params.c / 2
-        )
+        ap = trim(closure(raw, params, engine, samples, seed), params.c / 2)
         approx.append(ap)
         pos = joint(lambda x: raw(x) == 1 and ap(x) == 0, pos_items, pos_dist, 2 * idx)
         neg = joint(lambda x: raw(x) == 0 and ap(x) == 1, neg_items, neg_dist, 2 * idx + 1)
@@ -404,18 +383,16 @@ def approximate_circuit(
 
 
 def closure_error_bound_check(
-    f: MonotoneFunction,
-    params: ClosureParams,
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
+    f: MonotoneFunction, params: ClosureParams
 ) -> tuple[Fraction, Fraction]:
     """Exact Pr[f(N)=0 and cl(f)(N)=1] vs the union bound eps * sum C(n,j).
 
     Since f <= cl(f) pointwise the joint probability is the difference of
     the two acceptance probabilities under the noise distribution.
     """
-    cl = closure(f, params, work_cap_bits=work_cap_bits)
-    p_f = coverage_exact(f.minterm_family(), 0, params.noise_p, work_cap_bits).value
-    p_cl = coverage_exact(cl.minterm_family(), 0, params.noise_p, work_cap_bits).value
+    cl = closure(f, params)
+    p_f = coverage_exact(f.minterm_family(), 0, params.noise_p).value
+    p_cl = coverage_exact(cl.minterm_family(), 0, params.noise_p).value
     lhs = p_cl - p_f
     rhs = Fraction(params.eps) * sum(math.comb(f.n, j) for j in range(params.c + 1))
     return lhs, rhs

@@ -24,8 +24,12 @@ Coverage is Pr[some mask lies inside the random set]:
   so its columns are the elements of E in ascending order.  Estimates
   carry a Wilson score interval.
 
-Both exact strategies refuse when their work exceeds the cap.  One rule,
-``above_threshold``, decides the strict test coverage > 1 - eps.
+Both exact strategies refuse when their work exceeds the cap
+``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
+``CONFIDENCE``; these limits are module constants, read where they are
+enforced, not per-call parameters.  One check, ``exact_engine``, accepts
+the engine names ``exact`` and ``mc``.  One rule, ``above_threshold``,
+decides the strict test coverage > 1 - eps.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .errors import EmptyFamilyError, ExactIntractableError
 from .rng import CounterStream, threshold_for
 from .setfamily import SetFamily, antichain_minimize, core, elements_of
 
-DEFAULT_WORK_CAP_BITS = 24
+DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
+CONFIDENCE = 0.99  # level of every Monte-Carlo estimate's Wilson interval
 _IE_LIMIT = 20  # max family size for the inclusion-exclusion strategy
 _CHUNK_SLOTS = 1 << 21  # counter slots drawn per sampler chunk
 _MAX_U64 = (1 << 64) - 1
@@ -78,12 +83,12 @@ class Estimate:
     seed: int
 
     @classmethod
-    def from_hits(cls, hits: int, samples: int, confidence: float, seed: int) -> "Estimate":
+    def from_hits(cls, hits: int, samples: int, seed: int) -> "Estimate":
         """The hit frequency of at least 100 samples, with its Wilson half-width."""
         if samples < 100:
             raise ValueError("need at least 100 samples")
-        half_width = wilson_half_width(hits, samples, confidence)
-        return cls(hits / samples, half_width, confidence, samples, seed)
+        half_width = wilson_half_width(hits, samples, CONFIDENCE)
+        return cls(hits / samples, half_width, CONFIDENCE, samples, seed)
 
     @property
     def low(self) -> float:
@@ -124,9 +129,16 @@ def bias(p) -> Fraction:
     return pf
 
 
-def ie_limit(work_cap_bits: int) -> int:
+def ie_limit() -> int:
     """Largest reduced family handed to inclusion-exclusion (2^size terms)."""
-    return min(work_cap_bits, _IE_LIMIT)
+    return min(DEFAULT_WORK_CAP_BITS, _IE_LIMIT)
+
+
+def exact_engine(engine: str) -> bool:
+    """True for the ``exact`` engine, False for ``mc``; any other name raises."""
+    if engine not in ("exact", "mc"):
+        raise ValueError(f"unknown engine {engine!r}, expected 'exact' or 'mc'")
+    return engine == "exact"
 
 
 def pack_rows(bits: np.ndarray) -> list[int]:
@@ -212,12 +224,7 @@ def _covered_weight_counts(masks: list[int], width: int) -> list[int]:
     return counts.tolist()
 
 
-def coverage_exact(
-    family: SetFamily,
-    y: int,
-    p,
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
-) -> ExactProbability:
+def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
     """Exact Pr over p-biased W of: some member is contained in W union Y."""
     pf = bias(p)
     reduced = antichain_minimize(m & ~y for m in family.members)
@@ -226,10 +233,10 @@ def coverage_exact(
     if reduced[0] == 0:
         return ExactProbability(Fraction(1))  # some member already inside Y
     masks, width = compact(reduced)
-    ie_ok = len(masks) <= ie_limit(work_cap_bits)
-    enum_ok = width <= min(work_cap_bits, 30)
+    ie_ok = len(masks) <= ie_limit()
+    enum_ok = width <= min(DEFAULT_WORK_CAP_BITS, 30)
     if not ie_ok and not enum_ok:
-        raise ExactIntractableError(min(len(masks), width), work_cap_bits)
+        raise ExactIntractableError(min(len(masks), width), DEFAULT_WORK_CAP_BITS)
     if ie_ok and (not enum_ok or len(masks) <= width):
         return ExactProbability(union_probability(masks, width, pf, pf))
     counts = _covered_weight_counts(masks, width)
@@ -271,31 +278,22 @@ def count_covered(bits: np.ndarray, masks) -> int:
     return int(covered.sum())
 
 
-def sampled_coverage(
-    masks, width: int, split: int, p, q, samples: int, confidence: float, seed: int
-) -> Estimate:
+def sampled_coverage(masks, width: int, split: int, p, q, samples: int, seed: int) -> Estimate:
     """Frequency of rows of ``bernoulli_rows`` that contain some mask."""
     rows = bernoulli_rows(seed, samples, width, split, p, q)
     hits = sum(count_covered(bits, masks) for bits in rows)
-    return Estimate.from_hits(hits, samples, confidence, seed)
+    return Estimate.from_hits(hits, samples, seed)
 
 
-def coverage_mc(
-    family: SetFamily,
-    y: int,
-    p,
-    samples: int,
-    confidence: float = 0.99,
-    seed: int = 0,
-) -> Estimate:
-    """Empirical coverage frequency with a Wilson interval at ``confidence``.
+def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Estimate:
+    """Empirical coverage frequency with a Wilson interval.
 
     The rows range over the elements of E only.  With no mask left, or a
     member inside Y, the rows have no columns and the frequency is exact,
     so the estimate has half-width 0.
     """
     masks, width = compact(antichain_minimize(m & ~y for m in family.members))
-    est = sampled_coverage(masks, width, width, p, p, samples, confidence, seed)
+    est = sampled_coverage(masks, width, width, p, p, samples, seed)
     if not masks or masks[0] == 0:
         return replace(est, half_width=0.0)
     return est
@@ -341,20 +339,16 @@ def is_robust_sunflower(
     p,
     eps,
     engine: str = "exact",
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     samples: int = 100_000,
-    confidence: float = 0.99,
     seed: int = 0,
 ) -> RobustnessCheck:
     """Strict test: coverage over the family's own core exceeds 1 - eps."""
     if not family.members:
         raise EmptyFamilyError("robustness of an empty family is undefined")
     y = core(family)
-    if engine == "exact":
-        return RobustnessCheck.of(coverage_exact(family, y, p, work_cap_bits), y, eps)
-    if engine == "mc":
-        return RobustnessCheck.of(coverage_mc(family, y, p, samples, confidence, seed), y, eps)
-    raise ValueError(f"unknown engine {engine!r}")
+    if exact_engine(engine):
+        return RobustnessCheck.of(coverage_exact(family, y, p), y, eps)
+    return RobustnessCheck.of(coverage_mc(family, y, p, samples, seed), y, eps)
 
 
 class PBiasedDistribution:
@@ -364,9 +358,9 @@ class PBiasedDistribution:
         self.n = n
         self.p = p
 
-    def exact_items(self, work_cap_bits: int = DEFAULT_WORK_CAP_BITS):
-        if self.n > work_cap_bits:
-            raise ExactIntractableError(self.n, work_cap_bits)
+    def exact_items(self):
+        if self.n > DEFAULT_WORK_CAP_BITS:
+            raise ExactIntractableError(self.n, DEFAULT_WORK_CAP_BITS)
         pf = Fraction(self.p)
         q = 1 - pf
         for mask in range(1 << self.n):
@@ -378,17 +372,12 @@ class PBiasedDistribution:
 
 
 def mc_event_probability(
-    predicate,
-    sampler,
-    samples: int,
-    confidence: float = 0.99,
-    seed: int = 0,
-    stream_id: int = 0,
+    predicate, sampler, samples: int, seed: int = 0, stream_id: int = 0
 ) -> Estimate:
     """Estimate Pr[predicate(sample)] for an arbitrary seeded sampler."""
     stream = CounterStream(seed, stream=stream_id)
     hits = sum(1 for _ in range(samples) if predicate(sampler(stream)))
-    return Estimate.from_hits(hits, samples, confidence, seed)
+    return Estimate.from_hits(hits, samples, seed)
 
 
 def exact_event_probability(predicate, items) -> ExactProbability:

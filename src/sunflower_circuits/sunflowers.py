@@ -22,12 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BaseCaseFailedError, ExactIntractableError, ThresholdNotMetError
-from .probability import (
-    DEFAULT_WORK_CAP_BITS,
-    RobustnessCheck,
-    coverage_exact,
-    is_robust_sunflower,
-)
+from .probability import RobustnessCheck, coverage_exact, is_robust_sunflower
 from .setfamily import SetFamily, check_spread, core, link, uniform_size
 
 
@@ -96,9 +91,7 @@ def uniform_sunflower_robustness(petals: int, p: float, size: int) -> float:
     return math.exp(-petals * p**size)
 
 
-def check_uniform_sunflower_robustness(
-    sunflower: Sunflower, p, work_cap_bits: int = DEFAULT_WORK_CAP_BITS
-) -> dict:
+def check_uniform_sunflower_robustness(sunflower: Sunflower, p) -> dict:
     """Exact coverage of a sunflower vs the two closed-form lower bounds.
 
     With r petals of size l and disjoint petal remainders, coverage equals
@@ -106,7 +99,7 @@ def check_uniform_sunflower_robustness(
     """
     r = len(sunflower.petals)
     size = uniform_size(sunflower.petals)
-    cover = coverage_exact(sunflower.petals, sunflower.kernel, p, work_cap_bits)
+    cover = coverage_exact(sunflower.petals, sunflower.kernel, p)
     pf = Fraction(p)
     closed_form = 1 - (1 - pf ** (size - sunflower.kernel.bit_count())) ** r
     weaker = 1 - (1 - pf**size) ** r
@@ -211,7 +204,6 @@ def extract_robust_sunflower(
     p,
     eps,
     params: ThresholdParams = ThresholdParams(),
-    work_cap_bits: int = DEFAULT_WORK_CAP_BITS,
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> RobustSunflowerResult:
@@ -254,11 +246,9 @@ def extract_robust_sunflower(
     subfamily = recurse(family, 0)
     kernel = core(subfamily)
     try:
-        chk = is_robust_sunflower(subfamily, p, eps, "exact", work_cap_bits)
+        chk = is_robust_sunflower(subfamily, p, eps, "exact")
     except ExactIntractableError:
-        chk = is_robust_sunflower(
-            subfamily, p, eps, "mc", samples=mc_samples, seed=seed
-        )
+        chk = is_robust_sunflower(subfamily, p, eps, "mc", mc_samples, seed)
     return RobustSunflowerResult(
         subfamily=subfamily,
         kernel=kernel,

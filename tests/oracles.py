@@ -226,3 +226,27 @@ def hr_value_set(coeffs, k, n):
         v = poly_value(coeffs, x, n)
         mask |= 1 << ((v if v else n) - 1)
     return mask
+
+
+def reversed_scan_closure(n, minterms, eps, c, p=Fraction(1, 2)):
+    """The closure by brute force, scanning |A| <= c in reversed canonical order.
+
+    Each round adds the first A (largest size first, then largest value)
+    that the current function rejects while Pr[f(N or x_A) = 1] > 1 - eps,
+    with the acceptance probability from ``brute_coverage``.  Returns the
+    minimal accepted sets of the fixpoint.
+    """
+    candidates = sorted(
+        (a for a in range(1 << n) if bin(a).count("1") <= c),
+        key=lambda a: (bin(a).count("1"), a),
+        reverse=True,
+    )
+    accepted = list(minterms)
+    threshold = 1 - Fraction(eps)
+    while True:
+        for a in candidates:
+            if not eval_antichain(accepted, a) and brute_coverage(accepted, a, p, n) > threshold:
+                accepted.append(a)
+                break
+        else:
+            return {m for m in accepted if not any(o != m and o & m == o for o in accepted)}

@@ -98,7 +98,7 @@ def test_criterion_1_coverage_oracle_agreement():
         y = 0
         p = ps[t % 3]
         exact = coverage_exact(fam, y, p).value
-        est = coverage_mc(fam, y, p, 100_000, confidence=0.99, seed=2000 + t)
+        est = coverage_mc(fam, y, p, 100_000, seed=2000 + t)
         if abs(est.value - float(exact)) <= 3 * est.half_width:
             agree += 1
     elapsed = time.monotonic() - start
@@ -229,7 +229,6 @@ def test_criterion_4_closure_correctness_n4():
             closures[i] = cl
             assert f.le(cl)
             assert closure(cl, params) == cl
-            assert closure(f, params, scan="reversed") == cl
         for i, f in enumerate(functions):
             closed_flags[i] = is_closed(f, params).closed
         for i, f in enumerate(functions):

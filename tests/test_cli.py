@@ -262,6 +262,37 @@ class TestMain:
         assert main(argv) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["coverage", "-P", "n=4", "-P", "family=star:2"],  # no p
+        ["closure-demo", "-P", "n=4", "-P", "minterms=1,2", "-P", "eps=1/10"],  # no c
+        ["code-poly", "-P", "q=5", "-P", "n=5"],  # no dim
+        ["clique-verify", "--seed", "1", "-P", "n=8", "-P", "k=1"],  # p = n^(-2/(k-1))
+        ["hr-verify", "--seed", "1", "--samples", "200",
+         "-P", "n=11", "-P", "c=2", "-P", "k=3", "-P", "mode=foo"],
+        ["coverage", "-P", "n=4", "-P", "family=star", "-P", "p=1/2"],  # star:<m> without m
+    ])
+    def test_bad_input_exits_two_without_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+    def test_unknown_engine_in_config_file_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("engine=foo\n")
+        argv = ["coverage", "--config", str(cfg_file), "--seed", "1",
+                "-P", "n=4", "-P", "family=star:2", "-P", "p=1/2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown engine")
+
+    def test_samples_reach_the_extraction_fallback(self, capsys):
+        # 25 disjoint pairs are past both exact strategies, so the check samples
+        argv = ["sunflower-extract", "--samples", "1000", "-P", "n=60", "-P", "family=disjoint:25:2",
+                "-P", "p=1/2", "-P", "eps=1/10", "-P", "B=0.1"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["samples"] == 1000
+        assert report["checks"][0]["probability"]["samples"] == 1000
+
+    @pytest.mark.parametrize("argv", [
         ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],
         ["sunflower-extract", "-P", "n=4", "-P", "family=star:3", "-P", "p=1/2",
          "-P", "eps=1/100", "-P", "B=1"],

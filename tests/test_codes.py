@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from sunflower_circuits import codes
 from sunflower_circuits.codes import (
     ArithCircuit,
     Code,
@@ -93,6 +94,16 @@ class TestReedSolomon:
         with pytest.raises(ValueError):
             Code(5, 3, ((0, 1, 2), (0, 1, 2)))
 
+    @pytest.mark.parametrize("words", [
+        ((0, 1, 2), (0, 1)),  # short word
+        ((0, 1, 2), (0, 1, 2, 3)),  # long word
+        ((0, 1, 2), (0, -1, 2)),  # coordinate below 0
+        ((0, 1, 2), (0, 5, 2)),  # coordinate q
+    ])
+    def test_invalid_codewords_rejected(self, words):
+        with pytest.raises(ValueError):
+            Code(5, 3, words)
+
 
 class TestAgreement:
     def test_near_identical_words(self):
@@ -114,10 +125,11 @@ class TestAgreement:
         )
         assert max_pairwise_agreement(code) == want
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(codes, "AGREEMENT_CAP", 10)
         code = reed_solomon_code(5, 5, 2)
         with pytest.raises(TooLargeError):
-            max_pairwise_agreement(code, cap=10)
+            max_pairwise_agreement(code)
 
 
 class TestPolynomial:

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sunflower_circuits import probability
 from sunflower_circuits.cliques import (
     CliqueFamily,
     clique_edges,
@@ -50,15 +51,17 @@ class TestConditioningBranch:
         )
         assert got == want
 
-    def test_small_cap_also_conditions(self):
-        # the limit is min(work_cap_bits, 20): 7 members condition at cap 6
+    def test_small_cap_also_conditions(self, monkeypatch):
+        # the limit is min(work cap, 20): 7 members condition at cap 6
         s = CliqueFamily.from_sets(5, [(1,)] + list(combinations(range(2, 6), 2)))
         p, q = Fraction(1, 3), Fraction(1, 2)
         edges = [clique_edges(a) for a in s.members]
         want = pq_hit_inclusion_exclusion(list(s.members), edges, p, q)
-        assert pq_coverage_exact(s, 0, p, q, work_cap_bits=6).value == want
+        monkeypatch.setattr(probability, "DEFAULT_WORK_CAP_BITS", 6)
+        assert pq_coverage_exact(s, 0, p, q).value == want
+        monkeypatch.setattr(probability, "DEFAULT_WORK_CAP_BITS", 5)
         with pytest.raises(ExactIntractableError):
-            pq_coverage_exact(s, 0, p, q, work_cap_bits=5)
+            pq_coverage_exact(s, 0, p, q)
 
 
 class TestBlockSamplerMatchesPerSampleLoops:
@@ -72,7 +75,7 @@ class TestBlockSamplerMatchesPerSampleLoops:
         p = Fraction(1, 2)
         est = pq_coverage_mc(s, b, p, q, 300, seed=seed)
         hits = pq_sample_hits(list(s.members), b, p, q, n, 300, CounterStream(seed, stream=0))
-        assert est == Estimate.from_hits(hits, 300, 0.99, seed)
+        assert est == Estimate.from_hits(hits, 300, seed)
 
     @pytest.mark.parametrize("n,size", [(12, 3), (150, 2)])  # about 10 and 100 columns
     @pytest.mark.parametrize("seed", [0, 7])
@@ -84,7 +87,7 @@ class TestBlockSamplerMatchesPerSampleLoops:
         y = 1 << rng.randrange(n)
         est = coverage_mc(f, y, Fraction(1, 3), 300, seed=seed)
         hits = set_sample_hits(f.members, y, Fraction(1, 3), 300, CounterStream(seed, stream=0))
-        assert est == Estimate.from_hits(hits, 300, 0.99, seed)
+        assert est == Estimate.from_hits(hits, 300, seed)
 
 
 class TestValidationAndCaps:
@@ -109,14 +112,15 @@ class TestValidationAndCaps:
         with pytest.raises(ValueError):
             pq_coverage_mc(CliqueFamily.from_masks(4, [0b111]), 0, 0.5, 0.5, 99)
 
-    def test_ie_limit_follows_work_cap(self):
+    def test_ie_limit_follows_work_cap(self, monkeypatch):
         rng = random.Random(3)
         masks = set()
         while len(masks) < 20:
             masks.add(sum(1 << e for e in rng.sample(range(24), 3)))
         f = SetFamily.from_masks(24, masks)
+        monkeypatch.setattr(probability, "DEFAULT_WORK_CAP_BITS", 4)
         with pytest.raises(ExactIntractableError):
-            coverage_exact(f, 0, Fraction(1, 2), work_cap_bits=4)
+            coverage_exact(f, 0, Fraction(1, 2))
 
     def test_default_cap_keeps_inclusion_exclusion_at_20(self):
         # 20 disjoint pairs: width 40 is past enumeration, 20 members still fit

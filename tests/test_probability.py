@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sunflower_circuits import cliques, harnik_raz, monotone
 from sunflower_circuits.errors import EmptyFamilyError, ExactIntractableError
 from sunflower_circuits.probability import (
     Estimate,
@@ -92,7 +93,7 @@ class TestCoverageExact:
         masks = [mask_of([i, i + 1], n) for i in range(1, 55, 2)]
         f = SetFamily.from_masks(n, masks)
         with pytest.raises(ExactIntractableError):
-            coverage_exact(f, 0, Fraction(1, 2), work_cap_bits=10)
+            coverage_exact(f, 0, Fraction(1, 2))  # 27 members, width 54: past both strategies
 
     def test_shadow_close_to_rational(self):
         got = coverage_exact(fam(5, (1, 2), (3, 4, 5)), 0, Fraction(1, 3))
@@ -230,3 +231,36 @@ def test_mc_event_probability_matches_exact():
 def test_exact_probability_validates_range():
     with pytest.raises(ValueError):
         ExactProbability(Fraction(3, 2))
+
+
+def _engine_calls():
+    """Each public function taking an engine (or mode), on inputs that need no coverage."""
+    one = monotone.MonotoneFunction.constant1(4)  # accepts every candidate
+    params = monotone.ClosureParams(eps=0.1, c=1)
+    inputs_only = monotone.circuit_from_text("INPUT 1\nOUTPUT 1\n", 4)  # no gate to close
+    dist = PBiasedDistribution(4, Fraction(1, 2))
+    s = cliques.CliqueFamily.from_masks(4, [0b111, 0b1011])
+    hr = harnik_raz.build_hr_family(harnik_raz.HRParams(5, 1, 3))
+    return {
+        "is_robust_sunflower": lambda e: is_robust_sunflower(fam(4, (1, 2)), 0.5, 0.1, e),
+        "is_closed": lambda e: monotone.is_closed(one, params, e),
+        "closure": lambda e: monotone.closure(one, params, e),
+        "approximate_circuit": lambda e: monotone.approximate_circuit(
+            inputs_only, params, dist, dist, e),
+        "clique_coverage": lambda e: cliques.clique_coverage(
+            cliques.CliqueFamily.from_masks(1, [1]), 0, 0.5, e),  # no edges to cover
+        "is_clique_sunflower": lambda e: cliques.is_clique_sunflower(s, 0.5, 0.1, e),
+        "is_pq_clique_sunflower": lambda e: cliques.is_pq_clique_sunflower(s, 0.5, 1, 0.1, e),
+        "verify_positive_acceptance": lambda e: harnik_raz.verify_positive_acceptance(hr, e),
+        "verify_negative_rejection": lambda e: harnik_raz.verify_negative_rejection(hr, e),
+        "verify_minterm_spread": lambda e: harnik_raz.verify_minterm_spread(hr, 0b1, e),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_engine_calls()))
+def test_unknown_engine_raises(name):
+    call = _engine_calls()[name]
+    call("exact")
+    for engine in ("exakt", "MC", ""):
+        with pytest.raises(ValueError, match="unknown engine"):
+            call(engine)
