@@ -10,9 +10,10 @@ seed) or any other ValueError (an unknown engine or mode, a value out of
 range) raised while building or running the experiment -- exits with
 status 2 and a one-line ``config error:`` message; so does a refusal (a
 ``RefusalError``: a work cap exceeded, or a guarantee that does not hold
-for the input), with a one-line ``refused:`` message.  The sample budget
-(--samples) serves every Monte-Carlo path, the fallbacks of the
-extractions included.
+for the input), with a one-line ``refused:`` message.  ``--engine mc`` is
+a config error for a subcommand without a Monte-Carlo path, and every
+such path needs a --seed.  The sample budget (--samples) serves every
+Monte-Carlo path, the fallbacks of the extractions included.
 
 Configs can come from a ``key=value`` file (--config) with command-line
 flags taking precedence; unknown keys are rejected.
@@ -95,6 +96,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.params = Params(self.params)
+        if self.fmt not in _FORMATS:
+            raise ConfigError(f"unknown format {self.fmt!r}, expected 'json' or 'csv'")
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -228,12 +231,15 @@ def _run_closure_demo(config: ExperimentConfig) -> dict:
         c=int(config.params["c"]),
         noise_p=float(Fraction(str(config.params.get("noise_p", "1/2")))),
     )
-    cl = closure(f, params)
-    closed_before = is_closed(f, params).closed
+    seed = 0 if exact_engine(config.engine) else config.require_seed()
+    how = (config.engine, config.samples, seed)
+    cl = closure(f, params, *how)
+    closed_before = is_closed(f, params, *how).closed
+    closed_after = is_closed(cl, params, *how).closed
     checks = [
         _check("input-closed", closed_before, None, None),
         _check("fixpoint-contains-input", f.le(cl), True, f.le(cl)),
-        _check("fixpoint-closed", is_closed(cl, params).closed, True, is_closed(cl, params).closed),
+        _check("fixpoint-closed", closed_after, True, closed_after),
     ]
     return {
         "checks": checks,
@@ -247,7 +253,7 @@ def _run_hr_verify(config: ExperimentConfig) -> dict:
     params = HRParams(
         n=int(config.params["n"]), c=int(config.params["c"]), k=int(config.params["k"])
     )
-    exact = exact_engine(str(config.params.get("mode", "exact")))
+    exact = exact_engine(str(config.params.get("mode", config.engine)))
     hr = build_hr_family(params)
     checks = []
     if exact:
@@ -331,6 +337,7 @@ def _run_clique_extract(config: ExperimentConfig) -> dict:
             True,
             result.verified if result.status == "ok" else None,
             extraction_status=result.status,
+            probability=result.probability,
         )
     ]
     payload = {
@@ -467,6 +474,7 @@ _SUBCOMMANDS = {
     "code-poly": (_run_code_poly, {"q", "n", "dim", "audit"}),
     "spread-experiment": (_run_spread_experiment, {"n", "l", "count", "members", "p", "eps", "B"}),
 }
+_MONTE_CARLO = {"coverage", "closure-demo", "hr-verify", "clique-verify"}  # the rest refuse mc
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -477,6 +485,8 @@ def run(config: ExperimentConfig) -> dict:
     unknown = set(config.params) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys for {config.subcommand}: {sorted(unknown)}")
+    if not exact_engine(config.engine) and config.subcommand not in _MONTE_CARLO:
+        raise ConfigError(f"{config.subcommand} has no Monte-Carlo path; drop --engine mc")
     start = time.monotonic()
     body = runner(config)
     elapsed = time.monotonic() - start
@@ -512,8 +522,11 @@ def report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FORMATS = {"json": report_to_json, "csv": report_to_csv}
+
+
 def emit(report: dict, fmt: str, path: Optional[str]) -> str:
-    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    text = _FORMATS[fmt](report)
     if path:
         parent = os.path.dirname(path)
         if parent:
@@ -551,7 +564,7 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     parser.add_argument("--samples", type=int, help="Monte-Carlo sample budget (default 100000)")
     parser.add_argument("--engine", choices=["exact", "mc"], help="default exact")
     parser.add_argument("--out", help="write the report here")
-    parser.add_argument("--format", choices=["json", "csv"], help="default json")
+    parser.add_argument("--format", choices=sorted(_FORMATS), help="default json")
     parser.add_argument(
         "--param", "-P", action="append", default=[], metavar="KEY=VALUE",
         help="subcommand parameter (repeatable)",

@@ -13,6 +13,9 @@ mask (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)): p-biased edge bits,
 then q-biased vertex bits.  The coverage core of ``probability`` reduces,
 counts the integer profile sum c[a, b] p^a q^b and samples (one row of
 C(n,2)+n columns per sample, edges first) exactly as for set families.
+
+Clique-shaped functions are ``monotone.MonotoneFunction``s over vertex
+masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .probability import (
     Estimate,
     ExactProbability,
     RobustnessCheck,
-    above_threshold,
     bernoulli_rows,
     bias,
     coverage_exact,
@@ -53,7 +55,7 @@ from .setfamily import (
     iter_submasks,
     uniform_size,
 )
-from .monotone import iter_masks_of_weight
+from .monotone import ClosureParams, MonotoneFunction
 
 
 def edge_count(n: int) -> int:
@@ -248,24 +250,6 @@ class CliqueFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def clique_minterms(f: Callable[[Graph], int], size: int, n: int) -> CliqueFamily:
-    """All A of the given size with f(K_A) = 1 and f(K_{A-a}) = 0 for each a."""
-    hits = []
-    for vm in iter_masks_of_weight(n, size):
-        if not f(clique_graph(n, vm)):
-            continue
-        if all(f(clique_graph(n, vm ^ low)) == 0 for low in _bits(vm)):
-            hits.append(vm)
-    return CliqueFamily.from_masks(n, hits)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def clique_coverage(
@@ -617,130 +601,33 @@ def clique_spread_check(n: int, k: int, a_size: int) -> tuple[Fraction, Fraction
 
 
 # ---------------------------------------------------------------------------
-# clique-shaped monotone functions and their approximator algebra
+# clique-shaped monotone functions
+
+
+def clique_function(n: int, masks: Iterable[int]) -> MonotoneFunction:
+    """The function accepting every graph that contains some K_A, A in masks.
+
+    A member with at most one vertex has no edges and makes f constant 1.
+    On this normal form f(A) = f(K_A), and ``&`` is the wedge: each pairwise
+    conjunction becomes its union clique, equal to it on every clique input.
+    """
+    return MonotoneFunction.from_masks(n, (0 if m.bit_count() <= 1 else m for m in masks))
 
 
 @dataclass(frozen=True)
-class CliqueShapedFunction:
-    """Monotone function on graphs whose minterms are all cliques K_A.
-
-    Members are vertex masks forming an antichain; any member with at most
-    one vertex makes the function constant 1 (the empty graph is contained
-    in everything), canonically stored as the single member 0.
-    """
-
-    n: int
-    cliques: tuple[int, ...]
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "CliqueShapedFunction":
-        ms = list(masks)
-        if any(m.bit_count() <= 1 for m in ms):
-            return cls(n, (0,))
-        return cls(n, antichain_minimize(ms))
-
-    @classmethod
-    def constant0(cls, n: int) -> "CliqueShapedFunction":
-        return cls(n, ())
-
-    @classmethod
-    def constant1(cls, n: int) -> "CliqueShapedFunction":
-        return cls(n, (0,))
-
-    @classmethod
-    def indicator(cls, n: int, vertex_mask: int) -> "CliqueShapedFunction":
-        return cls.from_masks(n, (vertex_mask,))
-
-    def __call__(self, g: Graph) -> int:
-        return 1 if any(clique_edges(a) & ~g.edges == 0 for a in self.cliques) else 0
-
-    def eval_on_clique(self, vertex_mask: int) -> int:
-        """f(K_A): some member is a vertex-subset of A (or f is constant 1)."""
-        return 1 if any(
-            m == 0 or (m & vertex_mask == m and m.bit_count() >= 2) for m in self.cliques
-        ) else 0
-
-    def family(self) -> CliqueFamily:
-        return CliqueFamily.from_masks(self.n, self.cliques)
-
-    @property
-    def is_constant1(self) -> bool:
-        return self.cliques == (0,)
-
-    @property
-    def is_constant0(self) -> bool:
-        return not self.cliques
-
-
-def clique_or(f: CliqueShapedFunction, g: CliqueShapedFunction) -> CliqueShapedFunction:
-    return CliqueShapedFunction.from_masks(f.n, f.cliques + g.cliques)
-
-
-def wedge(f: CliqueShapedFunction, g: CliqueShapedFunction) -> CliqueShapedFunction:
-    """Replace every pairwise conjunction by the union-clique indicator.
-
-    Pointwise below f and g's conjunction, but agrees with it on every
-    clique input K_A, so it costs nothing on clique-shaped positives.
-    """
-    return CliqueShapedFunction.from_masks(
-        f.n, (a | b for a in f.cliques for b in g.cliques)
-    )
-
-
-@dataclass(frozen=True)
-class CliqueApproxParams:
-    """Edge bias p, strictness eps, closure scan range and trim threshold."""
-
-    p: float
-    eps: float
-    scan_max: int  # closure scans |A| in {2, ..., scan_max}
-    trim_max: float  # trim drops clique-minterms larger than this
+class CliqueApproxParams(ClosureParams):
+    """The closure read on cliques: scan K_A for 2 <= |A| <= c under noise G(n, noise_p)."""
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must be in (0, 1)")
-        if self.scan_max < 2:
-            raise ValueError("scan_max must be >= 2")
+        super().__post_init__()
+        if self.c < 2:
+            raise ValueError("c must be >= 2")
 
+    def candidates(self, n: int) -> Iterator[int]:
+        return (a for a in super().candidates(n) if a.bit_count() >= 2)
 
-def clique_closure(f: CliqueShapedFunction, params: CliqueApproxParams) -> CliqueShapedFunction:
-    """Minimal clique-closed function above f.
+    def coverage_family(self, f: MonotoneFunction) -> SetFamily:
+        return SetFamily.from_masks(edge_count(f.n), map(clique_edges, f.minterms))
 
-    The scan ranges over clique inputs K_A with |A| in {2, ..., scan_max}
-    only; sizes 0 and 1 are deliberately excluded, unlike the plain-set
-    closure which scans the empty set too.
-    """
-    current = f
-    while True:
-        witness = None
-        for size in range(2, min(params.scan_max, f.n) + 1):
-            for a in iter_masks_of_weight(f.n, size):
-                if current.eval_on_clique(a):
-                    continue
-                prob = clique_coverage(current.family(), a, params.p, "exact")
-                if above_threshold(prob, params.eps):
-                    witness = a
-                    break
-            if witness is not None:
-                break
-        if witness is None:
-            return current
-        current = CliqueShapedFunction.from_masks(f.n, current.cliques + (witness,))
-
-
-def clique_trim(f: CliqueShapedFunction, trim_max) -> CliqueShapedFunction:
-    return CliqueShapedFunction.from_masks(
-        f.n, (m for m in f.cliques if m.bit_count() <= trim_max)
-    )
-
-
-def clique_approx_or(
-    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams
-) -> CliqueShapedFunction:
-    return clique_trim(clique_closure(clique_or(f, g), params), params.trim_max)
-
-
-def clique_approx_and(
-    f: CliqueShapedFunction, g: CliqueShapedFunction, params: CliqueApproxParams
-) -> CliqueShapedFunction:
-    return clique_trim(clique_closure(wedge(f, g), params), params.trim_max)
+    def coverage_mask(self, a: int) -> int:
+        return clique_edges(a)

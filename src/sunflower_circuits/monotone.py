@@ -7,9 +7,15 @@ is the constant 0; the single minterm "empty set" is the constant 1.
 The approximator algebra replaces OR by trim(cl(f or g)) and AND by
 trim(cl(f and g)), where cl is the closure operator: the minimal monotone
 function above f for which near-certain acceptance under noise,
-Pr[f(N or x_A) = 1] > 1 - eps for |A| <= c, forces acceptance of x_A
-itself.  Gate-by-gate replacement of a circuit yields an approximator plus
-an exact ledger of the per-gate approximation errors.
+Pr[f(N or x_A) = 1] > 1 - eps for every scanned A, forces acceptance of
+x_A itself.  Gate-by-gate replacement of a circuit yields an approximator
+plus an exact ledger of the per-gate approximation errors.
+
+The same algebra serves clique-shaped functions, whose minterms are vertex
+masks A standing for cliques K_A (``cliques.clique_function``): there f(A)
+is f(K_A) and ``&`` is the wedge.  ``ClosureParams`` supplies the closure's
+reading (the masks scanned, their image on the coverage ground set); the
+plain reading is its default, ``cliques.CliqueApproxParams`` the clique one.
 """
 
 from __future__ import annotations
@@ -86,10 +92,6 @@ class MonotoneFunction:
         return SetFamily.from_masks(self.n, self.minterms)
 
 
-def minterms_of_size(f: MonotoneFunction, size: int) -> SetFamily:
-    return SetFamily.from_masks(f.n, (m for m in f.minterms if m.bit_count() == size))
-
-
 def iter_masks_of_weight(n: int, w: int) -> Iterator[int]:
     """Masks of Hamming weight w in increasing numeric order (Gosper)."""
     if w == 0:
@@ -114,17 +116,35 @@ def iter_masks_up_to(n: int, c: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class ClosureParams:
-    """Noise test parameters: threshold eps, scan width c, noise bias."""
+    """Noise test parameters: threshold eps, scan width c, noise bias, and the
+    largest minterm the approximators keep (``trim``, by default c/2).  The
+    methods give the plain reading; a subclass overrides them for another.
+    """
 
     eps: float
     c: int
     noise_p: float = 0.5
+    trim: Optional[float] = None
 
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError("eps must be in (0, 1)")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+        if self.trim is None:
+            object.__setattr__(self, "trim", self.c / 2)
+
+    def candidates(self, n: int) -> Iterator[int]:
+        """The masks the closedness scan tests, in scan order: every |A| <= c."""
+        return iter_masks_up_to(n, self.c)
+
+    def coverage_family(self, f: MonotoneFunction) -> SetFamily:
+        """f's minterms on the coverage ground set: here [n] itself."""
+        return f.minterm_family()
+
+    def coverage_mask(self, a: int) -> int:
+        """A candidate on the coverage ground set: here the mask itself."""
+        return a
 
 
 class ClosednessReport(NamedTuple):
@@ -140,24 +160,28 @@ def is_closed(
     samples: int = 100_000,
     seed: int = 0,
 ) -> ClosednessReport:
-    """Scan A with |A| <= c in canonical order; report the first violation.
+    """Scan the candidates of ``params`` in order; report the first violation.
 
-    A violation is a set A with f(x_A) = 0 whose noisy acceptance
+    A violation is a candidate A with f(x_A) = 0 whose noisy acceptance
     probability Pr[f(N or x_A) = 1], the coverage of f's minterms over
-    Y = A, strictly exceeds 1 - eps.  The scan includes the empty set, so a
-    closure can reach the constant 1.
+    Y = A (both mapped onto the coverage ground set), strictly exceeds
+    1 - eps.  The plain scan includes the empty set, so a closure can
+    reach the constant 1.
     """
     exact = exact_engine(engine)
     threshold = 1 - Fraction(params.eps)
-    fam = f.minterm_family()
-    for a in iter_masks_up_to(f.n, params.c):
+    fam = None
+    for a in params.candidates(f.n):
         if f(a):
             continue
+        if fam is None:  # once per scan, and only when some coverage is needed
+            fam = params.coverage_family(f)
+        y = params.coverage_mask(a)
         if exact:
-            prob = coverage_exact(fam, a, params.noise_p)
+            prob = coverage_exact(fam, y, params.noise_p)
             violated = prob.value > threshold
         else:
-            prob = coverage_mc(fam, a, params.noise_p, samples, seed=seed)
+            prob = coverage_mc(fam, y, params.noise_p, samples, seed=seed)
             violated = prob.value - prob.half_width > float(threshold)
         if violated:
             return ClosednessReport(False, a, prob)
@@ -174,9 +198,9 @@ def closure(
     """The minimal closed monotone function above f.
 
     Fixpoint iteration: while some A violates closedness, add the indicator
-    of A and rescan from the smallest A.  Every A added lies below the
-    unique closure (any closed g >= f accepts it), so the fixed canonical
-    scan order makes runs deterministic without changing the fixpoint.
+    of A and rescan from the first candidate.  Every A added lies below the
+    unique closure (any closed g >= f accepts it), so the fixed scan order
+    makes runs deterministic without changing the fixpoint.
     """
     current = f
     while True:
@@ -196,13 +220,13 @@ def trim(f: MonotoneFunction, max_size) -> MonotoneFunction:
 def approx_or(
     f: MonotoneFunction, g: MonotoneFunction, params: ClosureParams, **kw
 ) -> MonotoneFunction:
-    return trim(closure(f | g, params, **kw), params.c / 2)
+    return trim(closure(f | g, params, **kw), params.trim)
 
 
 def approx_and(
     f: MonotoneFunction, g: MonotoneFunction, params: ClosureParams, **kw
 ) -> MonotoneFunction:
-    return trim(closure(f & g, params, **kw), params.c / 2)
+    return trim(closure(f & g, params, **kw), params.trim)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +398,7 @@ def approximate_circuit(
             continue
         fa, fb = approx[gate[1] - 1], approx[gate[2] - 1]
         raw = fa | fb if gate[0] == "or" else fa & fb
-        ap = trim(closure(raw, params, engine, samples, seed), params.c / 2)
+        ap = trim(closure(raw, params, engine, samples, seed), params.trim)
         approx.append(ap)
         pos = joint(lambda x: raw(x) == 1 and ap(x) == 0, pos_items, pos_dist, 2 * idx)
         neg = joint(lambda x: raw(x) == 0 and ap(x) == 1, neg_items, neg_dist, 2 * idx + 1)

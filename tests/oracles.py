@@ -250,3 +250,42 @@ def reversed_scan_closure(n, minterms, eps, c, p=Fraction(1, 2)):
                 break
         else:
             return {m for m in accepted if not any(o != m and o & m == o for o in accepted)}
+
+
+def graph_accepts(vertex_masks, edges):
+    """1 if the graph with edge mask ``edges`` contains the clique K_A of some member A."""
+    cliques = (clique_edge_mask([i + 1 for i in iter_bits(a)]) for a in vertex_masks)
+    return 1 if any(e & ~edges == 0 for e in cliques) else 0
+
+
+def brute_closure_on_cliques(n, minterms, eps, c, p=Fraction(1, 2)):
+    """The clique closure by brute force, scanning 2 <= |A| <= c in reversed canonical order.
+
+    ``minterms`` are vertex masks in the clique normal form (a member with
+    at most one vertex only as the constant 1, the single member 0).  A
+    vertex mask A is accepted when some minterm lies inside it.  Each round
+    adds the first rejected A whose clique coverage Pr[f(G(n,p) or K_A) = 1]
+    exceeds 1 - eps, from ``brute_coverage`` over all 2^C(n,2) graphs.
+    Returns the minimal accepted sets of the fixpoint.
+    """
+    m = n * (n - 1) // 2
+
+    def edges(a):
+        return clique_edge_mask([i + 1 for i in iter_bits(a)])
+
+    candidates = sorted(
+        (a for a in range(1 << n) if 2 <= bin(a).count("1") <= c),
+        key=lambda a: (bin(a).count("1"), a),
+        reverse=True,
+    )
+    accepted = list(minterms)
+    threshold = 1 - Fraction(eps)
+    while True:
+        for a in candidates:
+            if eval_antichain(accepted, a):
+                continue
+            if brute_coverage([edges(x) for x in accepted], edges(a), p, m) > threshold:
+                accepted.append(a)
+                break
+        else:
+            return {x for x in accepted if not any(o != x and o & x == o for o in accepted)}

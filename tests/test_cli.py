@@ -195,6 +195,18 @@ class TestEmission:
         report = run(ExperimentConfig("hr-verify", {"n": 11, "c": 2, "k": 3}))
         assert report_to_csv(report).splitlines()[0] == "name,value,bound,status"
 
+    def test_unknown_format_in_config_file_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("format=xml\n")
+        argv = ["coverage", "--config", str(cfg_file),
+                "-P", "n=4", "-P", "family=star:2", "-P", "p=1/2"]
+        assert main(argv) == 2
+        err = "config error: unknown format 'xml', expected 'json' or 'csv'\n"
+        assert capsys.readouterr() == ("", err)
+        report = run(ExperimentConfig("hr-verify", {"n": 11, "c": 2, "k": 3}))
+        with pytest.raises(KeyError):
+            emit(report, "xml", None)
+
     def test_emit_creates_directories(self, tmp_path):
         report = run(ExperimentConfig("hr-verify", {"n": 11, "c": 2, "k": 3}))
         out = tmp_path / "deep" / "nested" / "report.json"
@@ -283,6 +295,53 @@ class TestMain:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: unknown engine")
 
+    def test_closure_demo_runs_monte_carlo(self, capsys):
+        argv = ["closure-demo", "--engine", "mc", "--samples", "20000",
+                "-P", "n=4", "-P", "minterms=1;2", "-P", "eps=0.3", "-P", "c=2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: a --seed is mandatory")
+        assert main(argv + ["--seed", "1"]) == 0  # Pr[1 or 2 in N] = 3/4 > 0.7: the constant 1
+        assert json.loads(capsys.readouterr().out)["payload"]["closure_minterms"] == [[]]
+
+    def test_hr_verify_engine_flag_and_mode(self, capsys):
+        argv = ["hr-verify", "--engine", "mc", "--seed", "1", "--samples", "300",
+                "-P", "n=11", "-P", "c=2", "-P", "k=3"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["value"]["samples"] == 300
+        assert main(argv + ["-P", "mode=exact"]) == 0  # mode, when given, wins
+        assert isinstance(json.loads(capsys.readouterr().out)["checks"][0]["value"], str)
+
+    # what --engine mc does per subcommand: select its Monte-Carlo path (which
+    # then needs a --seed), or be refused
+    ENGINE_MC = {
+        "coverage": (True, ["-P", "n=4", "-P", "family=star:2", "-P", "p=1/2"]),
+        "sunflower-extract": (False, ["-P", "n=4", "-P", "family=star:3", "-P", "p=1/2",
+                                      "-P", "eps=1/10"]),
+        "closure-demo": (True, ["-P", "n=4", "-P", "minterms=1;2", "-P", "eps=0.3",
+                                "-P", "c=2"]),
+        "hr-verify": (True, ["-P", "n=11", "-P", "c=2", "-P", "k=3"]),
+        "clique-verify": (True, ["-P", "n=8", "-P", "k=3"]),
+        "clique-extract": (False, ["-P", "n=12", "-P", "family=star:11", "-P", "p=1/2",
+                                   "-P", "eps=0.05"]),
+        "janson": (False, ["-P", "n=6", "-P", "family=disjoint:2:3", "-P", "p=1/2"]),
+        "code-poly": (False, ["-P", "q=5", "-P", "n=5", "-P", "dim=2"]),
+        "spread-experiment": (False, ["-P", "n=8", "-P", "l=2", "-P", "p=1/2", "-P", "eps=1/10"]),
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
+    def test_engine_mc_is_honoured_or_refused(self, subcommand, capsys):
+        honoured, params = self.ENGINE_MC[subcommand]
+        argv = [subcommand, "--engine", "mc", "--samples", "500"] + params
+        if honoured:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: a --seed is mandatory")
+            assert main(argv + ["--seed", "1"]) in (0, 1)
+            assert json.loads(capsys.readouterr().out)["config"]["engine"] == "mc"
+        else:
+            assert main(argv + ["--seed", "1"]) == 2
+            assert capsys.readouterr() == (
+                "", f"config error: {subcommand} has no Monte-Carlo path; drop --engine mc\n")
+
     def test_samples_reach_the_extraction_fallback(self, capsys):
         # 25 disjoint pairs are past both exact strategies, so the check samples
         argv = ["sunflower-extract", "--samples", "1000", "-P", "n=60", "-P", "family=disjoint:25:2",
@@ -291,6 +350,15 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["samples"] == 1000
         assert report["checks"][0]["probability"]["samples"] == 1000
+
+    def test_clique_extract_reports_its_probability(self, capsys):
+        # 25 members: the vertex envelope 25 is past the exact limit, so the check samples
+        argv = ["clique-extract", "--samples", "1000", "-P", "n=26", "-P", "family=star:25",
+                "-P", "p=1/2", "-P", "q=1/2", "-P", "eps=1/10"]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)["checks"][0]
+        assert row["value"] is True
+        assert row["probability"]["samples"] == 1000
 
     @pytest.mark.parametrize("argv", [
         ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],

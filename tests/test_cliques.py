@@ -4,23 +4,19 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits.cliques import (
     CliqueApproxParams,
     CliqueFamily,
-    CliqueShapedFunction,
     Graph,
-    clique_approx_and,
-    clique_approx_or,
-    clique_closure,
     clique_coverage,
     clique_edges,
+    clique_function,
     clique_graph,
-    clique_minterms,
     clique_parameters,
     clique_spread_check,
     clique_sunflower_threshold,
-    clique_trim,
     edge_count,
     edge_endpoints,
     edge_index,
@@ -36,13 +32,26 @@ from sunflower_circuits.cliques import (
     s_poly,
     s_poly_exact,
     verify_no_kclique_bound,
-    wedge,
 )
 from sunflower_circuits.errors import BaseCaseFailedError
+from sunflower_circuits.monotone import (
+    MonotoneFunction,
+    approx_and,
+    approx_or,
+    closure,
+    is_closed,
+    trim,
+)
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import core, mask_of
 
-from oracles import brute_has_clique, brute_containment_probability, brute_pq_hit
+from oracles import (
+    brute_closure_on_cliques,
+    brute_containment_probability,
+    brute_has_clique,
+    brute_pq_hit,
+    graph_accepts,
+)
 
 
 class TestEdgeIndexing:
@@ -148,26 +157,6 @@ class TestHasClique:
             }
             for k in (2, 3, 4):
                 assert has_k_clique(g, k) == brute_has_clique(n, edge_set, k)
-
-
-class TestCliqueMinterms:
-    def test_indicator_has_single_minterm(self):
-        n = 6
-        a0 = mask_of([1, 2, 3], n)
-        f = CliqueShapedFunction.indicator(n, a0)
-        assert clique_minterms(f, 3, n).members == (a0,)
-        assert clique_minterms(f, 2, n).members == ()
-
-    def test_constant_zero(self):
-        f = CliqueShapedFunction.constant0(5)
-        assert clique_minterms(f, 2, 5).members == ()
-
-    def test_or_of_two_indicators(self):
-        n = 6
-        a = mask_of([1, 2], n)
-        b = mask_of([3, 4], n)
-        f = CliqueShapedFunction.from_masks(n, [a, b])
-        assert set(clique_minterms(f, 2, n).members) == {a, b}
 
 
 class TestCliqueCoverage:
@@ -444,58 +433,104 @@ class TestCliqueSpread:
 class TestCliqueShapedAlgebra:
     def test_wedge_below_conjunction_equal_on_cliques(self):
         n = 6
-        f = CliqueShapedFunction.indicator(n, mask_of([1, 2], n))
-        g = CliqueShapedFunction.indicator(n, mask_of([3, 4], n))
-        w = wedge(f, g)
-        assert w.cliques == (mask_of([1, 2, 3, 4], n),)
+        f = clique_function(n, [mask_of([1, 2], n)])
+        g = clique_function(n, [mask_of([3, 4], n)])
+        w = f & g
+        assert w.minterms == (mask_of([1, 2, 3, 4], n),)
         for _ in range(100):
             rng = random.Random(_)
             edges = rng.getrandbits(edge_count(n))
-            graph = Graph(n, edges)
-            assert w(graph) <= (f(graph) & g(graph))
+            w_g, f_g, g_g = (graph_accepts(h.minterms, edges) for h in (w, f, g))
+            assert w_g <= (f_g & g_g)
         for a in range(1 << n):
-            ka = clique_graph(n, a)
-            assert w(ka) == (f(ka) & g(ka))
+            ka = clique_graph(n, a).edges
+            w_k, f_k, g_k = (graph_accepts(h.minterms, ka) for h in (w, f, g))
+            assert w_k == (f_k & g_k)
+            assert (w(a), f(a), g(a)) == (w_k, f_k, g_k)  # f(A) is f on the clique K_A
 
     def test_edge_indicators_closed_at_standard_params(self):
         n = 8
         k, p, eps = 4, 8 ** (-2 / 3), 8.0**-4
-        params = CliqueApproxParams(p=p, eps=eps, scan_max=3, trim_max=2)
-        f = CliqueShapedFunction.indicator(n, mask_of([1, 2], n))
-        assert clique_closure(f, params).cliques == f.cliques
+        params = CliqueApproxParams(eps=eps, c=3, noise_p=p, trim=2)
+        f = clique_function(n, [mask_of([1, 2], n)])
+        assert closure(f, params).minterms == f.minterms
 
     def test_trim_keeps_constant_one(self):
-        one = CliqueShapedFunction.constant1(6)
-        assert clique_trim(one, 2) == one
+        one = clique_function(6, [0])
+        assert trim(one, 2) == one
 
     def test_trim_drops_big_cliques(self):
         n = 8
-        f = CliqueShapedFunction.from_masks(
-            n, [mask_of([1, 2], n), mask_of([3, 4, 5, 6], n)]
-        )
-        assert clique_trim(f, 2).cliques == (mask_of([1, 2], n),)
+        f = clique_function(n, [mask_of([1, 2], n), mask_of([3, 4, 5, 6], n)])
+        assert trim(f, 2).minterms == (mask_of([1, 2], n),)
 
     def test_closure_can_reach_small_cliques(self):
         # a dense star of triangles through {1,2} pushes Pr[f(N or K_{1,2})=1] high
         n = 7
         members = [mask_of([1, 2, x], n) for x in range(3, 8)]
-        f = CliqueShapedFunction.from_masks(n, members)
-        params = CliqueApproxParams(p=0.5, eps=0.4, scan_max=2, trim_max=2)
-        cl = clique_closure(f, params)
-        assert mask_of([1, 2], n) in cl.cliques
+        f = clique_function(n, members)
+        params = CliqueApproxParams(eps=0.4, c=2, noise_p=0.5, trim=2)
+        cl = closure(f, params)
+        assert mask_of([1, 2], n) in cl.minterms
 
     def test_approx_ops_produce_trimmed_functions(self):
         n = 7
-        params = CliqueApproxParams(p=0.3, eps=0.01, scan_max=3, trim_max=2)
-        f = CliqueShapedFunction.indicator(n, mask_of([1, 2], n))
-        g = CliqueShapedFunction.indicator(n, mask_of([2, 3], n))
-        for h in (clique_approx_or(f, g, params), clique_approx_and(f, g, params)):
-            assert all(m.bit_count() <= 2 for m in h.cliques)
+        params = CliqueApproxParams(eps=0.01, c=3, noise_p=0.3, trim=2)
+        f = clique_function(n, [mask_of([1, 2], n)])
+        g = clique_function(n, [mask_of([2, 3], n)])
+        for h in (approx_or(f, g, params), approx_and(f, g, params)):
+            assert all(m.bit_count() <= 2 for m in h.minterms)
 
     def test_approx_and_uses_wedge(self):
         n = 8
-        params = CliqueApproxParams(p=0.1, eps=0.001, scan_max=4, trim_max=4)
-        f = CliqueShapedFunction.indicator(n, mask_of([1, 2], n))
-        g = CliqueShapedFunction.indicator(n, mask_of([3, 4], n))
-        got = clique_approx_and(f, g, params)
-        assert got.cliques == (mask_of([1, 2, 3, 4], n),)
+        params = CliqueApproxParams(eps=0.001, c=4, noise_p=0.1, trim=4)
+        f = clique_function(n, [mask_of([1, 2], n)])
+        g = clique_function(n, [mask_of([3, 4], n)])
+        got = approx_and(f, g, params)
+        assert got.minterms == (mask_of([1, 2, 3, 4], n),)
+
+    def test_small_members_normalise_to_constant_one(self):
+        assert clique_function(5, [mask_of([1, 2], 5), mask_of([3], 5)]).is_constant1
+        assert clique_function(5, [mask_of([1, 2], 5), 0]) == MonotoneFunction.constant1(5)
+        assert clique_function(5, []).is_constant0
+
+    def test_params_need_c_at_least_two(self):
+        with pytest.raises(ValueError):
+            CliqueApproxParams(eps=0.1, c=1)
+        assert CliqueApproxParams(eps=0.1, c=5).trim == 2.5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_graphs(self, n):
+        # n = 1 has no edges and no candidate; n = 2 has the one candidate K_{1,2}
+        params = CliqueApproxParams(eps=0.9, c=2)
+        zero = clique_function(n, [])
+        assert is_closed(zero, params).closed
+        assert closure(zero, params) == zero
+        if n == 2:
+            assert closure(clique_function(2, [0b11]), params).minterms == (0b11,)
+
+    def test_mc_engine_agrees_with_exact_far_from_threshold(self):
+        # Pr[f(G or K_{1,2}) = 1] = 1 - (3/4)^5 ~ 0.76 clears 1 - 0.4 and misses 1 - 0.05;
+        # every other scanned pair stays below 0.43
+        n = 7
+        f = clique_function(n, [mask_of([1, 2, x], n) for x in range(3, 8)])
+        for eps, added in ((0.4, True), (0.05, False)):
+            params = CliqueApproxParams(eps=eps, c=2)
+            exact = closure(f, params)
+            assert (mask_of([1, 2], n) in exact.minterms) == added
+            assert closure(f, params, "mc", 20_000, 1) == exact
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.integers(0, 31), max_size=6),
+    st.sampled_from([0.1, 0.4, 0.7, 0.9]),
+    st.integers(2, 4),
+    st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_closure_on_cliques_matches_brute_force(n, masks, eps, c, noise_p):
+    f = clique_function(n, (m & ((1 << n) - 1) for m in masks))
+    params = CliqueApproxParams(eps=eps, c=c, noise_p=noise_p)
+    want = brute_closure_on_cliques(n, f.minterms, eps, c, noise_p)
+    assert set(closure(f, params).minterms) == want

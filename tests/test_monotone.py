@@ -19,7 +19,6 @@ from sunflower_circuits.monotone import (
     closure_error_bound_check,
     is_closed,
     iter_masks_up_to,
-    minterms_of_size,
     trim,
 )
 from sunflower_circuits.probability import PBiasedDistribution
@@ -66,12 +65,6 @@ class TestEvalAndLattice:
             for x in range(1 << n):
                 assert h_or(x) == (f(x) | g(x))
                 assert h_and(x) == (f(x) & g(x))
-
-    def test_minterms_of_size(self):
-        f = mf(5, (1,), (2, 3))
-        assert minterms_of_size(f, 1).as_sets() == [(1,)]
-        assert minterms_of_size(f, 2).as_sets() == [(2, 3)]
-        assert len(minterms_of_size(f, 3)) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,6 +206,12 @@ class TestTrim:
 
 
 class TestApproxOps:
+    def test_trim_size_defaults_to_half_c(self):
+        f = mf(6, (1, 2))  # closed: no |A| <= 2 without {1, 2} gets near-certain acceptance
+        assert ClosureParams(eps=1e-9, c=2).trim == 1
+        assert approx_or(f, f, ClosureParams(eps=1e-9, c=2)).is_constant0
+        assert approx_or(f, f, ClosureParams(eps=1e-9, c=2, trim=2)) == f
+
     def test_or_of_indicators_already_closed(self):
         n, c = 6, 2
         params = ClosureParams(eps=float(n) ** (-2 * c), c=c)
