@@ -310,6 +310,7 @@ def _run_clique_verify(config: ExperimentConfig) -> dict:
             est,
             0.75,
             est.value <= 0.75 + 3 * est.half_width,
+            engine="mc",  # the estimate is the only path, whatever the run's engine
         )
     ]
     worst = None

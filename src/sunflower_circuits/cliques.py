@@ -88,13 +88,6 @@ class Graph:
         if self.edges >> edge_count(self.n):
             raise ValueError("edge bits outside the pair range")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        if u > v:
-            u, v = v, u
-        return bool(self.edges >> edge_index(u, v) & 1)
-
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor masks over 0-based vertex bits."""
         adj = [0] * self.n
@@ -122,33 +115,6 @@ def clique_graph(n: int, vertex_mask: int) -> Graph:
     if vertex_mask >> n:
         raise ValueError("vertices outside [n]")
     return Graph(n, clique_edges(vertex_mask))
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    e = g.edges
-    while e:
-        low = e & -e
-        u, v = edge_endpoints(low.bit_length() - 1)
-        lines.append(f"{u} {v}")
-        e ^= low
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("graph text must start with 'n=<int>'")
-    n = int(lines[0][2:])
-    edges = 0
-    for ln in lines[1:]:
-        u, v = (int(t) for t in ln.split())
-        if u > v:
-            u, v = v, u
-        if not 1 <= u < v <= n:
-            raise ValueError(f"bad edge {u} {v}")
-        edges |= 1 << edge_index(u, v)
-    return Graph(n, edges)
 
 
 def gnp_sample(n: int, p, stream: CounterStream) -> Graph:

@@ -151,33 +151,6 @@ def eval_polynomial(poly: MonomialSet, assignment) -> Fraction:
     return total
 
 
-def monomials_to_text(poly: MonomialSet) -> str:
-    """One monomial per line as sorted (row, column) pairs."""
-    lines = []
-    for m in poly.monomials:
-        lines.append(" ".join(f"{i},{j}" for i, j in sorted(m)))
-    return "\n".join(lines) + "\n"
-
-
-def code_to_csv(code: Code) -> str:
-    """CSV with a ``q,n`` header comment row, then one codeword per row."""
-    lines = [f"# q={code.q} n={code.n}"]
-    for w in code.codewords:
-        lines.append(",".join(str(v) for v in w))
-    return "\n".join(lines) + "\n"
-
-
-def code_from_csv(text: str) -> Code:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# q="):
-        raise ValueError("code CSV must start with '# q=<int> n=<int>'")
-    head = lines[0][2:].split()
-    q = int(head[0][2:])
-    n = int(head[1][2:])
-    words = tuple(tuple(int(t) for t in ln.split(",")) for ln in lines[1:])
-    return Code(q, n, words)
-
-
 # ---------------------------------------------------------------------------
 # monotone arithmetic circuits
 
@@ -389,9 +362,7 @@ def canonical_decomposition(poly: MonomialSet, n: int) -> Decomposition:
     return Decomposition(tuple(pairs))
 
 
-def size_lower_bound_report(
-    code: Code, d: Decomposition, poly: Optional[MonomialSet] = None
-) -> tuple[int, int, bool]:
+def size_lower_bound_report(code: Code, d: Decomposition) -> tuple[int, int, bool]:
     """(number of summands, |C|, summands >= |C|).
 
     Any decomposition that validates against P_C and survives the

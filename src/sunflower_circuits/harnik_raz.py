@@ -140,16 +140,24 @@ def sample_positive(hr: HRFamily, stream: CounterStream) -> int:
 
 
 class PositiveTestDistribution:
-    """Distribution of value-set masks of a uniform random polynomial."""
+    """Distribution of value-set masks of a uniform random polynomial.
+
+    ``acceptance(f)`` is the exact share of polynomials whose value set f
+    accepts, summed over the distinct images of the image table.
+    """
 
     def __init__(self, hr: HRFamily):
         self.hr = hr
+        self.counts = Counter(hr.images)
 
     def exact_items(self):
-        counts = Counter(self.hr.images)
         total = self.hr.params.n_polynomials
-        for m in sorted(counts):
-            yield m, Fraction(counts[m], total)
+        for m in sorted(self.counts):
+            yield m, Fraction(self.counts[m], total)
+
+    def acceptance(self, f) -> Fraction:
+        hits = sum(c for m, c in self.counts.items() if f(m))
+        return Fraction(hits, self.hr.params.n_polynomials)
 
     def sample(self, stream: CounterStream) -> int:
         return sample_positive(self.hr, stream)

@@ -9,7 +9,11 @@ trim(cl(f and g)), where cl is the closure operator: the minimal monotone
 function above f for which near-certain acceptance under noise,
 Pr[f(N or x_A) = 1] > 1 - eps for every scanned A, forces acceptance of
 x_A itself.  Gate-by-gate replacement of a circuit yields an approximator
-plus an exact ledger of the per-gate approximation errors.
+plus a ledger of the per-gate approximation errors.  For monotone raw and
+ap each exact error is a difference of two acceptance probabilities,
+Pr[raw and not ap] = Pr[raw or ap] - Pr[ap], which a test distribution
+answers through ``acceptance(f)``; the Monte-Carlo ledger samples the
+joint event through ``sample(stream)``.
 
 The same algebra serves clique-shaped functions, whose minterms are vertex
 masks A standing for cliques K_A (``cliques.clique_function``): there f(A)
@@ -23,15 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .probability import (
-    coverage_exact,
-    coverage_mc,
-    exact_engine,
-    exact_event_probability,
-    mc_event_probability,
-)
+from .probability import coverage_exact, coverage_mc, exact_engine, mc_event_probability
 from .setfamily import SetFamily, antichain_minimize
 
 
@@ -366,29 +364,25 @@ def approximate_circuit(
     samples: int = 100_000,
     seed: int = 0,
 ) -> tuple[MonotoneFunction, ErrorLedger]:
-    """Replace every gate with its approximating gate, tracking exact errors.
+    """Replace every gate with its approximating gate, tracking its errors.
 
     Inputs map to their indicators; an OR gate with child approximators
-    f, g gets trim(cl(f or g)), an AND gate trim(cl(f and g)).  Per gate
-    the ledger records the exact joint probabilities
+    f, g gets ap = trim(cl(f or g)), an AND gate trim(cl(f and g)).  With
+    raw = f op g, per gate the ledger records
 
-        positive_error = Pr_pos[(f op g)(x) = 1 and approx(x) = 0]
-        negative_error = Pr_neg[(f op g)(x) = 0 and approx(x) = 1]
+        positive_error = Pr_pos[raw(x) = 1 and ap(x) = 0]
+        negative_error = Pr_neg[raw(x) = 0 and ap(x) = 1]
 
-    against the supplied test distributions; summed over gates, these
-    union-bound the end-to-end disagreement between the circuit and the
-    final approximator (the errors telescope through the DAG).
+    against the test distributions; summed over gates, these union-bound
+    the end-to-end disagreement between the circuit and the final
+    approximator (the errors telescope through the DAG).  Exactly, with
+    either = raw or ap >= both, they are the differences
+    acceptance(either) - acceptance(ap) on ``pos_dist`` and
+    acceptance(either) - acceptance(raw) on ``neg_dist``.  On ``mc`` each
+    joint event is sampled through the distribution's ``sample`` on
+    stream 2*gate (positive) or 2*gate + 1 (negative).
     """
     exact = exact_engine(engine)
-    pos_items = list(pos_dist.exact_items()) if exact else None
-    neg_items = list(neg_dist.exact_items()) if exact else None
-
-    def joint(event: Callable[[int], bool], items, dist, stream_id: int):
-        if exact:
-            return exact_event_probability(event, items).value
-        est = mc_event_probability(event, dist.sample, samples, seed=seed, stream_id=stream_id)
-        return est.value
-
     approx: list[MonotoneFunction] = []
     entries: list[GateError] = []
     for idx, gate in enumerate(circuit.gates, start=1):
@@ -400,8 +394,15 @@ def approximate_circuit(
         raw = fa | fb if gate[0] == "or" else fa & fb
         ap = trim(closure(raw, params, engine, samples, seed), params.trim)
         approx.append(ap)
-        pos = joint(lambda x: raw(x) == 1 and ap(x) == 0, pos_items, pos_dist, 2 * idx)
-        neg = joint(lambda x: raw(x) == 0 and ap(x) == 1, neg_items, neg_dist, 2 * idx + 1)
+        if exact:
+            either = raw | ap
+            pos = pos_dist.acceptance(either) - pos_dist.acceptance(ap)
+            neg = neg_dist.acceptance(either) - neg_dist.acceptance(raw)
+        else:
+            pos = mc_event_probability(lambda x: raw(x) == 1 and ap(x) == 0, pos_dist.sample,
+                                       samples, seed=seed, stream_id=2 * idx).value
+            neg = mc_event_probability(lambda x: raw(x) == 0 and ap(x) == 1, neg_dist.sample,
+                                       samples, seed=seed, stream_id=2 * idx + 1).value
         entries.append(GateError(idx, gate[0], pos, neg))
     return approx[circuit.output - 1], ErrorLedger(tuple(entries))
 
@@ -409,17 +410,18 @@ def approximate_circuit(
 def closure_error_bound_check(
     f: MonotoneFunction, params: ClosureParams
 ) -> tuple[Fraction, Fraction]:
-    """Exact Pr[f(N)=0 and cl(f)(N)=1] vs the union bound eps * sum C(n,j).
+    """Exact Pr[f(N)=0 and cl(f)(N)=1] vs the union bound eps * |candidates|.
 
-    Since f <= cl(f) pointwise the joint probability is the difference of
-    the two acceptance probabilities under the noise distribution.
+    N is the closure's noise in the reading of ``params`` (a noise_p-biased
+    set, or G(n, noise_p) for cliques), and the bound counts the masks its
+    scan tests.  Since f <= cl(f) pointwise the joint probability is the
+    difference of the two acceptance probabilities under N.
     """
     cl = closure(f, params)
-    p_f = coverage_exact(f.minterm_family(), 0, params.noise_p).value
-    p_cl = coverage_exact(cl.minterm_family(), 0, params.noise_p).value
-    lhs = p_cl - p_f
-    rhs = Fraction(params.eps) * sum(math.comb(f.n, j) for j in range(params.c + 1))
-    return lhs, rhs
+    p_f, p_cl = (coverage_exact(params.coverage_family(g), 0, params.noise_p).value
+                 for g in (f, cl))
+    rhs = Fraction(params.eps) * sum(1 for _ in params.candidates(f.n))
+    return p_cl - p_f, rhs
 
 
 def closed_minterm_bound_check(

@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import EmptyFamilyError, ExactIntractableError
-from .rng import CounterStream, threshold_for
+from .rng import CounterStream, bias, threshold_for
 from .setfamily import SetFamily, antichain_minimize, core, elements_of
 
 DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
@@ -119,14 +119,6 @@ def wilson_half_width(hits: int, samples: int, confidence: float) -> float:
     phat = hits / samples
     denom = 1.0 + z * z / samples
     return (z / denom) * math.sqrt(phat * (1 - phat) / samples + z * z / (4.0 * samples * samples))
-
-
-def bias(p) -> Fraction:
-    """A coordinate's acceptance probability as a rational, checked to lie in [0, 1]."""
-    pf = Fraction(p)
-    if not 0 <= pf <= 1:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return pf
 
 
 def ie_limit() -> int:
@@ -251,7 +243,7 @@ def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Ite
     with probability p below ``split`` and q at or above it, by the same
     threshold test as ``CounterStream.bernoulli_block``.
     """
-    thresholds = [threshold_for(bias(p))] * split + [threshold_for(bias(q))] * (width - split)
+    thresholds = [threshold_for(p)] * split + [threshold_for(q)] * (width - split)
     limit = np.array([min(t, _MAX_U64) for t in thresholds], dtype=np.uint64)
     certain = np.array([t > _MAX_U64 for t in thresholds], dtype=bool)  # bias 1
     stream = CounterStream(seed, stream=0)
@@ -352,20 +344,19 @@ def is_robust_sunflower(
 
 
 class PBiasedDistribution:
-    """p-biased distribution on subsets of [n], usable exactly or sampled."""
+    """p-biased distribution on subsets of [n], read exactly or sampled.
+
+    ``acceptance(f)`` is Pr[f(W) = 1] for a monotone f, the coverage of
+    its minterms through ``coverage_exact`` (which refuses past the work
+    cap); p outside [0, 1] is refused at construction.
+    """
 
     def __init__(self, n: int, p):
         self.n = n
-        self.p = p
+        self.p = bias(p)
 
-    def exact_items(self):
-        if self.n > DEFAULT_WORK_CAP_BITS:
-            raise ExactIntractableError(self.n, DEFAULT_WORK_CAP_BITS)
-        pf = Fraction(self.p)
-        q = 1 - pf
-        for mask in range(1 << self.n):
-            w = mask.bit_count()
-            yield mask, pf**w * q ** (self.n - w)
+    def acceptance(self, f) -> Fraction:
+        return coverage_exact(f.minterm_family(), 0, self.p).value
 
     def sample(self, stream: CounterStream) -> int:
         return sample_p_subset(self.n, self.p, stream)
@@ -378,8 +369,3 @@ def mc_event_probability(
     stream = CounterStream(seed, stream=stream_id)
     hits = sum(1 for _ in range(samples) if predicate(sampler(stream)))
     return Estimate.from_hits(hits, samples, seed)
-
-
-def exact_event_probability(predicate, items) -> ExactProbability:
-    """Sum the exact weights of support points satisfying the predicate."""
-    return ExactProbability(sum((w for x, w in items if predicate(x)), Fraction(0)))

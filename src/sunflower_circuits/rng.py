@@ -48,15 +48,22 @@ def _block_mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def bias(p) -> Fraction:
+    """A coordinate's acceptance probability as a rational, checked to lie in [0, 1]."""
+    pf = Fraction(p)
+    if not 0 <= pf <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return pf
+
+
 def threshold_for(p) -> int:
     """Acceptance threshold on a uniform 64-bit draw for probability p.
 
     ``draw < threshold`` happens with probability ``floor(p * 2^64) / 2^64``,
     which is exact for dyadic p (1/2, 1/4, 3/4, ...) and within 2^-64
-    otherwise.
+    otherwise.  A p outside [0, 1] raises ``ValueError`` (``bias``).
     """
-    t = int(Fraction(p) * (1 << 64))
-    return max(0, min(t, 1 << 64))
+    return int(bias(p) * (1 << 64))
 
 
 class CounterStream:

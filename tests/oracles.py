@@ -31,6 +31,26 @@ def brute_coverage(members, y, p, n):
     return total
 
 
+def brute_probability(event, n, p):
+    """Pr[event(x)] over a p-biased x in {0,1}^n, summed over all 2^n inputs."""
+    p = Fraction(p)
+    total = Fraction(0)
+    for x in range(1 << n):
+        if event(x):
+            w = bin(x).count("1")
+            total += p**w * (1 - p) ** (n - w)
+    return total
+
+
+def brute_polynomial_probability(event, n, c, k):
+    """Pr[event(S_P)] over a uniform polynomial P of degree < c over F_n.
+
+    Sums over all n^c coefficient vectors; S_P is ``hr_value_set`` at 1..k.
+    """
+    hits = sum(1 for i in range(n**c) if event(hr_value_set(index_digits(i, n, c), k, n)))
+    return Fraction(hits, n**c)
+
+
 def brute_spread(members, r, n):
     """Direct r-spread check over every nonempty T inside [n]."""
     r = Fraction(r)

@@ -342,6 +342,17 @@ class TestMain:
             assert capsys.readouterr() == (
                 "", f"config error: {subcommand} has no Monte-Carlo path; drop --engine mc\n")
 
+    def test_clique_verify_names_its_monte_carlo_path(self, capsys):
+        # the k-clique probability is an estimate under either engine setting
+        for engine in (["--engine", "exact"], []):
+            argv = ["clique-verify", *engine, "--seed", "1", "--samples", "200",
+                    "-P", "n=8", "-P", "k=3"]
+            assert main(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            row = report["checks"][0]
+            assert row["name"] == "kclique-probability" and row["engine"] == "mc"
+            assert row["value"]["samples"] == 200
+
     def test_samples_reach_the_extraction_fallback(self, capsys):
         # 25 disjoint pairs are past both exact strategies, so the check samples
         argv = ["sunflower-extract", "--samples", "1000", "-P", "n=60", "-P", "family=disjoint:25:2",

@@ -22,8 +22,6 @@ from sunflower_circuits.cliques import (
     edge_index,
     find_clique_sunflower,
     gnp_sample,
-    graph_from_text,
-    graph_to_text,
     has_k_clique,
     is_clique_sunflower,
     is_pq_clique_sunflower,
@@ -39,6 +37,7 @@ from sunflower_circuits.monotone import (
     approx_and,
     approx_or,
     closure,
+    closure_error_bound_check,
     is_closed,
     trim,
 )
@@ -50,6 +49,7 @@ from oracles import (
     brute_containment_probability,
     brute_has_clique,
     brute_pq_hit,
+    brute_probability,
     graph_accepts,
 )
 
@@ -100,19 +100,6 @@ class TestCliqueGraph:
             a = rng.randrange(1 << n)
             b = rng.randrange(1 << n)
             assert clique_edges(a) & clique_edges(b) == clique_edges(a & b)
-
-
-class TestGraphSerialization:
-    def test_round_trip(self):
-        g = clique_graph(5, mask_of([1, 3, 5], 5))
-        assert graph_from_text(graph_to_text(g)) == g
-
-    def test_header(self):
-        assert graph_to_text(Graph(3, 0)) == "n=3\n"
-
-    def test_unordered_edge_accepted(self):
-        g = graph_from_text("n=4\n3 1\n")
-        assert g.has_edge(1, 3)
 
 
 class TestGnp:
@@ -534,3 +521,35 @@ def test_closure_on_cliques_matches_brute_force(n, masks, eps, c, noise_p):
     params = CliqueApproxParams(eps=eps, c=c, noise_p=noise_p)
     want = brute_closure_on_cliques(n, f.minterms, eps, c, noise_p)
     assert set(closure(f, params).minterms) == want
+
+
+def brute_clique_closure_error(n, f, eps, c, p):
+    """Pr over G(n, p) of f(G) = 0 and cl(f)(G) = 1, over all 2^C(n,2) graphs."""
+    cl = brute_closure_on_cliques(n, f.minterms, eps, c, p)
+    return brute_probability(
+        lambda g: not graph_accepts(f.minterms, g) and graph_accepts(cl, g), edge_count(n), p)
+
+
+class TestClosureErrorBoundOnCliques:
+    def test_reading_of_the_params(self):
+        # the clique closure of a 4-cycle of edges adds cliques; both sides read G(5, 1/2)
+        f = clique_function(5, [0b00011, 0b00110, 0b01100, 0b10001])
+        params = CliqueApproxParams(eps=0.3, c=3)
+        lhs, rhs = closure_error_bound_check(f, params)
+        assert lhs == Fraction(63, 1024) == brute_clique_closure_error(5, f, 0.3, 3, Fraction(1, 2))
+        assert rhs == Fraction(0.3) * 20  # C(5,2) + C(5,3) scanned cliques
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(0, 31), max_size=5),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(2, 4),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 4)]),
+    )
+    def test_matches_brute_force(self, n, masks, eps, c, noise_p):
+        f = clique_function(n, [m & ((1 << n) - 1) for m in masks])
+        params = CliqueApproxParams(eps=eps, c=c, noise_p=noise_p)
+        lhs, rhs = closure_error_bound_check(f, params)
+        assert lhs == brute_clique_closure_error(n, f, eps, c, noise_p)
+        assert rhs == Fraction(eps) * sum(math.comb(n, j) for j in range(2, c + 1))

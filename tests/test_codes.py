@@ -14,13 +14,10 @@ from sunflower_circuits.codes import (
     build_polynomial,
     canonical_decomposition,
     circuit_to_monomials,
-    code_from_csv,
-    code_to_csv,
     codeword_monomial,
     eval_coeff_poly,
     eval_polynomial,
     max_pairwise_agreement,
-    monomials_to_text,
     reed_solomon_code,
     row_of_residue,
     single_monomial_audit,
@@ -184,26 +181,9 @@ class TestPolynomial:
             assign[(row_of_residue(v, 5), j + 1)] = 1
         assert eval_polynomial(poly, assign) == 1
 
-    def test_text_emission_sorted(self):
-        code = Code(3, 2, ((1, 0),))
-        text = monomials_to_text(build_polynomial(code))
-        assert text == "1,1 3,2\n"
-
     def test_monomial_shape_validation(self):
         with pytest.raises(ValueError):
             MonomialSet(3, 2, (frozenset({(1, 1), (2, 1)}),))  # two rows, column 1
-
-    def test_code_csv_round_trip(self):
-        code = reed_solomon_code(5, 4, 2)
-        assert code_from_csv(code_to_csv(code)) == code
-
-    def test_code_csv_header(self):
-        code = Code(3, 2, ((0, 1), (1, 2)))
-        assert code_to_csv(code) == "# q=3 n=2\n0,1\n1,2\n"
-
-    def test_code_csv_bad_header(self):
-        with pytest.raises(ValueError):
-            code_from_csv("0,1\n")
 
 
 class TestArithCircuit:

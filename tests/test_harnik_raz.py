@@ -20,6 +20,7 @@ from sunflower_circuits.harnik_raz import (
     verify_negative_rejection,
     verify_positive_acceptance,
 )
+from sunflower_circuits.monotone import MonotoneFunction
 from sunflower_circuits.probability import mc_event_probability, sample_p_subset
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import elements_of, mask_of
@@ -308,6 +309,14 @@ class TestSamplers:
         # acceptance probability recomputed from the support matches the count
         acc = sum(w for m, w in items if hr.eval(m))
         assert acc == Fraction(hr.n_qualifying, 49)
+
+    def test_acceptance_counts_accepted_polynomials(self):
+        hr = build_hr_family(HRParams(7, 2, 3))
+        dist = PositiveTestDistribution(hr)
+        assert dist.acceptance(MonotoneFunction.from_masks(7, hr.family.members)) == Fraction(
+            hr.n_qualifying, 49)
+        assert dist.acceptance(MonotoneFunction.constant1(7)) == 1
+        assert dist.acceptance(MonotoneFunction.constant0(7)) == 0
 
 
 class TestDefaultParameters:

@@ -21,10 +21,16 @@ from sunflower_circuits.monotone import (
     iter_masks_up_to,
     trim,
 )
-from sunflower_circuits.probability import PBiasedDistribution
-from sunflower_circuits.setfamily import mask_of
+from sunflower_circuits.harnik_raz import HRParams, PositiveTestDistribution, build_hr_family
+from sunflower_circuits.probability import PBiasedDistribution, mc_event_probability
+from sunflower_circuits.setfamily import elements_of, mask_of
 
-from oracles import enumerate_antichains, reversed_scan_closure
+from oracles import (
+    brute_polynomial_probability,
+    brute_probability,
+    enumerate_antichains,
+    reversed_scan_closure,
+)
 
 
 def mf(n, *sets):
@@ -338,6 +344,127 @@ class TestApproximateCircuit:
         for ee, me in zip(exact_ledger.entries, mc_ledger.entries):
             assert abs(float(ee.positive_error) - me.positive_error) < 0.02
             assert abs(float(ee.negative_error) - me.negative_error) < 0.02
+
+
+def random_circuit(n, rng, size):
+    gates = [("input", j) for j in range(1, n + 1)]
+    for _ in range(size):
+        gates.append((rng.choice(("or", "and")), rng.randint(1, len(gates)), rng.randint(1, len(gates))))
+    return MonotoneCircuit(n, tuple(gates), len(gates))
+
+
+def or_of_ands(n, terms):
+    """The DNF over ``terms`` as a chain of ANDs per term, then a chain of ORs."""
+    gates = [("input", i) for i in range(1, n + 1)]
+    heads = []
+    for m in terms:
+        elems = elements_of(m)
+        cur = elems[0]
+        for e in elems[1:]:
+            gates.append(("and", cur, e))
+            cur = len(gates)
+        heads.append(cur)
+    cur = heads[0]
+    for h in heads[1:]:
+        gates.append(("or", cur, h))
+        cur = len(gates)
+    return MonotoneCircuit(n, tuple(gates), cur)
+
+
+def gate_functions(circuit, params, **kw):
+    """The final approximator and, per gate, (raw, approximator) rebuilt with approx_or/and."""
+    approx, per_gate = [], []
+    for gate in circuit.gates:
+        if gate[0] == "input":
+            approx.append(MonotoneFunction.indicator(circuit.n, 1 << (gate[1] - 1)))
+            per_gate.append(None)
+            continue
+        fa, fb = approx[gate[1] - 1], approx[gate[2] - 1]
+        if gate[0] == "or":
+            raw, ap = fa | fb, approx_or(fa, fb, params, **kw)
+        else:
+            raw, ap = fa & fb, approx_and(fa, fb, params, **kw)
+        approx.append(ap)
+        per_gate.append((raw, ap))
+    return approx[circuit.output - 1], per_gate
+
+
+class TestLedgerAgainstOracles:
+    """Every exact ledger entry against brute-force sums over the whole support."""
+
+    def check(self, circuit, params, pos, neg, pos_prob, neg_prob):
+        ap, ledger = approximate_circuit(circuit, params, pos, neg)
+        final, per_gate = gate_functions(circuit, params)
+        assert ap == final
+        assert len(ledger.entries) == len(circuit.gates)
+        charged = 0
+        for e, fs in zip(ledger.entries, per_gate):
+            if fs is None:
+                assert e.positive_error == 0 and e.negative_error == 0
+                continue
+            raw, a = fs
+            assert e.positive_error == pos_prob(lambda x: raw(x) and not a(x))
+            assert e.negative_error == neg_prob(lambda x: not raw(x) and a(x))
+            charged += e.positive_error > 0 or e.negative_error > 0
+        # the errors telescope: the end-to-end disagreement is at most each side's total
+        assert pos_prob(lambda x: circuit.eval(x) and not ap(x)) <= ledger.total_positive
+        assert neg_prob(lambda x: not circuit.eval(x) and ap(x)) <= ledger.total_negative
+        return charged
+
+    def test_random_circuits_on_pbiased_sides(self):
+        rng = random.Random(12)
+        ps = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        charged = 0
+        for _ in range(25):
+            n = rng.randint(2, 8)
+            circuit = random_circuit(n, rng, rng.randint(2, 10))
+            params = ClosureParams(eps=rng.choice((0.05, 0.1, 0.2, 0.3)), c=rng.randint(1, 4),
+                                   noise_p=rng.choice((0.25, 0.5)))
+            p_pos, p_neg = rng.choice(ps), rng.choice(ps)
+            charged += self.check(
+                circuit, params, PBiasedDistribution(n, p_pos), PBiasedDistribution(n, p_neg),
+                lambda e: brute_probability(e, n, p_pos), lambda e: brute_probability(e, n, p_neg),
+            )
+        assert charged > 0  # the oracle comparison saw nonzero entries
+
+    @pytest.mark.parametrize("n,c,k", [(5, 2, 3), (7, 2, 3)])
+    def test_hr_or_of_ands_circuit(self, n, c, k):
+        hr = build_hr_family(HRParams(n, c, k))
+        circuit = or_of_ands(n, hr.family.members)
+        params = ClosureParams(eps=0.1, c=4)
+        charged = self.check(
+            circuit, params, PositiveTestDistribution(hr), PBiasedDistribution(n, Fraction(1, 2)),
+            lambda e: brute_polynomial_probability(e, n, c, k),
+            lambda e: brute_probability(e, n, Fraction(1, 2)),
+        )
+        assert charged > 0
+
+    def test_mc_ledger_entries_are_the_joint_estimates(self):
+        rng = random.Random(4)
+        hr = build_hr_family(HRParams(5, 2, 3))
+        cases = [(or_of_ands(5, hr.family.members), PositiveTestDistribution(hr))]
+        for _ in range(3):
+            n = rng.randint(3, 6)
+            cases.append((random_circuit(n, rng, 6), PBiasedDistribution(n, Fraction(1, 4))))
+        params = ClosureParams(eps=0.45, c=2)  # loose enough that closures add minterms
+        nonzero = [0, 0]
+        for seed, (circuit, pos) in enumerate(cases, start=1):
+            neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
+            ap, ledger = approximate_circuit(circuit, params, pos, neg, "mc", 200, seed)
+            final, per_gate = gate_functions(circuit, params, engine="mc", samples=200, seed=seed)
+            assert ap == final
+            for idx, (e, fs) in enumerate(zip(ledger.entries, per_gate), start=1):
+                if fs is None:
+                    continue
+                raw, a = fs
+                pos_est = mc_event_probability(lambda x: raw(x) == 1 and a(x) == 0, pos.sample,
+                                               200, seed=seed, stream_id=2 * idx)
+                neg_est = mc_event_probability(lambda x: raw(x) == 0 and a(x) == 1, neg.sample,
+                                               200, seed=seed, stream_id=2 * idx + 1)
+                assert (e.positive_error, e.negative_error) == (pos_est.value, neg_est.value)
+                nonzero[0] += e.positive_error > 0
+                nonzero[1] += e.negative_error > 0
+        assert min(nonzero) > 0  # both sides were charged somewhere
 
 
 class TestClosureErrorBound:

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits import cliques, harnik_raz, monotone
 from sunflower_circuits.errors import EmptyFamilyError, ExactIntractableError
@@ -11,7 +12,6 @@ from sunflower_circuits.probability import (
     PBiasedDistribution,
     coverage_exact,
     coverage_mc,
-    exact_event_probability,
     is_robust_sunflower,
     mc_event_probability,
     sample_p_subset,
@@ -20,7 +20,7 @@ from sunflower_circuits.probability import (
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, mask_of
 
-from oracles import brute_coverage
+from oracles import brute_coverage, brute_probability
 
 
 def fam(n, *sets):
@@ -215,17 +215,56 @@ class TestRobustCheck:
 
 
 def test_pbiased_distribution_exact_items_sum_to_one():
+    # the total mass: the constant 1 accepts every input, the constant 0 none
     dist = PBiasedDistribution(5, Fraction(1, 3))
-    total = sum(w for _, w in dist.exact_items())
-    assert total == 1
+    assert dist.acceptance(monotone.MonotoneFunction.constant1(5)) == 1
+    assert dist.acceptance(monotone.MonotoneFunction.constant0(5)) == 0
 
 
 def test_mc_event_probability_matches_exact():
     dist = PBiasedDistribution(8, Fraction(1, 2))
     event = lambda m: m.bit_count() >= 4
-    exact = exact_event_probability(event, dist.exact_items())
+    exact = brute_probability(event, 8, Fraction(1, 2))
     est = mc_event_probability(event, dist.sample, 20_000, seed=4)
-    assert abs(est.value - float(exact.value)) <= 3 * est.half_width
+    assert abs(est.value - float(exact)) <= 3 * est.half_width
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=5),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=5),
+        )
+    ),
+    st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+)
+def test_acceptance_difference_is_the_joint_probability(case, p):
+    # for monotone f, g: Pr[f or g] - Pr[g] = Pr[f and not g], since g <= f | g
+    n, fm, gm = case
+    f = monotone.MonotoneFunction.from_masks(n, fm)
+    g = monotone.MonotoneFunction.from_masks(n, gm)
+    dist = PBiasedDistribution(n, p)
+    want = brute_probability(lambda x: f(x) and not g(x), n, p)
+    assert dist.acceptance(f | g) - dist.acceptance(g) == want
+
+
+@pytest.mark.parametrize("p", [2, -1, Fraction(3, 2), -0.25])
+def test_p_outside_unit_interval_refused(p):
+    with pytest.raises(ValueError):
+        PBiasedDistribution(3, p)
+    with pytest.raises(ValueError):
+        sample_p_subset(3, p, CounterStream(1))
+    with pytest.raises(ValueError):
+        cliques.gnp_sample(4, p, CounterStream(1))
+
+
+def test_pbiased_acceptance_refuses_past_the_work_cap():
+    # 21 disjoint pairs: too many masks for inclusion-exclusion, width 42 past enumeration
+    f = monotone.MonotoneFunction.from_masks(42, (0b11 << (2 * i) for i in range(21)))
+    with pytest.raises(ExactIntractableError):
+        PBiasedDistribution(42, Fraction(1, 2)).acceptance(f)
 
 
 def test_exact_probability_validates_range():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sunflower_circuits.rng import CounterStream, mix64, threshold_for
 
@@ -41,6 +42,14 @@ def test_threshold_exact_for_dyadic():
     assert threshold_for(0.25) == 1 << 62
     assert threshold_for(0) == 0
     assert threshold_for(1) == 1 << 64
+
+
+@pytest.mark.parametrize("p", [2, -1, 1.5, -1e-9])
+def test_threshold_refuses_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="outside"):
+        threshold_for(p)
+    with pytest.raises(ValueError):
+        CounterStream(0).bernoulli_block(0, 8, p)
 
 
 def test_next_below_uniform_support():
