@@ -227,9 +227,9 @@ def _run_closure_demo(config: ExperimentConfig) -> dict:
     sets = str(config.params["minterms"]).split(";")
     f = MonotoneFunction.from_masks(n, (_parse_elements(s, n) for s in sets))
     params = ClosureParams(
-        eps=float(Fraction(str(config.params["eps"]))),
+        eps=Fraction(str(config.params["eps"])),
         c=int(config.params["c"]),
-        noise_p=float(Fraction(str(config.params.get("noise_p", "1/2")))),
+        noise_p=Fraction(str(config.params.get("noise_p", "1/2"))),
     )
     seed = 0 if exact_engine(config.engine) else config.require_seed()
     how = (config.engine, config.samples, seed)

@@ -20,6 +20,13 @@ masks A standing for cliques K_A (``cliques.clique_function``): there f(A)
 is f(K_A) and ``&`` is the wedge.  ``ClosureParams`` supplies the closure's
 reading (the masks scanned, their image on the coverage ground set); the
 plain reading is its default, ``cliques.CliqueApproxParams`` the clique one.
+
+The exact closure of the plain reading, for n <= ``TABLE_MAX_N`` and noise
+a/b with b^n < 2^63, reads f's truth table: one weighted superset sum
+(Yates' transform) gives every candidate's noisy acceptance at once as an
+exact integer, and each round adds every violator.  Monte-Carlo, the clique
+reading and larger n or denominators scan the candidates one coverage call
+at a time, adding the first violator per round.
 """
 
 from __future__ import annotations
@@ -27,10 +34,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .probability import coverage_exact, coverage_mc, exact_engine, mc_event_probability
+import numpy as np
+
+from .probability import (
+    ExactProbability,
+    coverage_exact,
+    coverage_mc,
+    exact_engine,
+    mc_event_probability,
+)
+from .rng import bias
 from .setfamily import SetFamily, antichain_minimize
+
+TABLE_MAX_N = 23  # largest n whose exact closure reads a truth table; int64 there is 64 MiB
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,7 @@ class ClosureParams:
             raise ValueError("eps must be in (0, 1)")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+        bias(self.noise_p)
         if self.trim is None:
             object.__setattr__(self, "trim", self.c / 2)
 
@@ -146,9 +166,14 @@ class ClosureParams:
 
 
 class ClosednessReport(NamedTuple):
+    """The first violation in scan order (witness and its probability), and
+    every violation a round adds: all of them on the truth table, the
+    witness alone on the per-candidate scan."""
+
     closed: bool
     witness: Optional[int]
     probability: Optional[object]
+    violators: tuple[int, ...] = ()
 
 
 def is_closed(
@@ -165,8 +190,17 @@ def is_closed(
     Y = A (both mapped onto the coverage ground set), strictly exceeds
     1 - eps.  The plain scan includes the empty set, so a closure can
     reach the constant 1.
+
+    The exact plain reading reads f's truth table (``_table_scan``) when
+    n <= ``TABLE_MAX_N`` and the noise is a/b with b^n < 2^63; it reports
+    the same witness and probability as the per-candidate scan, plus every
+    other violation.  Otherwise each candidate costs one coverage call.
     """
     exact = exact_engine(engine)
+    if exact and type(params) is ClosureParams and f.n <= TABLE_MAX_N:
+        p = bias(params.noise_p)
+        if p.denominator**f.n < 1 << 63:
+            return _table_scan(f, params, p.numerator, p.denominator)
     threshold = 1 - Fraction(params.eps)
     fam = None
     for a in params.candidates(f.n):
@@ -182,8 +216,62 @@ def is_closed(
             prob = coverage_mc(fam, y, params.noise_p, samples, seed=seed)
             violated = prob.value - prob.half_width > float(threshold)
         if violated:
-            return ClosednessReport(False, a, prob)
+            return ClosednessReport(False, a, prob, (a,))
     return ClosednessReport(True, None, None)
+
+
+@lru_cache(maxsize=16)
+def _scan_order(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask with |A| <= c in scan order (weight, then value), and its weight."""
+    weight = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        weight[1 << i : 2 << i] = weight[: 1 << i] + 1
+    masks = np.concatenate([np.flatnonzero(weight == w) for w in range(min(c, n) + 1)])
+    weight = weight[masks]
+    masks.flags.writeable = weight.flags.writeable = False  # shared by every caller
+    return masks, weight
+
+
+def _table_scan(f: MonotoneFunction, params: ClosureParams, a: int, b: int) -> ClosednessReport:
+    """``is_closed`` on the plain reading at noise a/b, from f's truth table.
+
+    Per coordinate the step T0 <- (b-a) T0 + a T1, T1 <- a T1 (the second
+    half scaled too, so that no temporary is needed) turns the truth table
+    into T[A] = a^|A| b^(n-|A|) Pr[f(N or x_A) = 1], an integer at most b^n,
+    held in int32 when b^n < 2^31.  A candidate violates iff
+    T[A] > floor((1-eps) a^|A| b^(n-|A|)).
+    """
+    n = f.n
+    table = np.zeros(1 << n, dtype=np.uint8)
+    table[list(f.minterms)] = 1
+    for i in range(n):  # up-closure: every superset of a minterm accepts
+        halves = table.reshape(-1, 2, 1 << i)
+        halves[:, 1, :] |= halves[:, 0, :]
+    masks, weight = _scan_order(n, params.c)
+    open_ = table[masks] == 0
+    if not open_.any():
+        return ClosednessReport(True, None, None)
+    t = table.astype(np.int32 if b**n < 1 << 31 else np.int64)
+    for i in range(n):
+        halves = t.reshape(-1, 2, 1 << i)
+        lo, hi = halves[:, 0, :], halves[:, 1, :]
+        if a != 1:
+            hi *= a
+        if b - a != 1:
+            lo *= b - a
+        lo += hi
+    threshold = 1 - Fraction(params.eps)
+    scale = [a**w * b ** (n - w) for w in range(min(params.c, n) + 1)]
+    limit = np.array([math.floor(threshold * s) for s in scale], dtype=np.int64)
+    values = t[masks]
+    violated = open_ & (values > limit[weight])
+    hits = np.flatnonzero(violated)
+    if not hits.size:
+        return ClosednessReport(True, None, None)
+    first = int(hits[0])
+    witness = int(masks[first])
+    prob = ExactProbability(Fraction(int(values[first]), scale[witness.bit_count()]))
+    return ClosednessReport(False, witness, prob, tuple(masks[hits].tolist()))
 
 
 def closure(
@@ -195,17 +283,19 @@ def closure(
 ) -> MonotoneFunction:
     """The minimal closed monotone function above f.
 
-    Fixpoint iteration: while some A violates closedness, add the indicator
-    of A and rescan from the first candidate.  Every A added lies below the
-    unique closure (any closed g >= f accepts it), so the fixed scan order
-    makes runs deterministic without changing the fixpoint.
+    Fixpoint iteration, one ``is_closed`` round at a time: add the round's
+    violators and rescan from the first candidate.  The truth table adds
+    every violator of a round, the per-candidate scan its first.  Every A
+    added lies below the unique closure (any closed g >= f accepts it), so
+    neither choice changes the fixpoint, and the fixed scan order makes
+    runs deterministic.
     """
     current = f
     while True:
         report = is_closed(current, params, engine, samples, seed)
         if report.closed:
             return current
-        current = current | MonotoneFunction.indicator(f.n, report.witness)
+        current = MonotoneFunction.from_masks(f.n, current.minterms + report.violators)
 
 
 def trim(f: MonotoneFunction, max_size) -> MonotoneFunction:

@@ -121,12 +121,22 @@ class SetFamily:
 
 
 def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
-    """Keep inclusion-minimal masks, canonically ordered."""
+    """Keep inclusion-minimal masks, canonically ordered.
+
+    Each mask is tested against the masks kept so far, or, when it has
+    fewer submasks than that, each of its submasks is looked up among them.
+    """
     distinct = sorted(set(masks), key=canonical_key)
     out: list[int] = []
+    kept: set[int] = set()
     for m in distinct:
-        if not any(k & m == k for k in out):
+        if 1 << m.bit_count() < len(out):
+            dominated = any(s in kept for s in iter_submasks(m))
+        else:
+            dominated = any(k & m == k for k in out)
+        if not dominated:
             out.append(m)
+            kept.add(m)
     return tuple(out)
 
 

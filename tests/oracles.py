@@ -272,6 +272,32 @@ def reversed_scan_closure(n, minterms, eps, c, p=Fraction(1, 2)):
             return {m for m in accepted if not any(o != m and o & m == o for o in accepted)}
 
 
+def brute_closure(n, minterms, eps, c, p):
+    """The closure from its definition over all 2^n inputs, every violator per round.
+
+    The accepted inputs are kept as a set.  A rejected A with |A| <= c
+    violates when the weight of the noise sets N with N | A accepted,
+    summed as integers a^|N| (b-a)^(n-|N|) for p = a/b, exceeds
+    (1 - eps) b^n.  Returns the minimal accepted sets of the fixpoint.
+    """
+    p, threshold = Fraction(p), 1 - Fraction(eps)
+    a, b = p.numerator, p.denominator
+    weight = [a**k * (b - a) ** (n - k) for k in range(n + 1)]
+    popcount = [bin(x).count("1") for x in range(1 << n)]
+    accepted = {x for x in range(1 << n) if eval_antichain(minterms, x)}
+    candidates = [x for x in range(1 << n) if popcount[x] <= c]
+    while True:
+        added = [
+            x for x in candidates
+            if x not in accepted
+            and sum(weight[popcount[w]] for w in range(1 << n) if w | x in accepted)
+            > threshold * b**n
+        ]
+        if not added:
+            return {x for x in accepted if not any(x & ~(1 << i) in accepted for i in iter_bits(x))}
+        accepted |= {x for x in range(1 << n) if eval_antichain(added, x)}
+
+
 def graph_accepts(vertex_masks, edges):
     """1 if the graph with edge mask ``edges`` contains the clique K_A of some member A."""
     cliques = (clique_edge_mask([i + 1 for i in iter_bits(a)]) for a in vertex_masks)

@@ -287,6 +287,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
+    def test_closure_demo_noise_outside_unit_interval_exits_two(self, capsys):
+        argv = ["closure-demo", "-P", "n=3", "-P", "minterms=1", "-P", "eps=1/10",
+                "-P", "c=2", "-P", "noise_p=7"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+    def test_closure_demo_keeps_eps_and_noise_exact(self, capsys):
+        # coverage of {1}, {2} over Y = {} at noise 1/5 is 9/25 = 1 - 16/25: not above 1 - eps
+        argv = ["closure-demo", "-P", "n=2", "-P", "minterms=1;2", "-P", "eps=16/25",
+                "-P", "c=0", "-P", "noise_p=1/5"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0] == {"bound": None, "name": "input-closed",
+                                       "status": "report-only", "value": True}
+        assert report["payload"]["closure_minterms"] == [[1], [2]]
+
     def test_unknown_engine_in_config_file_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("engine=foo\n")

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sunflower_circuits import monotone
+from sunflower_circuits.cliques import CliqueApproxParams, clique_function
 from sunflower_circuits.monotone import (
     ClosureParams,
     MonotoneCircuit,
@@ -22,10 +24,11 @@ from sunflower_circuits.monotone import (
     trim,
 )
 from sunflower_circuits.harnik_raz import HRParams, PositiveTestDistribution, build_hr_family
-from sunflower_circuits.probability import PBiasedDistribution, mc_event_probability
+from sunflower_circuits.probability import PBiasedDistribution, coverage_exact, mc_event_probability
 from sunflower_circuits.setfamily import elements_of, mask_of
 
 from oracles import (
+    brute_closure,
     brute_polynomial_probability,
     brute_probability,
     enumerate_antichains,
@@ -512,6 +515,119 @@ class TestClosedMintermBound:
         for size, count, bound in rows:
             assert count == sum(1 for m in f.minterms if m.bit_count() == size)
             assert count <= bound  # generous B makes the bound comfortable
+
+
+NOISES = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 3), Fraction(2, 5)]
+
+
+def on_scan_path(fn, *args, **kw):
+    """``fn`` with the truth-table strategy switched off: every n is above its limit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "TABLE_MAX_N", 0)
+        return fn(*args, **kw)
+
+
+@st.composite
+def closure_cases(draw):
+    """A function of one to five minterms of size 1 to 3 with n <= 10, c <= 4, a
+    noise from NOISES and a rational eps, often an exact tie: 1 - eps is the
+    acceptance of some rejected candidate, and another one's lies above it."""
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(0, 4))
+    p = draw(st.sampled_from(NOISES))
+    sets = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=3), min_size=1, max_size=5))
+    f = MonotoneFunction.from_masks(n, (mask_of(s, n) for s in sets))
+    eps = draw(st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50))
+    values = sorted({coverage_exact(f.minterm_family(), a, p).value
+                     for a in iter_masks_up_to(n, c) if not f(a)} - {0, 1})
+    if len(values) > 1 and draw(st.booleans()):  # below the top value: a violation too
+        eps = 1 - draw(st.sampled_from(values[:-1]))
+    return f, ClosureParams(eps=eps, c=c, noise_p=p)
+
+
+class TestTruthTableClosure:
+    """The truth-table closure against the per-candidate scan and the oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(closure_cases())
+    def test_matches_scan_reversed_scan_and_brute_force(self, case):
+        f, params = case
+        n, eps, c, p = f.n, params.eps, params.c, params.noise_p
+        cl = closure(f, params)
+        assert cl == on_scan_path(closure, f, params)
+        assert set(cl.minterms) == brute_closure(n, f.minterms, eps, c, p)
+        if n <= 6:  # the reversed scan pays 2^n Fractions per candidate and round
+            assert set(cl.minterms) == reversed_scan_closure(n, f.minterms, eps, c, p)
+        report = is_closed(f, params)
+        assert report[:3] == on_scan_path(is_closed, f, params)[:3]
+        if not report.closed:
+            assert report.probability == coverage_exact(f.minterm_family(), report.witness, p)
+
+    def test_reports_every_violator_with_the_first_as_witness(self):
+        rng = random.Random(21)
+        seen = 0
+        for _ in range(40):
+            n, c = rng.randint(2, 8), rng.randint(0, 3)
+            p = rng.choice(NOISES)
+            f = random_monotone(n, rng, max_minterms=4)
+            params = ClosureParams(eps=Fraction(rng.randint(1, 9), 10), c=c, noise_p=p)
+            threshold = 1 - params.eps
+            want = tuple(a for a in iter_masks_up_to(n, c) if not f(a)
+                         and coverage_exact(f.minterm_family(), a, p).value > threshold)
+            report = is_closed(f, params)
+            assert report.violators == want
+            assert report.witness == (want[0] if want else None)
+            scan = on_scan_path(is_closed, f, params)
+            assert scan.violators == want[:1]
+            seen += len(want) > 1
+        assert seen > 0  # some round added more than one violator
+
+    def test_scan_order_is_the_candidate_order(self):
+        for n, c in [(1, 0), (5, 2), (7, 7), (9, 4)]:
+            masks, weight = monotone._scan_order(n, c)
+            assert masks.tolist() == list(iter_masks_up_to(n, c))
+            assert weight.tolist() == [m.bit_count() for m in iter_masks_up_to(n, c)]
+
+    def test_strategy_covers_the_exact_plain_reading_only(self, monkeypatch):
+        calls, real = [], monotone._table_scan
+        monkeypatch.setattr(monotone, "_table_scan", lambda *a: calls.append(a) or real(*a))
+        f = mf(6, (1, 2), (3, 4))
+        closure(f, ClosureParams(eps=Fraction(1, 4), c=2, noise_p=Fraction(1, 3)))
+        assert len(calls) > 0
+        calls.clear()
+        closure(f, ClosureParams(eps=0.25, c=2, noise_p=0.1))  # b = 2^55: b^6 >= 2^63
+        closure(f, ClosureParams(eps=0.25, c=2), "mc", samples=500, seed=1)
+        closure(clique_function(6, [0b111]), CliqueApproxParams(eps=0.25, c=3))
+        on_scan_path(closure, f, ClosureParams(eps=0.25, c=2))
+        assert calls == []
+
+    def test_hr_closure_matches_the_scan(self):
+        hr = build_hr_family(HRParams(11, 2, 3))
+        f = MonotoneFunction.from_masks(11, hr.family.members)
+        for params in (ClosureParams(eps=0.1, c=3), ClosureParams(eps=0.01, c=2, noise_p=0.25)):
+            assert closure(f, params) == on_scan_path(closure, f, params)
+
+    def test_ledgers_match_fraction_for_fraction(self):
+        rng = random.Random(22)
+        hr = build_hr_family(HRParams(7, 2, 3))
+        cases = [(or_of_ands(7, hr.family.members), ClosureParams(eps=0.1, c=4),
+                  PositiveTestDistribution(hr))]
+        for _ in range(12):
+            n = rng.randint(2, 8)
+            params = ClosureParams(eps=Fraction(rng.randint(1, 6), 10), c=rng.randint(1, 4),
+                                   noise_p=rng.choice(NOISES))
+            cases.append((random_circuit(n, rng, rng.randint(2, 10)), params,
+                          PBiasedDistribution(n, rng.choice(NOISES))))
+        for circuit, params, pos in cases:
+            neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
+            want = on_scan_path(approximate_circuit, circuit, params, pos, neg)
+            assert approximate_circuit(circuit, params, pos, neg) == want
+
+
+def test_noise_outside_unit_interval_refused():
+    for noise in (7, -0.5, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            ClosureParams(eps=0.1, c=2, noise_p=noise)
 
 
 def test_antichain_enumeration_count_matches_dedekind():
