@@ -55,7 +55,6 @@ from .harnik_raz import (
     verify_positive_acceptance,
 )
 from .cliques import (
-    CliqueFamily,
     clique_parameters,
     clique_spread_check,
     find_clique_sunflower,
@@ -153,7 +152,9 @@ def _load_family(config: ExperimentConfig, n: int) -> SetFamily:
         return SetFamily.from_sets(
             n, [range(i * size + 1, (i + 1) * size + 1) for i in range(m)]
         )
-    stream = CounterStream(config.require_seed(), stream=7)
+    if config.seed is None:
+        raise ConfigError(f"family {spec!r} needs a --seed to draw its members")
+    stream = CounterStream(config.seed, stream=7)
     return SetFamily.from_masks(n, _random_masks(stream, n, size, m))
 
 
@@ -324,8 +325,7 @@ def _run_clique_verify(config: ExperimentConfig) -> dict:
 
 
 def _run_clique_extract(config: ExperimentConfig) -> dict:
-    sf = _load_family(config, int(config.params["n"]))  # a family file brings its own n
-    family = CliqueFamily.from_masks(sf.n, sf.members)
+    family = _load_family(config, int(config.params["n"]))  # a family file brings its own n
     p = float(Fraction(str(config.params["p"])))
     q = float(Fraction(str(config.params.get("q", 1))))
     eps = float(Fraction(str(config.params["eps"])))
@@ -359,7 +359,7 @@ def _run_clique_extract(config: ExperimentConfig) -> dict:
 def _run_janson(config: ExperimentConfig) -> dict:
     n = int(config.params["n"])
     sf = _load_family(config, n)
-    family = CliqueFamily.from_masks(n, sf.members)
+    family = SetFamily.from_masks(n, sf.members)
     p = Fraction(str(config.params["p"]))
     q = Fraction(str(config.params.get("q", 1)))
     cert = janson_certificate(family, p, q)

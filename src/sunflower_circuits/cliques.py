@@ -2,17 +2,19 @@
 
 Graphs on n vertices are edge bit-vectors over the C(n,2) vertex pairs:
 edge {u, v} with 1 <= u < v <= n sits at index (v-1)(v-2)/2 + (u-1),
-zero-based.  A clique family is a family of vertex subsets A; the derived
-edge family {K_A} feeds the same coverage engine used for plain set
-families, which keeps the two notions of sunflower aligned.
+zero-based.  A clique family is a ``SetFamily`` of vertex subsets A of
+[n] (a member with at most one vertex denotes the empty graph); the
+derived edge family {K_A} feeds the same coverage engine used for plain
+set families, which keeps the two notions of sunflower aligned.
 
 The (p, q) variant draws an edge-biased graph and an independent
 q-biased vertex set; the q = 1 specialization coincides with the plain
 clique-sunflower test.  A member A over the vertex core B is the single
 mask (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)): p-biased edge bits,
-then q-biased vertex bits.  The coverage core of ``probability`` reduces,
-counts the integer profile sum c[a, b] p^a q^b and samples (one row of
-C(n,2)+n columns per sample, edges first) exactly as for set families.
+then q-biased vertex bits.  This module builds those masks and reads
+cliques; the coverage core of ``probability`` makes every exact strategy
+choice and refusal (``exact_coverage``) and samples (one row of C(n,2)+n
+columns per sample, edges first), exactly as for set families.
 
 Clique-shaped functions are ``monotone.MonotoneFunction``s over vertex
 masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
@@ -36,14 +38,12 @@ from .probability import (
     ExactProbability,
     RobustnessCheck,
     bernoulli_rows,
-    bias,
     coverage_exact,
     coverage_mc,
     exact_engine,
-    ie_limit,
+    exact_coverage,
     pack_rows,
     sampled_coverage,
-    union_probability,
 )
 from .rng import CounterStream
 from .setfamily import (
@@ -52,7 +52,8 @@ from .setfamily import (
     canonical_key,
     core,
     elements_of,
-    iter_submasks,
+    link,
+    submask_counts,
     uniform_size,
 )
 from .monotone import ClosureParams, MonotoneFunction
@@ -184,42 +185,11 @@ def has_k_clique(g: Graph, k: int) -> bool:
     return _has_clique_masks(g.adjacency_masks(), k)
 
 
-@dataclass(frozen=True)
-class CliqueFamily:
-    """Distinct vertex subsets of [n]; members of size <= 1 denote the empty graph."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("members must be distinct")
-        for m in self.members:
-            if m >> self.n:
-                raise ValueError("vertices outside [n]")
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "CliqueFamily":
-        return cls(n, tuple(sorted(set(masks), key=canonical_key)))
-
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "CliqueFamily":
-        masks = []
-        for s in sets:
-            m = 0
-            for v in s:
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex {v} outside [1,{n}]")
-                m |= 1 << (v - 1)
-            masks.append(m)
-        return cls.from_masks(n, masks)
-
-    def __len__(self) -> int:
-        return len(self.members)
+CliqueFamily = SetFamily  # the name bench/workloads.py builds clique families by
 
 
 def clique_coverage(
-    s: CliqueFamily,
+    s: SetFamily,
     core_vertices: int,
     p,
     engine: str = "exact",
@@ -237,67 +207,36 @@ def clique_coverage(
     return coverage_mc(fam, y, p, samples, seed)
 
 
-def _pq_masks(s: CliqueFamily, core_vertices: int) -> tuple[int, ...]:
-    """Reduced concatenated masks: missing edges, then missing vertices above C(n,2)."""
+def _pq_masks(s: SetFamily, core_vertices: int) -> Iterator[int]:
+    """Each member's missing edges, then its missing vertices above C(n,2)."""
     b = core_vertices
     b_edges = clique_edges(b)
     split = edge_count(s.n)
-    return antichain_minimize(
-        (clique_edges(a) & ~b_edges) | ((a & ~b) << split) for a in s.members
-    )
+    return ((clique_edges(a) & ~b_edges) | ((a & ~b) << split) for a in s.members)
 
 
-def pq_coverage_exact(s: CliqueFamily, core_vertices: int, p, q) -> ExactProbability:
+def pq_coverage_exact(s: SetFamily, core_vertices: int, p, q) -> ExactProbability:
     """Exact Pr[some A: K_A inside G union K_B and A inside U union B].
 
     The per-member event is a conjunction of independent coordinates (the
     missing edges of K_A must be in G, the missing vertices in U), so the
-    union probability falls to inclusion-exclusion over subfamilies:
-    each subfamily contributes p^|union of edges| q^|union of vertices|.
-    Families beyond the inclusion-exclusion limit fall back to
-    conditioning on U over the vertex envelope, with the edge coverage
-    engine finishing per outcome.
+    coverage core's (p, q) rule applies to the concatenated masks, with the
+    vertex bits as its q-part.
     """
-    pf, qf = bias(p), bias(q)
-    masks = _pq_masks(s, core_vertices)
-    if not masks:
-        return ExactProbability(Fraction(0))
-    if masks[0] == 0:
-        return ExactProbability(Fraction(1))
-    split = edge_count(s.n)
-    limit = ie_limit()
-    if len(masks) <= limit:
-        return ExactProbability(union_probability(masks, split, pf, qf))
-    venv = 0
-    for mask in masks:
-        venv |= mask >> split
-    width = venv.bit_count()
-    if width > limit:
-        raise ExactIntractableError(width, limit)
-    b = core_vertices
-    total = Fraction(0)
-    for u in iter_submasks(venv):
-        stripped = [a for a in s.members if a & ~b & ~u == 0]
-        if not stripped:
-            continue
-        sub = CliqueFamily.from_masks(s.n, stripped)
-        cover = clique_coverage(sub, b, p, "exact")
-        weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
-        total += weight * cover.value
-    return ExactProbability(total)
+    return ExactProbability(exact_coverage(_pq_masks(s, core_vertices), edge_count(s.n), p, q))
 
 
 def pq_coverage_mc(
-    s: CliqueFamily, core_vertices: int, p, q, samples: int, seed: int = 0
+    s: SetFamily, core_vertices: int, p, q, samples: int, seed: int = 0
 ) -> Estimate:
     """Sampled joint coverage; each sample consumes C(n,2)+n slots (edges first)."""
     split = edge_count(s.n)
-    masks = _pq_masks(s, core_vertices)
+    masks = antichain_minimize(_pq_masks(s, core_vertices))
     return sampled_coverage(masks, split + s.n, split, p, q, samples, seed)
 
 
 def is_clique_sunflower(
-    s: CliqueFamily, p, eps, engine: str = "exact", **kw
+    s: SetFamily, p, eps, engine: str = "exact", **kw
 ) -> RobustnessCheck:
     """Strict test: clique coverage over the family's vertex core > 1 - eps."""
     if not s.members:
@@ -307,7 +246,7 @@ def is_clique_sunflower(
 
 
 def is_pq_clique_sunflower(
-    s: CliqueFamily,
+    s: SetFamily,
     p,
     q,
     eps,
@@ -373,7 +312,7 @@ class JansonCertificate:
     delta_bar_exact: Fraction
 
 
-def janson_certificate(s: CliqueFamily, p, q) -> JansonCertificate:
+def janson_certificate(s: SetFamily, p, q) -> JansonCertificate:
     """Certificate for Pr[forall A: K_A not in G(n,p) or A not in U(n,q)].
 
     mu sums the individual appearance probabilities q^l p^C(l,2);
@@ -425,7 +364,7 @@ class CliqueTraceStep:
 
 @dataclass(frozen=True)
 class CliqueSunflowerResult:
-    subfamily: CliqueFamily
+    subfamily: SetFamily
     core_set: int
     verified: bool
     status: str  # "ok" or "below_threshold"
@@ -435,7 +374,7 @@ class CliqueSunflowerResult:
 
 
 def find_clique_sunflower(
-    s: CliqueFamily,
+    s: SetFamily,
     p,
     q,
     eps,
@@ -462,7 +401,7 @@ def find_clique_sunflower(
     certificate: Optional[JansonCertificate] = None
     status = "ok"
 
-    def recurse(fam: CliqueFamily, q_now: Fraction, depth: int) -> CliqueFamily:
+    def recurse(fam: SetFamily, q_now: Fraction, depth: int) -> SetFamily:
         nonlocal certificate, status
         size = uniform_size(fam)
         if size == 0:
@@ -473,11 +412,7 @@ def find_clique_sunflower(
                 trace.append(CliqueTraceStep(depth, 1, len(fam), "base", None, None, float(q_now)))
                 return fam
             raise BaseCaseFailedError("(1-q)^|S| >= eps at the 1-uniform base case")
-        counts: dict[int, int] = {}
-        for a in fam.members:
-            for t in iter_submasks(a):
-                if 0 < t.bit_count() < size:
-                    counts[t] = counts.get(t, 0) + 1
+        counts = submask_counts(fam)
         for j in range(1, size):
             rem = size - j
             threshold = (
@@ -494,11 +429,8 @@ def find_clique_sunflower(
                 trace.append(
                     CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now))
                 )
-                linked = CliqueFamily.from_masks(
-                    fam.n, (a & ~b for a in fam.members if a & b == b)
-                )
-                sub = recurse(linked, q_now * p_f**j, depth + 1)
-                return CliqueFamily.from_masks(fam.n, (a | b for a in sub.members))
+                sub = recurse(link(fam, b), q_now * p_f**j, depth + 1)
+                return SetFamily.from_masks(fam.n, (a | b for a in sub.members))
         cert = janson_certificate(fam, p, float(q_now))
         certificate = cert
         if cert.exponent > float(ln_inv_eps):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -138,11 +138,11 @@ def build_polynomial(code: Code) -> MonomialSet:
     return MonomialSet(code.q, code.n, monos)
 
 
-def eval_polynomial(poly: MonomialSet, assignment) -> Fraction:
-    """Evaluate at a nonnegative assignment ((row, column) -> value)."""
+def eval_polynomial(terms: Iterable[tuple[Monomial, Fraction]], assignment) -> Fraction:
+    """Evaluate (monomial, coefficient) pairs at an assignment ((row, column) -> value)."""
     total = Fraction(0)
-    for m in poly.monomials:
-        term = Fraction(1)
+    for m, c in terms:
+        term = Fraction(c)
         for var in m:
             term *= Fraction(assignment[var])
             if term == 0:
@@ -236,16 +236,6 @@ def circuit_to_monomials(
         flags.append(GateFlags(idx, multilinear, len(degrees) <= 1))
         polys.append(poly)
     return polys[circuit.output - 1], flags
-
-
-def eval_coeff_poly(poly: dict[Monomial, Fraction], assignment) -> Fraction:
-    total = Fraction(0)
-    for m, c in poly.items():
-        term = c
-        for var in m:
-            term *= Fraction(assignment[var])
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ import numpy as np
 
 from .probability import (
     ExactProbability,
+    above_threshold,
     coverage_exact,
     coverage_mc,
     exact_engine,
@@ -58,6 +59,8 @@ class MonotoneFunction:
     minterms: tuple[int, ...]
 
     def __post_init__(self):
+        if any(m >> self.n for m in self.minterms):
+            raise ValueError(f"minterm has bits outside [{self.n}]")
         if antichain_minimize(self.minterms) != self.minterms:
             raise ValueError("minterms must form a canonical antichain")
 
@@ -201,7 +204,6 @@ def is_closed(
         p = bias(params.noise_p)
         if p.denominator**f.n < 1 << 63:
             return _table_scan(f, params, p.numerator, p.denominator)
-    threshold = 1 - Fraction(params.eps)
     fam = None
     for a in params.candidates(f.n):
         if f(a):
@@ -211,11 +213,9 @@ def is_closed(
         y = params.coverage_mask(a)
         if exact:
             prob = coverage_exact(fam, y, params.noise_p)
-            violated = prob.value > threshold
         else:
             prob = coverage_mc(fam, y, params.noise_p, samples, seed=seed)
-            violated = prob.value - prob.half_width > float(threshold)
-        if violated:
+        if above_threshold(prob, params.eps) is True:
             return ClosednessReport(False, a, prob, (a,))
     return ClosednessReport(True, None, None)
 

@@ -9,14 +9,18 @@ One core serves plain and clique families.  A member is one bit mask:
 bits below ``split`` are p-biased, bits above it q-biased.  A plain member
 F is F \\ Y with nothing above the split; a clique member A over the vertex
 core B (see ``cliques``) is (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)).
-Coverage is Pr[some mask lies inside the random set]:
+Coverage is Pr[some mask lies inside the random set], and
+``exact_coverage`` owns every exact strategy and refusal:
 
 * reduction: ``antichain_minimize``; no mask left means 0, the zero mask 1;
 * inclusion-exclusion over the subfamilies of at most min(work cap, 20)
   masks adds +-1 into integer counts c[a, b] keyed by the sizes of the
   union's p- and q-parts, evaluated once as sum c[a, b] p^a q^b;
-* enumeration (plain families) of the 2^|E| restrictions of W to the
-  union E of the masks, counting covered ones per Hamming weight w
+* conditioning (more masks, some with a q-part) on each outcome U of the
+  q-envelope, the union of the q-parts: the p-parts of the masks whose
+  q-part lies in U are solved as plain masks, weighted q^|U| (1-q)^(w-|U|);
+* enumeration (plain masks) of the 2^|E| restrictions of W to the union
+  E of the masks, counting covered ones per Hamming weight w
   (vectorized), evaluated the same way with q = 1-p, b = |E|-w;
 * sampling: one chunked block sampler, row s of a ``width``-column draw
   reading counter slots s*width + j, column j p-biased below the split and
@@ -24,7 +28,7 @@ Coverage is Pr[some mask lies inside the random set]:
   so its columns are the elements of E in ascending order.  Estimates
   carry a Wilson score interval.
 
-Both exact strategies refuse when their work exceeds the cap
+Every exact strategy refuses when its work exceeds the cap
 ``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
 ``CONFIDENCE``; these limits are module constants, read where they are
 enforced, not per-call parameters.  One check, ``exact_engine``, accepts
@@ -45,7 +49,7 @@ import numpy as np
 
 from .errors import EmptyFamilyError, ExactIntractableError
 from .rng import CounterStream, bias, threshold_for
-from .setfamily import SetFamily, antichain_minimize, core, elements_of
+from .setfamily import SetFamily, antichain_minimize, core, elements_of, iter_submasks
 
 DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
 CONFIDENCE = 0.99  # level of every Monte-Carlo estimate's Wilson interval
@@ -216,24 +220,54 @@ def _covered_weight_counts(masks: list[int], width: int) -> list[int]:
     return counts.tolist()
 
 
-def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
-    """Exact Pr over p-biased W of: some member is contained in W union Y."""
-    pf = bias(p)
-    reduced = antichain_minimize(m & ~y for m in family.members)
+def exact_coverage(masks, split: int, p, q) -> Fraction:
+    """Pr[some mask lies inside the random set]: bits below ``split`` p-biased, the rest q-biased.
+
+    Masks with a q-part take inclusion-exclusion up to ``ie_limit()``
+    reduced masks; past that they condition on the q-envelope (the union of
+    the q-parts, at most ``ie_limit()`` bits), each outcome U keeping the
+    p-parts of the masks whose q-part lies in U.  Plain masks take
+    inclusion-exclusion when no more than their width (or when enumeration
+    is past its cap), enumeration otherwise.
+    """
+    pf, qf = bias(p), bias(q)
+    reduced = antichain_minimize(masks)
     if not reduced:
-        return ExactProbability(Fraction(0))
+        return Fraction(0)
     if reduced[0] == 0:
-        return ExactProbability(Fraction(1))  # some member already inside Y
+        return Fraction(1)  # some member already inside Y
+    envelope = 0
+    for m in reduced:
+        envelope |= m >> split
+    limit = ie_limit()
+    if envelope:
+        if len(reduced) <= limit:
+            return union_probability(reduced, split, pf, qf)
+        width = envelope.bit_count()
+        if width > limit:
+            raise ExactIntractableError(width, limit)
+        low = (1 << split) - 1
+        total = Fraction(0)
+        for u in iter_submasks(envelope):  # even at weight 0, so q = 1 refuses as q < 1 does
+            parts = [m & low for m in reduced if (m >> split) & ~u == 0]
+            weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
+            total += weight * exact_coverage(parts, split, pf, pf)
+        return total
     masks, width = compact(reduced)
-    ie_ok = len(masks) <= ie_limit()
+    ie_ok = len(masks) <= limit
     enum_ok = width <= min(DEFAULT_WORK_CAP_BITS, 30)
     if not ie_ok and not enum_ok:
         raise ExactIntractableError(min(len(masks), width), DEFAULT_WORK_CAP_BITS)
     if ie_ok and (not enum_ok or len(masks) <= width):
-        return ExactProbability(union_probability(masks, width, pf, pf))
+        return union_probability(masks, width, pf, pf)
     counts = _covered_weight_counts(masks, width)
     weights = {(w, width - w): c for w, c in enumerate(counts)}
-    return ExactProbability(_polynomial(weights, pf, 1 - pf))
+    return _polynomial(weights, pf, 1 - pf)
+
+
+def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
+    """Exact Pr over p-biased W of: some member is contained in W union Y."""
+    return ExactProbability(exact_coverage((m & ~y for m in family.members), family.n, p, p))
 
 
 def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Iterator[np.ndarray]:
@@ -257,16 +291,20 @@ def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Ite
 
 
 def count_covered(bits: np.ndarray, masks) -> int:
-    """Number of rows of ``bits`` containing some mask."""
-    if bits.shape[1] > 64:
-        return sum(1 for w in pack_rows(bits) if any(w & r == r for r in masks))
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(bits), 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    w = words.view("<u8")[:, 0]
-    covered = np.zeros(len(bits), dtype=bool)
-    for r in np.array(masks, dtype=np.uint64):
-        covered |= (w & r) == r
+    """Number of rows of ``bits`` containing some mask, matched per 64-column word."""
+    rows, width = bits.shape
+    words = -(-width // 64) or 1
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    w = packed.view("<u8")
+    covered = np.zeros(rows, dtype=bool)
+    for r in masks:
+        hit = np.ones(rows, dtype=bool)
+        for k in range(words):
+            part = np.uint64(r >> (64 * k) & _MAX_U64)
+            if part:
+                hit &= (w[:, k] & part) == part
+        covered |= hit
     return int(covered.sum())
 
 
@@ -315,15 +353,18 @@ class RobustnessCheck:
 def above_threshold(probability, eps) -> Optional[bool]:
     """The strict test coverage > 1 - eps.
 
-    Exact probabilities compare as rationals.  An estimate within one
-    half-width of the float threshold 1 - eps is indeterminate (None).
+    Exact probabilities compare as rationals.  An estimate v +- h against
+    the float t = 1 - eps is True when v - h > t, False when v + h < t,
+    and indeterminate (None) otherwise.
     """
     if isinstance(probability, ExactProbability):
         return probability.value > 1 - Fraction(eps)
-    threshold = 1 - float(eps)
-    if abs(probability.value - threshold) <= probability.half_width:
-        return None
-    return probability.value > threshold
+    threshold = float(1 - Fraction(eps))
+    if probability.value - probability.half_width > threshold:
+        return True
+    if probability.value + probability.half_width < threshold:
+        return False
+    return None
 
 
 def is_robust_sunflower(

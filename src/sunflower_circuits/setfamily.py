@@ -8,10 +8,13 @@ ints are arbitrary-width, so the same representation serves exact engines
 Families keep their members in the canonical order (cardinality ascending,
 then numeric mask value ascending); every operation that returns a family
 re-canonicalizes, so equality of families is equality of values.
+``SetFamily`` is the one family type, for set families and for clique
+families (vertex sets, see ``cliques``) alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -140,8 +143,8 @@ def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def core(family) -> int:
-    """Intersection of all members of any family with ``.n`` and ``.members``."""
+def core(family: SetFamily) -> int:
+    """Intersection of all members (a vertex core for a clique family)."""
     if not family.members:
         raise EmptyFamilyError("core of an empty family is undefined")
     y = (1 << family.n) - 1
@@ -161,14 +164,21 @@ def is_uniform(family: SetFamily, size: int) -> bool:
     return all(m.bit_count() == size for m in family.members)
 
 
-def uniform_size(family) -> int:
-    """Common member cardinality of any family with ``.members``; raises if not uniform."""
+def uniform_size(family: SetFamily) -> int:
+    """Common member cardinality; raises if the family is empty or not uniform."""
     if not family.members:
         raise EmptyFamilyError("uniformity size of an empty family is undefined")
     size = family.members[0].bit_count()
     if not is_uniform(family, size):
         raise ValueError("family is not uniform")
     return size
+
+
+def submask_counts(family: SetFamily) -> Counter:
+    """For each nonempty T inside some member, the number of members containing T."""
+    counts = Counter(t for m in family.members for t in iter_submasks(m))
+    del counts[0]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -191,11 +201,7 @@ def check_spread(family: SetFamily, r) -> SpreadReport:
     if r <= 0:
         raise ValueError("r must be positive")
     r = Fraction(r)
-    counts: dict[int, int] = {}
-    for m in family.members:
-        for t in iter_submasks(m):
-            if t:
-                counts[t] = counts.get(t, 0) + 1
+    counts = submask_counts(family)
     size = len(family.members)
     worst = None
     for t, cnt in counts.items():

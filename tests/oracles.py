@@ -140,6 +140,50 @@ def pq_hit_inclusion_exclusion(vertex_masks, edge_masks, p, q):
     return total
 
 
+def pq_reduced(vertex_masks, b_mask):
+    """The inclusion-minimal (missing edges, missing vertices) pairs over the vertex core B."""
+    b_edges = clique_edge_mask([i + 1 for i in iter_bits(b_mask)])
+    pairs = {(clique_edge_mask([i + 1 for i in iter_bits(a)]) & ~b_edges, a & ~b_mask)
+             for a in vertex_masks}
+    return [(e, v) for e, v in pairs
+            if not any((e2, v2) != (e, v) and e2 & ~e == 0 and v2 & ~v == 0 for e2, v2 in pairs)]
+
+
+def conditioned_pq_coverage(vertex_masks, b_mask, p, q, limit, edge_coverage):
+    """Exact joint (p, q) coverage over the vertex core B, conditioning on U.
+
+    The clique module's own loop before the coverage core took it over.
+    Members reduce to their inclusion-minimal (missing edges, missing
+    vertices) pairs.  At most ``limit`` of them go to inclusion-exclusion.
+    Past that, U is conditioned on over the union of their missing vertices
+    (None when it has more than ``limit`` vertices): for each U, in the
+    package's submask order, the members whose missing vertices lie in U
+    are covered by ``edge_coverage(edge_masks, b_edges)``, which may refuse.
+    """
+    p, q = Fraction(p), Fraction(q)
+    b_edges = clique_edge_mask([i + 1 for i in iter_bits(b_mask)])
+    reduced = pq_reduced(vertex_masks, b_mask)
+    if len(reduced) <= limit:
+        return pq_hit_inclusion_exclusion([v for _, v in reduced], [e for e, _ in reduced], p, q)
+    venv = 0
+    for _, v in reduced:
+        venv |= v
+    width = bin(venv).count("1")
+    if width > limit:
+        return None
+    total = Fraction(0)
+    u = venv
+    while True:
+        stripped = [a for a in vertex_masks if a & ~b_mask & ~u == 0]
+        if stripped:
+            edges = [clique_edge_mask([i + 1 for i in iter_bits(a)]) for a in stripped]
+            k = bin(u).count("1")
+            total += q**k * (1 - q) ** (width - k) * edge_coverage(edges, b_edges)
+        if u == 0:
+            return total
+        u = (u - 1) & venv
+
+
 def enumerate_antichains(n):
     """All antichains of subsets of [n], i.e. all monotone functions."""
     masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from sunflower_circuits.cli import ExperimentConfig, report_to_json, run as run_experiment
 from sunflower_circuits.cliques import (
-    CliqueFamily,
     clique_spread_check,
     janson_certificate,
     s_poly_exact,
@@ -307,7 +306,7 @@ def test_criterion_7_janson_certificate_validity():
                     em = [emasks[i] for i in fam]
                     miss = 1 - pq_hit_inclusion_exclusion(vm, em, pf, qf)
                     cert = janson_certificate(
-                        CliqueFamily.from_masks(n, vm), pf, qf
+                        SetFamily.from_masks(n, vm), pf, qf
                     )
                     assert float(miss) <= cert.bound * (1 + 1e-12), (fam, pf, qf)
                     checked += 1

@@ -294,6 +294,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
+    def test_random_family_without_seed_names_the_family(self, capsys):
+        argv = ["coverage", "-P", "n=8", "-P", "family=random:3:2", "-P", "p=1/2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: family 'random:3:2' needs a --seed to draw its members\n")
+        assert main(argv + ["--seed", "1"]) == 0
+
     def test_closure_demo_keeps_eps_and_noise_exact(self, capsys):
         # coverage of {1}, {2} over Y = {} at noise 1/5 is 9/25 = 1 - 16/25: not above 1 - eps
         argv = ["closure-demo", "-P", "n=2", "-P", "minterms=1;2", "-P", "eps=16/25",

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits.cliques import (
     CliqueApproxParams,
-    CliqueFamily,
     Graph,
     clique_coverage,
     clique_edges,
@@ -42,7 +41,7 @@ from sunflower_circuits.monotone import (
     trim,
 )
 from sunflower_circuits.rng import CounterStream
-from sunflower_circuits.setfamily import core, mask_of
+from sunflower_circuits.setfamily import SetFamily, core, mask_of
 
 from oracles import (
     brute_closure_on_cliques,
@@ -148,24 +147,24 @@ class TestHasClique:
 
 class TestCliqueCoverage:
     def test_two_edges_through_core(self):
-        s = CliqueFamily.from_sets(3, [(1, 2), (1, 3)])
+        s = SetFamily.from_sets(3, [(1, 2), (1, 3)])
         got = clique_coverage(s, mask_of([1], 3), Fraction(1, 2))
         assert got.value == Fraction(3, 4)
 
     def test_member_inside_core(self):
-        s = CliqueFamily.from_sets(4, [(1, 2, 3)])
+        s = SetFamily.from_sets(4, [(1, 2, 3)])
         got = clique_coverage(s, mask_of([1, 2, 3], 4), Fraction(1, 7))
         assert got.value == 1
 
     def test_two_triangles_sharing_edge(self):
-        s = CliqueFamily.from_sets(4, [(1, 2, 3), (1, 2, 4)])
+        s = SetFamily.from_sets(4, [(1, 2, 3), (1, 2, 4)])
         got = clique_coverage(s, mask_of([1, 2], 4), Fraction(1, 2))
         assert got.value == Fraction(7, 16)
 
 
 class TestPqCoverage:
     def test_q_one_matches_plain(self):
-        s = CliqueFamily.from_sets(5, [(1, 2), (1, 3), (4, 5)])
+        s = SetFamily.from_sets(5, [(1, 2), (1, 3), (4, 5)])
         y = core(s)
         plain = clique_coverage(s, y, Fraction(1, 2)).value
         joint = pq_coverage_exact(s, y, Fraction(1, 2), 1).value
@@ -180,7 +179,7 @@ class TestPqCoverage:
             while len(masks) < count:
                 size = rng.randint(2, 3)
                 masks.add(sum(1 << i for i in rng.sample(range(n), size)))
-            s = CliqueFamily.from_masks(n, masks)
+            s = SetFamily.from_masks(n, masks)
             p, q = Fraction(1, 2), Fraction(1, 4)
             got = pq_coverage_exact(s, 0, p, q).value
             want = brute_pq_hit(list(masks), 0, p, q, n)
@@ -189,7 +188,7 @@ class TestPqCoverage:
     def test_mc_close_to_exact(self):
         from sunflower_circuits.cliques import pq_coverage_mc
 
-        s = CliqueFamily.from_sets(5, [(1, 2, 3), (2, 4, 5)])
+        s = SetFamily.from_sets(5, [(1, 2, 3), (2, 4, 5)])
         exact = pq_coverage_exact(s, 0, Fraction(1, 2), Fraction(1, 2)).value
         est = pq_coverage_mc(s, 0, 0.5, 0.5, 20_000, seed=4)
         assert abs(est.value - float(exact)) <= 3 * est.half_width
@@ -203,7 +202,7 @@ class TestSunflowerChecks:
             masks = set()
             while len(masks) < 2:
                 masks.add(sum(1 << i for i in rng.sample(range(n), 2)))
-            s = CliqueFamily.from_masks(n, masks)
+            s = SetFamily.from_masks(n, masks)
             for eps in (0.2, 0.6):
                 a = is_pq_clique_sunflower(s, Fraction(1, 2), 1, eps)
                 b = is_clique_sunflower(s, Fraction(1, 2), eps)
@@ -211,7 +210,7 @@ class TestSunflowerChecks:
                 assert a.probability.value == b.probability.value
 
     def test_eps_above_one_always_true(self):
-        s = CliqueFamily.from_sets(4, [(1, 2)])
+        s = SetFamily.from_sets(4, [(1, 2)])
         assert is_clique_sunflower(s, Fraction(1, 2), 1.5).decision is True
 
 
@@ -260,7 +259,7 @@ class TestThreshold:
 
 class TestJanson:
     def test_two_edges_example(self):
-        s = CliqueFamily.from_sets(3, [(1, 2), (1, 3)])
+        s = SetFamily.from_sets(3, [(1, 2), (1, 3)])
         cert = janson_certificate(s, Fraction(1, 2), 1)
         assert cert.mu_exact == 1
         assert cert.delta_bar_exact == Fraction(1, 2)
@@ -270,13 +269,13 @@ class TestJanson:
         assert float(miss) <= cert.bound
 
     def test_disjoint_family_delta_zero(self):
-        s = CliqueFamily.from_sets(6, [(1, 2), (3, 4), (5, 6)])
+        s = SetFamily.from_sets(6, [(1, 2), (3, 4), (5, 6)])
         cert = janson_certificate(s, Fraction(1, 2), Fraction(1, 2))
         assert cert.delta_bar == 0
         assert cert.bound == pytest.approx(math.exp(-cert.mu))
 
     def test_q_zero_guarded(self):
-        s = CliqueFamily.from_sets(3, [(1, 2)])
+        s = SetFamily.from_sets(3, [(1, 2)])
         with pytest.raises(ValueError):
             janson_certificate(s, Fraction(1, 2), 0)
 
@@ -290,7 +289,7 @@ class TestJanson:
             pool = list(combinations(range(n), size))
             for vs in rng.sample(pool, min(count, len(pool))):
                 masks.add(sum(1 << i for i in vs))
-            s = CliqueFamily.from_masks(n, masks)
+            s = SetFamily.from_masks(n, masks)
             for p in (Fraction(1, 4), Fraction(3, 4)):
                 for q in (Fraction(1, 2), Fraction(3, 4)):
                     cert = janson_certificate(s, p, q)
@@ -300,19 +299,19 @@ class TestJanson:
 
 class TestFindCliqueSunflower:
     def test_base_case(self):
-        s = CliqueFamily.from_sets(8, [(i,) for i in range(1, 8)])
+        s = SetFamily.from_sets(8, [(i,) for i in range(1, 8)])
         res = find_clique_sunflower(s, 0.5, 0.5, 0.05)
         assert res.status == "ok"
         assert res.core_set == 0
         assert res.verified
 
     def test_base_case_failure(self):
-        s = CliqueFamily.from_sets(4, [(1,), (2,)])
+        s = SetFamily.from_sets(4, [(1,), (2,)])
         with pytest.raises(BaseCaseFailedError):
             find_clique_sunflower(s, 0.5, Fraction(1, 10), 0.01)
 
     def test_star_family(self):
-        s = CliqueFamily.from_sets(12, [(1, x) for x in range(2, 13)])
+        s = SetFamily.from_sets(12, [(1, x) for x in range(2, 13)])
         res = find_clique_sunflower(s, Fraction(1, 2), 1, 0.05)
         assert res.status == "ok"
         assert res.core_set == mask_of([1], 12)
@@ -321,13 +320,13 @@ class TestFindCliqueSunflower:
         assert res.trace[1].q == pytest.approx(0.5)  # q' = q * p^1
 
     def test_subfamily_within_input(self):
-        s = CliqueFamily.from_sets(12, [(1, x) for x in range(2, 13)])
+        s = SetFamily.from_sets(12, [(1, x) for x in range(2, 13)])
         res = find_clique_sunflower(s, Fraction(1, 2), 1, 0.05)
         assert set(res.subfamily.members) <= set(s.members)
 
     def test_janson_case_on_disjoint_family(self):
         members = [(2 * i + 1, 2 * i + 2) for i in range(10)]
-        s = CliqueFamily.from_sets(20, members)
+        s = SetFamily.from_sets(20, members)
         res = find_clique_sunflower(s, Fraction(3, 4), 1, 0.2)
         assert res.status == "ok"
         assert res.trace[-1].case == "janson"
@@ -336,7 +335,7 @@ class TestFindCliqueSunflower:
         assert res.verified
 
     def test_below_threshold_status(self):
-        s = CliqueFamily.from_sets(6, [(1, 2), (3, 4)])
+        s = SetFamily.from_sets(6, [(1, 2), (3, 4)])
         res = find_clique_sunflower(s, Fraction(1, 10), Fraction(1, 10), 0.01)
         assert res.status == "below_threshold"
         assert not res.verified
@@ -344,10 +343,10 @@ class TestFindCliqueSunflower:
     def test_lifting_identity(self):
         # pq coverage of the lifted family over B equals the link's coverage
         # with the attenuated vertex bias
-        s = CliqueFamily.from_sets(8, [(1, x) for x in range(2, 8)])
+        s = SetFamily.from_sets(8, [(1, x) for x in range(2, 8)])
         b = mask_of([1], 8)
         p, q = Fraction(1, 2), Fraction(1, 2)
-        linked = CliqueFamily.from_masks(8, (a & ~b for a in s.members))
+        linked = SetFamily.from_masks(8, (a & ~b for a in s.members))
         lifted = pq_coverage_exact(s, b, p, q).value
         link_cov = pq_coverage_exact(linked, 0, p, q * p).value
         assert lifted == link_cov

@@ -5,13 +5,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits import probability
 from sunflower_circuits.cliques import (
-    CliqueFamily,
     clique_edges,
     is_clique_sunflower,
     pq_coverage_exact,
@@ -30,11 +30,18 @@ from sunflower_circuits.probability import (
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, mask_of
 
-from oracles import brute_coverage, pq_hit_inclusion_exclusion, pq_sample_hits, set_sample_hits
+from oracles import (
+    brute_coverage,
+    conditioned_pq_coverage,
+    pq_hit_inclusion_exclusion,
+    pq_reduced,
+    pq_sample_hits,
+    set_sample_hits,
+)
 
 
 def all_pairs(n):
-    return CliqueFamily.from_masks(n, [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)])
+    return SetFamily.from_masks(n, [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)])
 
 
 class TestConditioningBranch:
@@ -53,7 +60,7 @@ class TestConditioningBranch:
 
     def test_small_cap_also_conditions(self, monkeypatch):
         # the limit is min(work cap, 20): 7 members condition at cap 6
-        s = CliqueFamily.from_sets(5, [(1,)] + list(combinations(range(2, 6), 2)))
+        s = SetFamily.from_sets(5, [(1,)] + list(combinations(range(2, 6), 2)))
         p, q = Fraction(1, 3), Fraction(1, 2)
         edges = [clique_edges(a) for a in s.members]
         want = pq_hit_inclusion_exclusion(list(s.members), edges, p, q)
@@ -70,7 +77,7 @@ class TestBlockSamplerMatchesPerSampleLoops:
     def test_same_pq_estimate(self, n, q, seed):
         rng = random.Random(n * 100 + seed)
         masks = {sum(1 << v for v in rng.sample(range(n), rng.randint(2, 4))) for _ in range(5)}
-        s = CliqueFamily.from_masks(n, masks)
+        s = SetFamily.from_masks(n, masks)
         b = s.members[0] & s.members[1]
         p = Fraction(1, 2)
         est = pq_coverage_mc(s, b, p, q, 300, seed=seed)
@@ -89,12 +96,21 @@ class TestBlockSamplerMatchesPerSampleLoops:
         hits = set_sample_hits(f.members, y, Fraction(1, 3), 300, CounterStream(seed, stream=0))
         assert est == Estimate.from_hits(hits, 300, seed)
 
+    @pytest.mark.parametrize("width", [63, 64, 65, 128, 129])
+    def test_same_estimate_at_word_boundaries(self, width):
+        # disjoint pairs (and a singleton when width is odd) span exactly ``width`` columns
+        masks = [0b11 << (2 * i) for i in range(width // 2)] + [1 << (width - 1)] * (width % 2)
+        f = SetFamily.from_masks(width, masks)
+        est = coverage_mc(f, 0, Fraction(1, 8), 300, seed=5)
+        hits = set_sample_hits(f.members, 0, Fraction(1, 8), 300, CounterStream(5, stream=0))
+        assert est == Estimate.from_hits(hits, 300, 5)
+
 
 class TestValidationAndCaps:
     @pytest.mark.parametrize("p", [2, -0.5, Fraction(3, 2)])
     def test_bias_outside_unit_interval_raises(self, p):
         f = SetFamily.from_masks(6, [0b11, 0b1100])
-        s = CliqueFamily.from_masks(4, [0b111])
+        s = SetFamily.from_masks(4, [0b111])
         with pytest.raises(ValueError):
             coverage_mc(f, 0, p, 100)
         with pytest.raises(ValueError):
@@ -110,7 +126,7 @@ class TestValidationAndCaps:
 
     def test_pq_samples_minimum(self):
         with pytest.raises(ValueError):
-            pq_coverage_mc(CliqueFamily.from_masks(4, [0b111]), 0, 0.5, 0.5, 99)
+            pq_coverage_mc(SetFamily.from_masks(4, [0b111]), 0, 0.5, 0.5, 99)
 
     def test_ie_limit_follows_work_cap(self, monkeypatch):
         rng = random.Random(3)
@@ -149,8 +165,16 @@ class TestThresholdRule:
         assert above_threshold(est, 0.2) is True
         assert above_threshold(est, 0.05) is False
 
+    def test_estimate_touching_the_threshold_is_indeterminate(self):
+        # dyadic values, so v - h and v + h equal t = 1 - eps exactly
+        est = Estimate(0.75, 0.125, 0.99, 1000, 0)
+        assert above_threshold(est, 0.375) is None  # v - h = t
+        assert above_threshold(est, Fraction(1, 8)) is None  # v + h = t
+        assert above_threshold(est, 0.376) is True
+        assert above_threshold(est, 0.124) is False
+
     def test_clique_check_records_vertex_core(self):
-        s = CliqueFamily.from_sets(5, [(1, 2, 3), (1, 4, 5)])
+        s = SetFamily.from_sets(5, [(1, 2, 3), (1, 4, 5)])
         chk = is_clique_sunflower(s, Fraction(1, 2), Fraction(1, 2))
         assert chk.kernel == mask_of([1], 5)
         assert chk.engine == "exact" and chk.threshold == 0.5
@@ -197,6 +221,57 @@ def test_pq_coverage_exact_matches_oracle(data, pq):
     n, masks, _ = data
     masks = sorted(set(masks))[:8]
     p, q = pq
-    s = CliqueFamily.from_masks(n, masks)
+    s = SetFamily.from_masks(n, masks)
     edges = [clique_edges(a) for a in masks]
     assert pq_coverage_exact(s, 0, p, q).value == pq_hit_inclusion_exclusion(masks, edges, p, q)
+
+
+def _value_or_refusal(compute):
+    try:
+        return compute()
+    except ExactIntractableError:
+        return None
+
+
+def _conditioning_families():
+    """(n, singletons, members, B): one or two singletons, and pairs and triples elsewhere.
+
+    A singleton member covers every outcome of U that holds its vertex, so
+    the outcomes without it keep only the other members: few enough, for a
+    cap a little below the reduced family's size, that some values survive.
+    """
+    def for_n(n):
+        rest = [sum(1 << v for v in c) for k in (2, 3) for c in combinations(range(2, n), k)]
+        return st.tuples(
+            st.just(n),
+            st.sets(st.sampled_from([0b1, 0b10]), min_size=1),
+            st.sets(st.sampled_from(rest), min_size=3, max_size=16),
+            st.sampled_from([0, 1 << (n - 1)]),
+        )
+
+    return st.integers(5, 7).flatmap(for_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _conditioning_families(),
+    st.sampled_from([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1),
+                     (Fraction(3, 4), Fraction(2, 3)), (Fraction(1, 2), 1)]),
+    st.integers(1, 3),
+)
+def test_pq_conditioning_matches_oracle_loop(data, pq, slack):
+    # a cap ``slack`` below the reduced family's size sends it past inclusion-exclusion
+    # into the conditioning; some outcomes, or the envelope, then refuse
+    n, singles, rest, b = data
+    s = SetFamily.from_masks(n, singles | rest)
+    p, q = pq
+    cap = max(1, len(pq_reduced(s.members, b)) - slack)
+
+    def edge_coverage(edges, b_edges):
+        return coverage_exact(SetFamily.from_masks(n * (n - 1) // 2, edges), b_edges, p).value
+
+    with patch.object(probability, "DEFAULT_WORK_CAP_BITS", cap):
+        got = _value_or_refusal(lambda: pq_coverage_exact(s, b, p, q).value)
+        want = _value_or_refusal(lambda: conditioned_pq_coverage(
+            s.members, b, p, q, probability.ie_limit(), edge_coverage))
+    assert got == want

@@ -630,6 +630,15 @@ def test_noise_outside_unit_interval_refused():
             ClosureParams(eps=0.1, c=2, noise_p=noise)
 
 
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+def test_minterm_outside_ground_set_refused(engine):
+    # one ValueError at construction, before either engine's closure could see the mask
+    with pytest.raises(ValueError, match="outside"):
+        closure(MonotoneFunction(3, (8,)), ClosureParams(eps=0.1, c=2), engine, 200, 0)
+    with pytest.raises(ValueError, match="outside"):
+        MonotoneFunction.from_masks(3, [0b1, 0b1000])
+
+
 def test_antichain_enumeration_count_matches_dedekind():
     # cross-check the test oracle itself: 168 monotone functions on 4 variables
     assert len(enumerate_antichains(4)) == 168

@@ -278,7 +278,7 @@ def _engine_calls():
     params = monotone.ClosureParams(eps=0.1, c=1)
     inputs_only = monotone.circuit_from_text("INPUT 1\nOUTPUT 1\n", 4)  # no gate to close
     dist = PBiasedDistribution(4, Fraction(1, 2))
-    s = cliques.CliqueFamily.from_masks(4, [0b111, 0b1011])
+    s = SetFamily.from_masks(4, [0b111, 0b1011])
     hr = harnik_raz.build_hr_family(harnik_raz.HRParams(5, 1, 3))
     return {
         "is_robust_sunflower": lambda e: is_robust_sunflower(fam(4, (1, 2)), 0.5, 0.1, e),
@@ -287,7 +287,7 @@ def _engine_calls():
         "approximate_circuit": lambda e: monotone.approximate_circuit(
             inputs_only, params, dist, dist, e),
         "clique_coverage": lambda e: cliques.clique_coverage(
-            cliques.CliqueFamily.from_masks(1, [1]), 0, 0.5, e),  # no edges to cover
+            SetFamily.from_masks(1, [1]), 0, 0.5, e),  # no edges to cover
         "is_clique_sunflower": lambda e: cliques.is_clique_sunflower(s, 0.5, 0.1, e),
         "is_pq_clique_sunflower": lambda e: cliques.is_pq_clique_sunflower(s, 0.5, 1, 0.1, e),
         "verify_positive_acceptance": lambda e: harnik_raz.verify_positive_acceptance(hr, e),
