@@ -381,16 +381,17 @@ def find_clique_sunflower(
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> CliqueSunflowerResult:
-    """Extract a (p, q, eps)-clique-sunflower by the popular-core recursion.
+    """Extract a (p, q, eps)-clique-sunflower by the popular-core loop.
 
     With c_j = s_j(ln(1/eps)): the 1-uniform base case succeeds once
-    (1-q)^|S| < eps exactly; otherwise scan j ascending and cores B in
-    canonical order for a B of size j contained in at least
-    c_{l-j} (1/(q p^j))^{l-j} (1/p)^C(l-j,2) members, recurse on the
-    vertex link with q' = q p^j and lift by B.  If no (j, B) qualifies the
-    family itself is returned with its Janson certificate; the exponent
-    must beat ln(1/eps), otherwise the input was below threshold and the
-    result says so instead of crashing.
+    (1-q)^|S| < eps exactly; otherwise the canonically first core B with
+    1 <= |B| = j < l contained in at least
+    c_{l-j} (1/(q p^j))^{l-j} (1/p)^C(l-j,2) members is stepped over: the
+    loop goes on in the vertex link of B with q' = q p^j, and the result is
+    lifted by every core stepped over.  If no B qualifies the family itself
+    is returned with its Janson certificate; the exponent must beat
+    ln(1/eps), otherwise the input was below threshold and the result says
+    so instead of crashing.
     """
     if not s.members:
         raise EmptyFamilyError("empty clique family")
@@ -400,49 +401,44 @@ def find_clique_sunflower(
     trace: list[CliqueTraceStep] = []
     certificate: Optional[JansonCertificate] = None
     status = "ok"
-
-    def recurse(fam: SetFamily, q_now: Fraction, depth: int) -> SetFamily:
-        nonlocal certificate, status
+    fam, lift, q_now, depth = s, 0, Fraction(q), 0
+    while True:
         size = uniform_size(fam)
         if size == 0:
             trace.append(CliqueTraceStep(depth, 0, len(fam), "trivial", None, None, float(q_now)))
-            return fam
+            break
         if size == 1:
             if (1 - q_now) ** len(fam) < eps_f:
                 trace.append(CliqueTraceStep(depth, 1, len(fam), "base", None, None, float(q_now)))
-                return fam
+                break
             raise BaseCaseFailedError("(1-q)^|S| >= eps at the 1-uniform base case")
-        counts = submask_counts(fam)
-        for j in range(1, size):
-            rem = size - j
-            threshold = (
-                _s_poly_frac(rem, ln_inv_eps)
-                * (1 / (q_now * p_f**j)) ** rem
-                * (1 / p_f) ** math.comb(rem, 2)
+        # a count is an integer, so it meets a threshold iff it meets its ceiling
+        needed = {
+            j: math.ceil(
+                _s_poly_frac(size - j, ln_inv_eps)
+                * (1 / (q_now * p_f**j)) ** (size - j)
+                * (1 / p_f) ** math.comb(size - j, 2)
             )
-            hits = sorted(
-                (b for b, cnt in counts.items() if b.bit_count() == j and cnt >= threshold),
-                key=canonical_key,
-            )
-            if hits:
-                b = hits[0]
-                trace.append(
-                    CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now))
-                )
-                sub = recurse(link(fam, b), q_now * p_f**j, depth + 1)
-                return SetFamily.from_masks(fam.n, (a | b for a in sub.members))
-        cert = janson_certificate(fam, p, float(q_now))
-        certificate = cert
-        if cert.exponent > float(ln_inv_eps):
-            trace.append(CliqueTraceStep(depth, size, len(fam), "janson", None, None, float(q_now)))
-        else:
-            status = "below_threshold"
-            trace.append(
-                CliqueTraceStep(depth, size, len(fam), "below_threshold", None, None, float(q_now))
-            )
-        return fam
+            for j in range(1, size)
+        }
+        b = min(
+            (t for t, cnt in submask_counts(fam).items()
+             if t.bit_count() < size and cnt >= needed[t.bit_count()]),
+            key=canonical_key,
+            default=None,
+        )
+        if b is None:
+            certificate = janson_certificate(fam, p, float(q_now))
+            beats = certificate.exponent > float(ln_inv_eps)
+            status = "ok" if beats else "below_threshold"
+            trace.append(CliqueTraceStep(
+                depth, size, len(fam), "janson" if beats else status, None, None, float(q_now)))
+            break
+        j = b.bit_count()
+        trace.append(CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now)))
+        fam, lift, q_now, depth = link(fam, b), lift | b, q_now * p_f**j, depth + 1
 
-    subfamily = recurse(s, Fraction(q), 0)
+    subfamily = SetFamily.from_masks(s.n, (a | lift for a in fam.members))
     core_set = core(subfamily)
     probability = None
     verified = False

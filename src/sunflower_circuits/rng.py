@@ -7,9 +7,7 @@ mixes the seed with the stream index.  This gives:
 
 * bit-identical results for identical ``(seed, stream)`` on any platform,
 * random access (``at(i)``), so vectorized block generation and scalar
-  stateful draws agree slot-for-slot,
-* cheap substream splitting for worker pools (``split(k)``), with
-  deterministic ordered aggregation left to the caller.
+  stateful draws agree slot-for-slot.
 """
 
 from __future__ import annotations
@@ -82,10 +80,6 @@ class CounterStream:
         self.key = mix64(self.seed ^ mix64((self.stream + 1) * _GOLDEN))
         self.index = 0
 
-    def split(self, k: int) -> "CounterStream":
-        """Independent substream k (worker index k)."""
-        return CounterStream(self.key, stream=k + 1)
-
     def at(self, i: int) -> int:
         return mix64(self.key + (i + 1) * _GOLDEN)
 
@@ -93,10 +87,6 @@ class CounterStream:
         v = self.at(self.index)
         self.index += 1
         return v
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n), exact via rejection."""

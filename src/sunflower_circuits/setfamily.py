@@ -19,24 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import EmptyFamilyError
+from .errors import EmptyFamilyError, TooLargeError
 
 MAX_GROUND_SET = 4096
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """The universe [n]."""
-
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise ValueError(f"ground set size must be in [1, {MAX_GROUND_SET}]")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+SUBMASK_CAP = 1 << 20  # most submasks ``submask_counts`` enumerates
 
 
 def mask_of(elements: Iterable[int], n: Optional[int] = None) -> int:
@@ -77,13 +63,15 @@ def canonical_key(mask: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A family of distinct subsets of a ground set, canonically ordered."""
+    """A family of distinct subsets of the ground set [n], canonically ordered."""
 
-    universe: GroundSet
+    n: int
     members: tuple[int, ...]
 
     def __post_init__(self):
-        full = self.universe.full_mask
+        if not 1 <= self.n <= MAX_GROUND_SET:
+            raise ValueError(f"ground set size must be in [1, {MAX_GROUND_SET}]")
+        full = (1 << self.n) - 1
         seen = set()
         prev = None
         for m in self.members:
@@ -100,7 +88,7 @@ class SetFamily:
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         members = sorted(set(masks), key=canonical_key)
-        return cls(GroundSet(n), tuple(members))
+        return cls(n, tuple(members))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -114,10 +102,6 @@ class SetFamily:
 
     def __contains__(self, mask: int) -> bool:
         return mask in set(self.members)
-
-    @property
-    def n(self) -> int:
-        return self.universe.n
 
     def as_sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.members]
@@ -175,7 +159,14 @@ def uniform_size(family: SetFamily) -> int:
 
 
 def submask_counts(family: SetFamily) -> Counter:
-    """For each nonempty T inside some member, the number of members containing T."""
+    """For each nonempty T inside some member, the number of members containing T.
+
+    More than ``SUBMASK_CAP`` submasks in all raise ``TooLargeError`` before
+    any is enumerated.
+    """
+    total = sum(1 << m.bit_count() for m in family.members)
+    if total > SUBMASK_CAP:
+        raise TooLargeError(f"{total} submasks exceed the cap {SUBMASK_CAP}")
     counts = Counter(t for m in family.members for t in iter_submasks(m))
     del counts[0]
     return counts
@@ -194,7 +185,8 @@ def check_spread(family: SetFamily, r) -> SpreadReport:
     Only T that are subsets of some member are enumerated; any other T has
     link size 0 and satisfies the bound trivially.  The witness of a failure
     is the violating T of smallest cardinality, ties broken by numeric mask
-    value.  Comparisons are exact (r is taken as a rational).
+    value.  Comparisons are exact (r is taken as a rational).  The count
+    refuses past ``SUBMASK_CAP`` submasks (``submask_counts``).
     """
     if not family.members:
         raise EmptyFamilyError("spreadness of an empty family is undefined")

@@ -4,12 +4,14 @@ A sunflower is a family whose pairwise intersections all equal a common
 kernel; the robust variant asks instead that a p-biased set W joined with
 the kernel covers some member with probability > 1 - eps.
 
-``extract_robust_sunflower`` implements the spreadness recursion: a family
-that is not r-spread has a popular set T whose link is a smaller uniform
-family; extract there and lift by T.  A family that is r-spread (for
-r = B*ln(l/eps)/p) is returned whole.  B is a tunable constant, so every
-result is post-verified and carries a ``verified`` flag; a False flag with
-a too-small B is a legitimate experimental outcome, not an error.
+``extract_robust_sunflower`` runs the spreadness argument as a loop: a
+family that is not r-spread has a popular set T whose link is a smaller
+uniform family; step there.  An r-spread family (for r = B*ln(l/eps)/p)
+ends the loop and is lifted once by the union of the Ts, which are
+disjoint, so that equals lifting by each T in turn.  B is a tunable
+constant, so every result is post-verified and carries a ``verified``
+flag; a False flag with a too-small B is a legitimate experimental
+outcome, not an error.
 
 All logarithms are natural; a change of base is absorbed into B.
 """
@@ -82,7 +84,7 @@ def improved_robust_threshold(
 
 
 def spread_radius(size: int, p: float, eps: float, params: ThresholdParams) -> float:
-    """r = B ln(l/eps)/p used by the extraction recursion."""
+    """r = B ln(l/eps)/p used by the extraction loop."""
     return params.B * math.log(size / eps) / p
 
 
@@ -126,24 +128,23 @@ def _greedy_disjoint(family: SetFamily, petals: int) -> list[int]:
 def find_sunflower(family: SetFamily, petals: int) -> Sunflower:
     """Find a sunflower with >= ``petals`` petals in a uniform family.
 
-    Textbook induction: greedily collect pairwise-disjoint members; with
-    fewer than r of them, every member meets their union, so some element
-    lies in at least |F|/(l(r-1)) members; recurse on its link and lift.
+    Textbook induction, run as a loop: greedily collect pairwise-disjoint
+    members; with fewer than r of them, every member meets their union, so
+    some element lies in at least |F|/(l(r-1)) members; step to its link
+    and add it to the kernel, lifting the petals by the kernel at the end.
     Succeeds whenever |F| > l!(r-1)^l; below the threshold it still tries
     and raises ThresholdNotMet only if the search fails.
     """
     if petals < 1:
         raise ValueError("petals must be >= 1")
     size = uniform_size(family) if family.members else 0
-
-    def search(fam: SetFamily) -> Optional[Sunflower]:
-        if not fam.members:
-            return None
+    fam, kernel = family, 0
+    while fam.members:
         taken = _greedy_disjoint(fam, petals)
         if len(taken) >= petals:
-            return Sunflower(SetFamily.from_masks(fam.n, taken), 0)
+            return Sunflower(SetFamily.from_masks(family.n, (m | kernel for m in taken)), kernel)
         if all(m == 0 for m in fam.members):
-            return None  # only the empty set remains; cannot reach r petals
+            break  # only the empty set remains; cannot reach r petals
         counts: dict[int, int] = {}
         for m in fam.members:
             mm = m
@@ -152,15 +153,7 @@ def find_sunflower(family: SetFamily, petals: int) -> Sunflower:
                 counts[low] = counts.get(low, 0) + 1
                 mm ^= low
         best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        sub = search(link(fam, best))
-        if sub is None:
-            return None
-        lifted = [m | best for m in sub.petals.members]
-        return Sunflower(SetFamily.from_masks(fam.n, lifted), sub.kernel | best)
-
-    found = search(family)
-    if found is not None and len(found.petals) >= petals:
-        return found
+        fam, kernel = link(fam, best), kernel | best
     if size >= 1 and len(family) > erdos_rado_threshold(size, max(petals, 2)):
         raise AssertionError("family above the guarantee threshold but search failed")
     raise ThresholdNotMetError(
@@ -212,24 +205,23 @@ def extract_robust_sunflower(
     Base case (1-uniform): the family itself qualifies once
     (1-p)^|F| < eps; the exact inequality is used instead of the looser
     exp(-p|F|) <= eps, so strictly more extractions succeed.  Otherwise
-    compute r = B ln(l/eps)/p: a spreadness violation T recurses into the
-    link and lifts by T; an r-spread family is returned whole.
+    compute r = B ln(l/eps)/p: a spreadness violation T steps to the link
+    at T; an r-spread family is returned, lifted by every T stepped over.
     """
-    size = uniform_size(family)
     eps_f = Fraction(eps)
     p_f = Fraction(p)
     trace: list[TraceStep] = []
-
-    def recurse(fam: SetFamily, depth: int) -> SetFamily:
-        fam_size = uniform_size(fam) if fam.members else 0
+    fam, lift, depth = family, 0, 0
+    while True:
+        fam_size = uniform_size(fam)
         if fam_size == 0:
             # a member shrank to the empty set: coverage is certain
             trace.append(TraceStep(depth, 0, len(fam), 0.0, "trivial", None))
-            return fam
+            break
         if fam_size == 1:
             if (1 - p_f) ** len(fam) < eps_f:
                 trace.append(TraceStep(depth, 1, len(fam), 0.0, "base", None))
-                return fam
+                break
             raise BaseCaseFailedError(
                 f"(1-p)^{len(fam)} >= eps at the 1-uniform base case"
             )
@@ -237,13 +229,12 @@ def extract_robust_sunflower(
         report = check_spread(fam, Fraction(r))
         if report.is_spread:
             trace.append(TraceStep(depth, fam_size, len(fam), r, "spread", None))
-            return fam
+            break
         t = report.witness
         trace.append(TraceStep(depth, fam_size, len(fam), r, "link", t))
-        sub = recurse(link(fam, t), depth + 1)
-        return SetFamily.from_masks(fam.n, (m | t for m in sub.members))
+        fam, lift, depth = link(fam, t), lift | t, depth + 1
 
-    subfamily = recurse(family, 0)
+    subfamily = SetFamily.from_masks(family.n, (m | lift for m in fam.members))
     kernel = core(subfamily)
     try:
         chk = is_robust_sunflower(subfamily, p, eps, "exact")

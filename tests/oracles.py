@@ -1,7 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: full enumeration with exact
-rationals, no sharing of code paths with the package under test.
+rationals, no sharing of code paths with the package under test.  The
+exception is the reference extractions at the end: they are the recursive
+forms of the package's three extraction loops, over the package's own link,
+spread check, Janson certificate and verification, so that they check the
+loops and nothing else.
 """
 
 from fractions import Fraction
@@ -379,3 +383,173 @@ def brute_closure_on_cliques(n, minterms, eps, c, p=Fraction(1, 2)):
                 break
         else:
             return {x for x in accepted if not any(o != x and o & x == o for o in accepted)}
+
+
+# ---------------------------------------------------------------------------
+# reference extractions: each step recurses into the link and lifts by T on
+# the way back, one level at a time
+
+
+def recursive_find_sunflower(family, petals):
+    """``sunflowers.find_sunflower`` by recursion on the link of a most popular element."""
+    from sunflower_circuits.errors import ThresholdNotMetError
+    from sunflower_circuits.setfamily import SetFamily, link, uniform_size
+    from sunflower_circuits.sunflowers import Sunflower, erdos_rado_threshold
+
+    if petals < 1:
+        raise ValueError("petals must be >= 1")
+    size = uniform_size(family) if family.members else 0
+
+    def search(fam):
+        if not fam.members:
+            return None
+        taken, acc = [], 0
+        for m in fam.members:
+            if m & acc == 0 and len(taken) < petals:
+                taken.append(m)
+                acc |= m
+        if len(taken) >= petals:
+            return Sunflower(SetFamily.from_masks(fam.n, taken), 0)
+        if all(m == 0 for m in fam.members):
+            return None
+        counts = {}
+        for m in fam.members:
+            for i in iter_bits(m):
+                counts[1 << i] = counts.get(1 << i, 0) + 1
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        sub = search(link(fam, best))
+        if sub is None:
+            return None
+        lifted = [m | best for m in sub.petals.members]
+        return Sunflower(SetFamily.from_masks(fam.n, lifted), sub.kernel | best)
+
+    found = search(family)
+    if found is not None and len(found.petals) >= petals:
+        return found
+    if size >= 1 and len(family) > erdos_rado_threshold(size, max(petals, 2)):
+        raise AssertionError("family above the guarantee threshold but search failed")
+    raise ThresholdNotMetError(
+        f"no {petals}-petal sunflower found; family size {len(family)} is at or "
+        f"below the guarantee threshold"
+    )
+
+
+def recursive_extract_robust_sunflower(family, p, eps, params, mc_samples=100_000, seed=0):
+    """``sunflowers.extract_robust_sunflower`` by recursion on the link of each spread witness."""
+    from sunflower_circuits.errors import BaseCaseFailedError, ExactIntractableError
+    from sunflower_circuits.probability import is_robust_sunflower
+    from sunflower_circuits.setfamily import SetFamily, check_spread, core, link, uniform_size
+    from sunflower_circuits.sunflowers import RobustSunflowerResult, TraceStep, spread_radius
+
+    uniform_size(family)
+    eps_f, p_f = Fraction(eps), Fraction(p)
+    trace = []
+
+    def recurse(fam, depth):
+        fam_size = uniform_size(fam) if fam.members else 0
+        if fam_size == 0:
+            trace.append(TraceStep(depth, 0, len(fam), 0.0, "trivial", None))
+            return fam
+        if fam_size == 1:
+            if (1 - p_f) ** len(fam) < eps_f:
+                trace.append(TraceStep(depth, 1, len(fam), 0.0, "base", None))
+                return fam
+            raise BaseCaseFailedError(f"(1-p)^{len(fam)} >= eps at the 1-uniform base case")
+        r = spread_radius(fam_size, float(p), float(eps), params)
+        report = check_spread(fam, Fraction(r))
+        if report.is_spread:
+            trace.append(TraceStep(depth, fam_size, len(fam), r, "spread", None))
+            return fam
+        t = report.witness
+        trace.append(TraceStep(depth, fam_size, len(fam), r, "link", t))
+        sub = recurse(link(fam, t), depth + 1)
+        return SetFamily.from_masks(fam.n, (m | t for m in sub.members))
+
+    subfamily = recurse(family, 0)
+    try:
+        chk = is_robust_sunflower(subfamily, p, eps, "exact")
+    except ExactIntractableError:
+        chk = is_robust_sunflower(subfamily, p, eps, "mc", mc_samples, seed)
+    return RobustSunflowerResult(subfamily, core(subfamily), chk.decision is True,
+                                 chk.probability, tuple(trace), chk)
+
+
+def recursive_find_clique_sunflower(s, p, q, eps, mc_samples=100_000, seed=0):
+    """``cliques.find_clique_sunflower`` by recursion: sizes j ascending, cores canonically."""
+    import math
+
+    from sunflower_circuits.cliques import (
+        CliqueSunflowerResult,
+        CliqueTraceStep,
+        is_pq_clique_sunflower,
+        janson_certificate,
+        s_poly_exact,
+    )
+    from sunflower_circuits.errors import (
+        BaseCaseFailedError,
+        EmptyFamilyError,
+        ExactIntractableError,
+    )
+    from sunflower_circuits.setfamily import (
+        SetFamily,
+        canonical_key,
+        core,
+        link,
+        submask_counts,
+        uniform_size,
+    )
+
+    if not s.members:
+        raise EmptyFamilyError("empty clique family")
+    eps_f = Fraction(eps)
+    ln_inv_eps = Fraction(math.log(1.0 / float(eps)))
+    p_f = Fraction(p)
+    trace = []
+    outcome = {"certificate": None, "status": "ok"}
+
+    def recurse(fam, q_now, depth):
+        size = uniform_size(fam)
+        if size == 0:
+            trace.append(CliqueTraceStep(depth, 0, len(fam), "trivial", None, None, float(q_now)))
+            return fam
+        if size == 1:
+            if (1 - q_now) ** len(fam) < eps_f:
+                trace.append(CliqueTraceStep(depth, 1, len(fam), "base", None, None, float(q_now)))
+                return fam
+            raise BaseCaseFailedError("(1-q)^|S| >= eps at the 1-uniform base case")
+        counts = submask_counts(fam)
+        for j in range(1, size):
+            rem = size - j
+            threshold = (
+                s_poly_exact(rem, ln_inv_eps)
+                * (1 / (q_now * p_f**j)) ** rem
+                * (1 / p_f) ** math.comb(rem, 2)
+            )
+            hits = sorted(
+                (b for b, cnt in counts.items() if b.bit_count() == j and cnt >= threshold),
+                key=canonical_key,
+            )
+            if hits:
+                b = hits[0]
+                trace.append(CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now)))
+                sub = recurse(link(fam, b), q_now * p_f**j, depth + 1)
+                return SetFamily.from_masks(fam.n, (a | b for a in sub.members))
+        cert = janson_certificate(fam, p, float(q_now))
+        outcome["certificate"] = cert
+        if cert.exponent > float(ln_inv_eps):
+            case = "janson"
+        else:
+            case = outcome["status"] = "below_threshold"
+        trace.append(CliqueTraceStep(depth, size, len(fam), case, None, None, float(q_now)))
+        return fam
+
+    subfamily = recurse(s, Fraction(q), 0)
+    probability, verified = None, False
+    if outcome["status"] == "ok":
+        try:
+            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "exact")
+        except ExactIntractableError:
+            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "mc", mc_samples, seed)
+        probability, verified = chk.probability, chk.decision is True
+    return CliqueSunflowerResult(subfamily, core(subfamily), verified, outcome["status"],
+                                 outcome["certificate"], probability, tuple(trace))

@@ -408,17 +408,32 @@ class TestMain:
         assert err.startswith("refused: ") and len(err.strip().splitlines()) == 1
 
     def test_code_poly_over_cap_returns_at_once(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-m", "sunflower_circuits", "code-poly",
-             "-P", "q=101", "-P", "n=50", "-P", "dim=5"],
-            capture_output=True, text=True, timeout=5, env=env,
-        )
+        done = self._run_module("code-poly", "-P", "q=101", "-P", "n=50", "-P", "dim=5")
         assert done.returncode == 2
         assert done.stderr.startswith("refused: TooLargeError: ")
         assert len(done.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sunflower-extract", "-P", "B=0.5"], ["clique-extract"],
+    ], ids=["sunflower-extract", "clique-extract"])
+    def test_extraction_over_submask_cap_returns_at_once(self, argv):
+        # the one 30-set has 2^30 submasks, over setfamily.SUBMASK_CAP
+        done = self._run_module(*argv, "-P", "n=30", "-P", "family=disjoint:1:30",
+                                "-P", "p=1/2", "-P", "eps=1/10")
+        assert done.returncode == 2
+        assert done.stderr.startswith("refused: TooLargeError: ")
+        assert len(done.stderr.strip().splitlines()) == 1
+
+    @staticmethod
+    def _run_module(*argv):
+        """The CLI in a fresh process, killed after 5 s so a hang fails instead of stalling."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run(
+            [sys.executable, "-m", "sunflower_circuits", *argv],
+            capture_output=True, text=True, timeout=5, env=env,
+        )
 
     def test_writes_output_file(self, tmp_path):
         out = tmp_path / "r.json"

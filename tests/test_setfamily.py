@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunflower_circuits.errors import EmptyFamilyError
+from sunflower_circuits import setfamily
+from sunflower_circuits.errors import EmptyFamilyError, TooLargeError
 from sunflower_circuits.setfamily import (
-    GroundSet,
     SetFamily,
     check_spread,
     core,
@@ -111,6 +111,12 @@ class TestSpread:
         with pytest.raises(EmptyFamilyError):
             check_spread(SetFamily.from_masks(3, []), 2)
 
+    def test_over_submask_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(setfamily, "SUBMASK_CAP", 8)
+        assert check_spread(fam(5, (1, 2, 3)), 1).is_spread  # 2^3 submasks, at the cap
+        with pytest.raises(TooLargeError, match="12 submasks exceed the cap 8"):
+            check_spread(fam(5, (1, 2, 3), (4, 5)), 2)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.sets(st.integers(0, 255), max_size=10))
@@ -148,10 +154,10 @@ class TestSerialization:
 
 def test_ground_set_bounds():
     with pytest.raises(ValueError):
-        GroundSet(0)
+        SetFamily.from_masks(0, ())
     with pytest.raises(ValueError):
-        GroundSet(5000)
-    assert GroundSet(64).full_mask == (1 << 64) - 1
+        SetFamily.from_masks(5000, ())
+    assert SetFamily.from_masks(64, [(1 << 64) - 1]).n == 64
 
 
 def test_elements_round_trip():
