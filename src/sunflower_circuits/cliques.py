@@ -281,10 +281,6 @@ def s_poly_exact(size: int, t) -> Fraction:
     return _s_poly_frac(size, tf)
 
 
-def s_poly(size: int, t) -> float:
-    return float(s_poly_exact(size, t))
-
-
 def clique_sunflower_threshold(size: int, p: float, eps: float) -> float:
     """l!(2 ln(1/eps))^l (1/p)^C(l,2): guarantees a (p,eps)-clique-sunflower.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -136,19 +136,6 @@ def build_polynomial(code: Code) -> MonomialSet:
         )
     )
     return MonomialSet(code.q, code.n, monos)
-
-
-def eval_polynomial(terms: Iterable[tuple[Monomial, Fraction]], assignment) -> Fraction:
-    """Evaluate (monomial, coefficient) pairs at an assignment ((row, column) -> value)."""
-    total = Fraction(0)
-    for m, c in terms:
-        term = Fraction(c)
-        for var in m:
-            term *= Fraction(assignment[var])
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------

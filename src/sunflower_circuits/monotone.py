@@ -22,11 +22,12 @@ reading (the masks scanned, their image on the coverage ground set); the
 plain reading is its default, ``cliques.CliqueApproxParams`` the clique one.
 
 The exact closure of the plain reading, for n <= ``TABLE_MAX_N`` and noise
-a/b with b^n < 2^63, reads f's truth table: one weighted superset sum
-(Yates' transform) gives every candidate's noisy acceptance at once as an
-exact integer, and each round adds every violator.  Monte-Carlo, the clique
-reading and larger n or denominators scan the candidates one coverage call
-at a time, adding the first violator per round.
+a/b with b^n < 2^63, reads f's truth table, built by the up-closure that
+exact coverage enumerates with (``probability.up_closure``): one weighted
+superset sum (Yates' transform) gives every candidate's noisy acceptance at
+once as an exact integer, and each round adds every violator.  Monte-Carlo,
+the clique reading and larger n or denominators scan the candidates one
+coverage call at a time, adding the first violator per round.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .probability import (
     coverage_mc,
     exact_engine,
     mc_event_probability,
+    up_closure,
 )
 from .rng import bias
 from .setfamily import SetFamily, antichain_minimize
@@ -242,11 +244,7 @@ def _table_scan(f: MonotoneFunction, params: ClosureParams, a: int, b: int) -> C
     T[A] > floor((1-eps) a^|A| b^(n-|A|)).
     """
     n = f.n
-    table = np.zeros(1 << n, dtype=np.uint8)
-    table[list(f.minterms)] = 1
-    for i in range(n):  # up-closure: every superset of a minterm accepts
-        halves = table.reshape(-1, 2, 1 << i)
-        halves[:, 1, :] |= halves[:, 0, :]
+    table = up_closure(f.minterms, n)  # every superset of a minterm accepts
     masks, weight = _scan_order(n, params.c)
     open_ = table[masks] == 0
     if not open_.any():

@@ -20,8 +20,11 @@ Coverage is Pr[some mask lies inside the random set], and
   q-envelope, the union of the q-parts: the p-parts of the masks whose
   q-part lies in U are solved as plain masks, weighted q^|U| (1-q)^(w-|U|);
 * enumeration (plain masks) of the 2^|E| restrictions of W to the union
-  E of the masks, counting covered ones per Hamming weight w
-  (vectorized), evaluated the same way with q = 1-p, b = |E|-w;
+  E of the masks: ``up_closure`` marks the covered ones in a uint8 table,
+  counted per Hamming weight w and evaluated the same way with q = 1-p,
+  b = |E|-w.  Plain masks take whichever of inclusion-exclusion (2^m
+  steps) and enumeration (a set-up plus 2^|E| rows) costs less by the
+  measured costs ``EXACT_COST_NS``;
 * sampling: one chunked block sampler, row s of a ``width``-column draw
   reading counter slots s*width + j, column j p-biased below the split and
   q-biased above it.  Plain coverage remaps E onto contiguous bits first,
@@ -54,6 +57,9 @@ from .setfamily import SetFamily, antichain_minimize, core, elements_of, iter_su
 DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
 CONFIDENCE = 0.99  # level of every Monte-Carlo estimate's Wilson interval
 _IE_LIMIT = 20  # max family size for the inclusion-exclusion strategy
+# measured costs (ns) of one inclusion-exclusion step, the enumeration's
+# set-up and one enumerated row: plain masks take the cheaper strategy
+EXACT_COST_NS = (900, 100_000, 10)
 _CHUNK_SLOTS = 1 << 21  # counter slots drawn per sampler chunk
 _MAX_U64 = (1 << 64) - 1
 
@@ -199,25 +205,54 @@ def _polynomial(counts: dict[tuple[int, int], int], p: Fraction, q: Fraction) ->
     return Fraction(total, pd**top_a * qd**top_b)
 
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_LOW_BYTES = (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
 
 
-def _covered_weight_counts(masks: list[int], width: int) -> list[int]:
-    """Count covered W-restrictions per Hamming weight, enumerating 2^width."""
-    total = 1 << width
-    counts = np.zeros(width + 1, dtype=np.int64)
-    rs = np.array(masks, dtype=np.uint32)
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        arr = np.arange(lo, hi, dtype=np.uint32)
-        covered = np.zeros(hi - lo, dtype=bool)
-        for r in rs:
-            covered |= (arr & r) == r
-        sel = arr[covered]
-        w = _POPCOUNT16[sel & np.uint32(0xFFFF)] + _POPCOUNT16[sel >> np.uint32(16)]
-        counts += np.bincount(w, minlength=width + 1)[: width + 1]
-    return counts.tolist()
+def up_closure(masks, width: int) -> np.ndarray:
+    """The uint8 table over {0,1}^width of the rows containing some mask.
+
+    One pass per coordinate ORs each row into the row with that bit added.
+    From width 3 on, coordinates 0-2 run as byte shifts inside the words of
+    a uint64 view, in chunks, and the later ones pair words of that view;
+    a half under 8 elements long is paired column by column.
+    """
+    table = np.zeros(1 << width, dtype=np.uint8)
+    table[list(masks)] = 1
+    view, packed = table, 0
+    if width >= 3:
+        view, packed = table.view("<u8"), 3
+        buf = np.empty(min(view.size, 1 << 16), dtype=np.uint64)
+        for lo in range(0, view.size, buf.size):
+            chunk = view[lo : lo + buf.size]
+            for i, low in enumerate(_LOW_BYTES):
+                np.bitwise_and(chunk, np.uint64(low), out=buf)
+                buf <<= np.uint64(8 << i)
+                chunk |= buf
+    for i in range(width - packed):
+        halves = view.reshape(-1, 2, 1 << i)
+        for j in range(1 << i) if i < 3 else [slice(None)]:
+            halves[:, 1, j] |= halves[:, 0, j]
+    return table
+
+
+def _weight_counts(table: np.ndarray, width: int) -> list[int]:
+    """Per Hamming weight, the number of rows set in ``table``.
+
+    The rows are read as a matrix with the low 16 bits as columns: the rows
+    of each high-bit popcount j are summed, and the histogram of the sums
+    over their columns' popcounts, shifted by j, is added in.
+    """
+    low = min(width, 16)
+    rows = table.reshape(-1, 1 << low)
+    column = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    high = np.bitwise_count(np.arange(len(rows), dtype=np.uint32))
+    counts = np.zeros(width + 1)  # float64 holds every count up to 2^53 exactly
+    for j in range(width - low + 1):
+        total = np.zeros(1 << low, dtype=np.int32)
+        for h in np.flatnonzero(high == j):
+            total += rows[h]
+        counts[j : j + low + 1] += np.bincount(column, total, low + 1)
+    return [int(c) for c in counts]
 
 
 def exact_coverage(masks, split: int, p, q) -> Fraction:
@@ -226,9 +261,11 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     Masks with a q-part take inclusion-exclusion up to ``ie_limit()``
     reduced masks; past that they condition on the q-envelope (the union of
     the q-parts, at most ``ie_limit()`` bits), each outcome U keeping the
-    p-parts of the masks whose q-part lies in U.  Plain masks take
-    inclusion-exclusion when no more than their width (or when enumeration
-    is past its cap), enumeration otherwise.
+    p-parts of the masks whose q-part lies in U.  Plain masks, m of them
+    over a width w, take inclusion-exclusion when enumeration is past the
+    work cap, enumeration when m exceeds ``ie_limit()``, and otherwise the
+    cheaper by ``EXACT_COST_NS`` = (step, set-up, row): inclusion-exclusion
+    iff step * 2^m <= set-up + row * 2^w.  Either gives the same value.
     """
     pf, qf = bias(p), bias(q)
     reduced = antichain_minimize(masks)
@@ -255,12 +292,13 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
         return total
     masks, width = compact(reduced)
     ie_ok = len(masks) <= limit
-    enum_ok = width <= min(DEFAULT_WORK_CAP_BITS, 30)
+    enum_ok = width <= DEFAULT_WORK_CAP_BITS
     if not ie_ok and not enum_ok:
         raise ExactIntractableError(min(len(masks), width), DEFAULT_WORK_CAP_BITS)
-    if ie_ok and (not enum_ok or len(masks) <= width):
+    step, setup, row = EXACT_COST_NS
+    if ie_ok and (not enum_ok or step * 2 ** len(masks) <= setup + row * 2**width):
         return union_probability(masks, width, pf, pf)
-    counts = _covered_weight_counts(masks, width)
+    counts = _weight_counts(up_closure(masks, width), width)
     weights = {(w, width - w): c for w, c in enumerate(counts)}
     return _polynomial(weights, pf, 1 - pf)
 

@@ -185,7 +185,8 @@ def check_spread(family: SetFamily, r) -> SpreadReport:
     Only T that are subsets of some member are enumerated; any other T has
     link size 0 and satisfies the bound trivially.  The witness of a failure
     is the violating T of smallest cardinality, ties broken by numeric mask
-    value.  Comparisons are exact (r is taken as a rational).  The count
+    value.  Comparisons are exact: r is taken as a rational, and each count
+    is compared with the integer floor(|F| / r^|T|), one per size.  The count
     refuses past ``SUBMASK_CAP`` submasks (``submask_counts``).
     """
     if not family.members:
@@ -195,10 +196,11 @@ def check_spread(family: SetFamily, r) -> SpreadReport:
     r = Fraction(r)
     counts = submask_counts(family)
     size = len(family.members)
+    # an integer count exceeds |F| / r^k iff it exceeds floor(|F| / r^k)
+    bound = [size // r**k for k in range(family.members[-1].bit_count() + 1)]
     worst = None
     for t, cnt in counts.items():
-        # violation: cnt > |F| / r^|T|, i.e. cnt * r^|T| > |F|
-        if cnt * r ** t.bit_count() > size:
+        if cnt > bound[t.bit_count()]:
             key = canonical_key(t)
             if worst is None or key < worst[0]:
                 worst = (key, t, cnt)

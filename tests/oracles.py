@@ -35,6 +35,31 @@ def brute_coverage(members, y, p, n):
     return total
 
 
+def covered_weight_counts(masks, width):
+    """Per Hamming weight k, the number of rows of {0,1}^width containing some mask.
+
+    Every mask is tested against every row, O(m 2^width), in chunks of
+    2^20 rows; the rows' weights are read from a 16-bit popcount table.
+    """
+    import numpy as np
+
+    popcount16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+    total = 1 << width
+    counts = np.zeros(width + 1, dtype=np.int64)
+    rs = np.array(masks, dtype=np.uint32)
+    chunk = 1 << 20
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        arr = np.arange(lo, hi, dtype=np.uint32)
+        covered = np.zeros(hi - lo, dtype=bool)
+        for r in rs:
+            covered |= (arr & r) == r
+        sel = arr[covered]
+        w = popcount16[sel & np.uint32(0xFFFF)] + popcount16[sel >> np.uint32(16)]
+        counts += np.bincount(w, minlength=width + 1)[: width + 1]
+    return counts.tolist()
+
+
 def brute_probability(event, n, p):
     """Pr[event(x)] over a p-biased x in {0,1}^n, summed over all 2^n inputs."""
     p = Fraction(p)
@@ -64,6 +89,17 @@ def brute_spread(members, r, n):
         if cnt * r ** bin(t).count("1") > size:
             return False
     return True
+
+
+def brute_spread_witness(members, r, n):
+    """(T, count) of the violating T of least size, then least mask, or None if r-spread."""
+    r = Fraction(r)
+    size = len(members)
+    for t in sorted(range(1, 1 << n), key=lambda t: (bin(t).count("1"), t)):
+        cnt = sum(1 for m in members if m & t == t)
+        if cnt * r ** bin(t).count("1") > size:
+            return t, cnt
+    return None
 
 
 def brute_has_clique(n, edge_set, k):
@@ -211,6 +247,19 @@ def enumerate_antichains(n):
 
 def eval_antichain(minterms, x):
     return 1 if any(m & x == m for m in minterms) else 0
+
+
+def eval_polynomial(terms, assignment):
+    """Evaluate (monomial, coefficient) pairs at an assignment ((row, column) -> value)."""
+    total = Fraction(0)
+    for m, c in terms:
+        term = Fraction(c)
+        for var in m:
+            term *= Fraction(assignment[var])
+            if term == 0:
+                break
+        total += term
+    return total
 
 
 def brute_agreement(w1, w2):

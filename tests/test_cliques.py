@@ -26,7 +26,6 @@ from sunflower_circuits.cliques import (
     is_pq_clique_sunflower,
     janson_certificate,
     pq_coverage_exact,
-    s_poly,
     s_poly_exact,
     verify_no_kclique_bound,
 )
@@ -235,7 +234,7 @@ class TestSPoly:
                 assert s_poly_exact(size, t) <= bound
 
     def test_float_wrapper(self):
-        assert s_poly(2, 1.0) == pytest.approx(3.0)
+        assert float(s_poly_exact(2, 1)) == 3.0
 
 
 class TestThreshold:

@@ -15,7 +15,6 @@ from sunflower_circuits.codes import (
     canonical_decomposition,
     circuit_to_monomials,
     codeword_monomial,
-    eval_polynomial,
     max_pairwise_agreement,
     reed_solomon_code,
     row_of_residue,
@@ -29,7 +28,7 @@ from sunflower_circuits.errors import (
     TooLargeError,
 )
 
-from oracles import brute_agreement, index_digits, poly_value
+from oracles import brute_agreement, eval_polynomial, index_digits, poly_value
 
 
 class TestReedSolomon:

@@ -3,10 +3,12 @@ one inclusion-exclusion, one block sampler and one threshold rule."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,7 @@ from sunflower_circuits.setfamily import SetFamily, mask_of
 from oracles import (
     brute_coverage,
     conditioned_pq_coverage,
+    covered_weight_counts,
     pq_hit_inclusion_exclusion,
     pq_reduced,
     pq_sample_hits,
@@ -275,3 +278,64 @@ def test_pq_conditioning_matches_oracle_loop(data, pq, slack):
         want = _value_or_refusal(lambda: conditioned_pq_coverage(
             s.members, b, p, q, probability.ie_limit(), edge_coverage))
     assert got == want
+
+
+@st.composite
+def _masks_of_width(draw):
+    """(width, masks): widths shorter than a word, up to 8 words, up to the
+    16 low bits the counts take as columns, and past them; masks anywhere
+    in [0, 2^width), possibly none."""
+    width = draw(st.one_of(st.integers(0, 2), st.integers(3, 6), st.integers(7, 16),
+                           st.integers(17, 18)))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_masks_of_width())
+def test_up_closure_and_weight_counts_match_the_mask_loop(data):
+    width, masks = data
+    table = probability.up_closure(masks, width)
+    rows = np.arange(1 << width)
+    covered = np.zeros(1 << width, dtype=bool)
+    for m in masks:
+        covered |= (rows & m) == m
+    assert table.dtype == np.uint8 and np.array_equal(table, covered)
+    assert probability._weight_counts(table, width) == covered_weight_counts(masks, width)
+
+
+@pytest.mark.parametrize("cost,unused", [((0, 1, 1), "up_closure"),
+                                         ((1, 0, 0), "union_probability")])
+@settings(max_examples=60, deadline=None)
+@given(data=_families(7), p=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(4, 5)]))
+def test_either_plain_strategy_matches_brute_force(cost, unused, data, p):
+    # free inclusion-exclusion steps send every call of at most 20 reduced
+    # masks there, a free enumeration every call to the table; the other
+    # strategy must not run
+    n, masks, y = data
+    f = SetFamily.from_masks(n, sorted(set(masks))[:20])
+
+    def refuse(*args):
+        raise AssertionError(f"{unused} ran")
+
+    with patch.object(probability, "EXACT_COST_NS", cost), \
+            patch.object(probability, unused, refuse):
+        assert coverage_exact(f, y, p).value == brute_coverage(f.members, y, p, n)
+
+
+def test_enumeration_at_the_work_cap_stays_small():
+    # 60 random 3-sets spanning 24 elements: the uint8 table is 16 MiB, and an
+    # int64 (or uint32 index) array over 2^24 rows would add 128 (or 64) MiB
+    rng = random.Random(0)
+    masks = set()
+    while len(masks) < 60:
+        masks.add(sum(1 << e for e in rng.sample(range(24), 3)))
+    f = SetFamily.from_masks(24, masks)
+    reduced, width = probability.compact(f.members)
+    assert len(reduced) == 60 and width == probability.DEFAULT_WORK_CAP_BITS == 24
+    tracemalloc.start()
+    try:
+        coverage_exact(f, 0, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20

@@ -7,6 +7,7 @@ from sunflower_circuits import setfamily
 from sunflower_circuits.errors import EmptyFamilyError, TooLargeError
 from sunflower_circuits.setfamily import (
     SetFamily,
+    SpreadReport,
     check_spread,
     core,
     elements_of,
@@ -17,7 +18,7 @@ from sunflower_circuits.setfamily import (
     mask_of,
 )
 
-from oracles import brute_spread
+from oracles import brute_spread, brute_spread_witness
 
 
 def fam(n, *sets):
@@ -111,11 +112,40 @@ class TestSpread:
         with pytest.raises(EmptyFamilyError):
             check_spread(SetFamily.from_masks(3, []), 2)
 
+    def test_count_equal_to_an_integer_bound_does_not_violate(self):
+        # |F| = 4 at r = 2: elements 1 and 4 lie in 4/2 members, each pair in 4/4
+        f = fam(6, (1, 2), (1, 3), (4, 5), (4, 6))
+        assert check_spread(f, 2) == SpreadReport(True, None, 0)
+        assert brute_spread(f.members, 2, 6)
+        r = 2 + Fraction(1, 10**12 + 39)  # a hair above the bound: 2 r > 4
+        assert check_spread(f, r) == SpreadReport(False, mask_of([1], 6), 2)
+        assert not brute_spread(f.members, r, 6)
+
     def test_over_submask_cap_refused(self, monkeypatch):
         monkeypatch.setattr(setfamily, "SUBMASK_CAP", 8)
         assert check_spread(fam(5, (1, 2, 3)), 1).is_spread  # 2^3 submasks, at the cap
         with pytest.raises(TooLargeError, match="12 submasks exceed the cap 8"):
             check_spread(fam(5, (1, 2, 3), (4, 5)), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.sets(st.integers(1, 127), min_size=1, max_size=12),
+    st.integers(0, 3),
+    st.integers(0, 2**62),
+    st.sampled_from([1, 3, 10**9 + 7, 2**61 - 1]),
+)
+def test_spread_matches_brute_force_at_large_denominators(n, masks, whole, num, den):
+    # r in (0, 4) with denominators up to 2^61 (integer r makes |F| / r^k often
+    # an exact integer); the witness is the least violating T (size, then
+    # mask) and its count
+    f = SetFamily.from_masks(n, {m & ((1 << n) - 1) or 1 for m in masks})
+    r = whole + Fraction(num % den, den) or Fraction(1, den)
+    rep = check_spread(f, r)
+    want = brute_spread_witness(f.members, r, n)
+    assert rep.is_spread == brute_spread(f.members, r, n) == (want is None)
+    assert (rep.witness, rep.link_size) == (want or (None, 0))
 
 
 @settings(max_examples=60, deadline=None)
