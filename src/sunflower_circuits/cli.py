@@ -292,6 +292,8 @@ def _run_hr_verify(config: ExperimentConfig) -> dict:
 
 def _run_clique_verify(config: ExperimentConfig) -> dict:
     n = int(config.params["n"])
+    if n < 1:
+        raise ConfigError("clique-verify needs n >= 1")
     if "delta" in config.params:
         k, p, eps = clique_parameters(n, float(config.params["delta"]))
     else:

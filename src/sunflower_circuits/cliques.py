@@ -44,6 +44,7 @@ from .probability import (
     exact_coverage,
     pack_rows,
     sampled_coverage,
+    unpack_rows,
 )
 from .rng import CounterStream
 from .setfamily import (
@@ -57,6 +58,10 @@ from .setfamily import (
     uniform_size,
 )
 from .monotone import ClosureParams, MonotoneFunction
+
+
+_ADJ_BLOCK = 1 << 17  # adjacency entries per sub-block of the clique decider
+_PRUNE_ROUNDS = 3  # common-neighbour pruning rounds before the exact search
 
 
 def edge_count(n: int) -> int:
@@ -89,18 +94,6 @@ class Graph:
         if self.edges >> edge_count(self.n):
             raise ValueError("edge bits outside the pair range")
 
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor masks over 0-based vertex bits."""
-        adj = [0] * self.n
-        e = self.edges
-        while e:
-            low = e & -e
-            u, v = edge_endpoints(low.bit_length() - 1)
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-            e ^= low
-        return adj
-
 
 def clique_edges(vertex_mask: int) -> int:
     """Edge mask of the clique on the given vertices (empty if <= 1 vertex)."""
@@ -127,11 +120,8 @@ def gnp_sample(n: int, p, stream: CounterStream) -> Graph:
 
 
 def _has_clique_masks(adj: list[int], k: int) -> bool:
+    """k-clique search over per-vertex neighbour masks, k >= 2."""
     n = len(adj)
-    if k <= 0:
-        return True
-    if k == 1:
-        return n >= 1
     cand = (1 << n) - 1
     # iterated degree pruning: a k-clique needs minimum degree k-1 inside
     changed = True
@@ -177,12 +167,58 @@ def _has_clique_masks(adj: list[int], k: int) -> bool:
 
 
 def has_k_clique(g: Graph, k: int) -> bool:
-    """Exact clique decision via pruned backtracking with pivoting."""
+    """Exact clique decision: the one-row case of ``_has_clique_rows``."""
     if g.n > 128:
         raise ValueError("clique decision capped at 128 vertices")
-    if k > g.n:
-        return False
-    return _has_clique_masks(g.adjacency_masks(), k)
+    return bool(_has_clique_rows(unpack_rows([g.edges], edge_count(g.n)), g.n, k)[0])
+
+
+@lru_cache(maxsize=16)
+def _edge_columns(n: int) -> np.ndarray:
+    """Column of edge {u, v} in an edge row at [u-1, v-1] and [v-1, u-1]; C(n,2) on the diagonal."""
+    m = edge_count(n)
+    hi, lo = np.tril_indices(n, -1)  # edge_index order: vertex v-1 = hi above u-1 = lo
+    pair = np.full((n, n), m)
+    pair[hi, lo] = pair[lo, hi] = np.arange(m)
+    pair.flags.writeable = False
+    return pair
+
+
+def _has_clique_rows(bits: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per row of edge bits (``edge_index`` order), whether its graph has a k-clique.
+
+    The rows are cut into sub-blocks of about ``_ADJ_BLOCK`` adjacency
+    entries.  In each, an edge whose endpoints have fewer than k-2 common
+    neighbours is dropped, for up to ``_PRUNE_ROUNDS`` rounds of one batched
+    0/1 matrix product.  Every edge of a k-clique keeps its k-2 in-clique
+    common neighbours, so no clique loses an edge and every decision is
+    unchanged.  A row left with fewer than C(k,2) edges has no k-clique; the
+    others go to the backtracking search one at a time.
+    """
+    rows = len(bits)
+    if k <= 1 or k > n:  # no edge to test: the empty clique always, one vertex when n >= 1
+        return np.full(rows, k <= 0 or k <= n)
+    m = edge_count(n)
+    need = 2 * math.comb(k, 2)  # adjacency entries of a k-clique
+    found = np.zeros(rows, dtype=bool)
+    step = max(1, _ADJ_BLOCK // (n * n))
+    for start in range(0, rows, step):
+        block = bits[start : start + step]
+        padded = np.zeros((len(block), m + 1), dtype=bool)  # column m stays 0
+        padded[:, :m] = block
+        adj = padded.take(_edge_columns(n), axis=1)  # (rows, n, n) symmetric adjacency
+        index = np.arange(start, start + len(block))
+        for _ in range(_PRUNE_ROUNDS):
+            a = adj.astype(np.float32)  # counts below n < 2^24 are exact
+            kept = adj & (np.matmul(a, a) >= k - 2)
+            stable = np.array_equal(kept, adj)
+            live = kept.sum(axis=(1, 2)) >= need
+            adj, index = kept[live], index[live]
+            if stable:
+                break
+        for i, row in zip(index, adj):
+            found[i] = _has_clique_masks(pack_rows(row), k)
+    return found
 
 
 CliqueFamily = SetFamily  # the name bench/workloads.py builds clique families by
@@ -461,19 +497,24 @@ def clique_parameters(n: int, delta: float) -> tuple[int, float, float]:
 
 
 def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> Estimate:
-    """Monte-Carlo Pr[G(n,p) contains a k-clique]; the target bound is 3/4."""
+    """Monte-Carlo Pr[G(n,p) contains a k-clique]; the target bound is 3/4.
+
+    Sample s is row s of ``bernoulli_rows``: it reads counter slots
+    s*C(n,2) + j of stream 0, edge j in ``edge_index`` order, so the
+    estimate equals one ``gnp_sample`` per sample.  The rows are decided a
+    block at a time by ``_has_clique_rows``, which drops every edge whose
+    endpoints share fewer than k-2 neighbours before the exact search; an
+    edge of a k-clique shares the other k-2 clique vertices, so the pruning
+    changes no decision and the hit count is exact.  n < 1 or k < 0 raise
+    ``ValueError``.
+    """
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if k < 0:
+        raise ValueError("need k >= 0")
     m = edge_count(n)
-    endpoints = [edge_endpoints(i) for i in range(m)]
-    hits = 0
-    for bits in bernoulli_rows(seed, samples, m, m, p, p):
-        for row in bits:
-            adj = [0] * n
-            for i in np.flatnonzero(row):
-                u, v = endpoints[i]
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
-            if _has_clique_masks(adj, k):
-                hits += 1
+    rows = bernoulli_rows(seed, samples, m, m, p, p)
+    hits = sum(int(_has_clique_rows(bits, n, k).sum()) for bits in rows)
     return Estimate.from_hits(hits, samples, seed)
 
 

@@ -35,8 +35,8 @@ from .probability import (
     count_covered,
     coverage_exact,
     exact_engine,
-    mc_event_probability,
     pack_rows,
+    unpack_rows,
 )
 from .rng import CounterStream
 from .setfamily import SetFamily, antichain_minimize
@@ -139,6 +139,52 @@ def sample_positive(hr: HRFamily, stream: CounterStream) -> int:
     return hr.images[sum(stream.next_below(n) * n**j for j in range(hr.params.c))]
 
 
+def _draw_digits(draws: np.ndarray, n: int) -> np.ndarray:
+    """The draws ``next_below(n)`` keeps, mod n: a draw at or above floor(2^64/n)*n is dropped."""
+    limit = (1 << 64) // n * n
+    if limit < 1 << 64:
+        draws = draws[draws < np.uint64(limit)]
+    return (draws % np.uint64(n)).astype(np.int64)
+
+
+def _positive_indices(
+    params: HRParams, samples: int, stream: CounterStream
+) -> Iterator[np.ndarray]:
+    """Polynomial indices of ``samples`` ``sample_positive`` calls on ``stream``, in chunks.
+
+    The slots are read in blocks from ``stream.index`` on, in order; a
+    rejected draw is dropped exactly as ``next_below`` drops it, and each c
+    kept draws are one polynomial's coefficients, degree 0 first.  A block
+    short of kept draws is topped up by exactly the missing number of slots,
+    so the stream ends where the per-draw calls would leave it.
+    """
+    n, c = params.n, params.c
+    place = n ** np.arange(c, dtype=np.int64)
+    chunk = max(1, _CHUNK_ENTRIES // n)
+    for done in range(0, samples, chunk):
+        want = min(chunk, samples - done) * c
+        digits = np.empty(0, dtype=np.int64)
+        while len(digits) < want:
+            take = want - len(digits)
+            digits = np.concatenate([digits, _draw_digits(stream.block(stream.index, take), n)])
+            stream.index += take
+        yield digits.reshape(-1, c) @ place
+
+
+def _sampled_containment(hr: HRFamily, masks, samples: int, seed: int) -> Estimate:
+    """Share of ``samples`` positive draws whose value set contains some mask.
+
+    Draw s is the s-th ``sample_positive`` call on ``CounterStream(seed)``,
+    so the estimate equals the one-draw-at-a-time ``mc_event_probability``.
+    """
+    hits = 0
+    for index in _positive_indices(hr.params, samples, CounterStream(seed)):
+        drawn, where = np.unique(index, return_inverse=True)
+        rows = unpack_rows((hr.images[i] for i in drawn.tolist()), hr.params.n)
+        hits += count_covered(rows[where], masks)
+    return Estimate.from_hits(hits, samples, seed)
+
+
 class PositiveTestDistribution:
     """Distribution of value-set masks of a uniform random polynomial.
 
@@ -170,17 +216,19 @@ def verify_positive_acceptance(
 
     Exact mode counts qualifying polynomials; a qualifying S_P contains a
     minterm (itself), and a non-qualifying one is lighter than every
-    minterm, so the count is exact, not just a bound.
+    minterm, so the count is exact, not just a bound.  Monte-Carlo mode
+    draws ``samples`` polynomials from ``CounterStream(seed)`` in blocks:
+    each c draws that ``next_below(n)`` keeps are one polynomial's
+    coefficients, degree 0 first, so the slots read and the estimate equal
+    ``samples`` calls of ``sample_positive``.  A draw counts when its value
+    set contains a member of ``hr.family``.
     """
     params = hr.params
     bound = 1 - Fraction(params.k - 1, params.n)
     if exact_engine(mode):
         value = Fraction(hr.n_qualifying, params.n_polynomials)
         return value, bound
-    est = mc_event_probability(
-        lambda m: hr.eval(m) == 1, lambda stream: sample_positive(hr, stream), samples, seed
-    )
-    return est, float(bound)
+    return _sampled_containment(hr, hr.family.members, samples, seed), float(bound)
 
 
 def verify_negative_rejection(
@@ -206,7 +254,13 @@ def verify_negative_rejection(
 def verify_minterm_spread(
     hr: HRFamily, a_mask: int, mode: str = "exact", samples: int = 100_000, seed: int = 0
 ):
-    """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c."""
+    """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c.
+
+    Monte-Carlo mode reads the slots of ``CounterStream(seed)`` as
+    ``verify_positive_acceptance`` does: ``samples`` block-drawn
+    polynomials, equal to as many ``sample_positive`` calls, each counted
+    when its value set contains A.
+    """
     params = hr.params
     exact = exact_engine(mode)
     size = a_mask.bit_count()
@@ -216,10 +270,7 @@ def verify_minterm_spread(
     if exact:
         hits = sum(1 for m in hr.images if m & a_mask == a_mask)
         return Fraction(hits, params.n_polynomials), bound
-    est = mc_event_probability(
-        lambda m: m & a_mask == a_mask, lambda stream: sample_positive(hr, stream), samples, seed
-    )
-    return est, float(bound)
+    return _sampled_containment(hr, [a_mask], samples, seed), float(bound)
 
 
 def verify_cwise_independence(

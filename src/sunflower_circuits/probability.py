@@ -149,6 +149,16 @@ def pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def unpack_rows(masks, width: int) -> np.ndarray:
+    """Boolean rows of ``width`` columns, bit j of each mask in column j: ``pack_rows`` inverted."""
+    masks = list(masks)
+    size = -(-width // 8)
+    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(
+        packed.reshape(len(masks), size), axis=1, count=width, bitorder="little"
+    ).astype(bool)
+
+
 def sample_p_subset(n: int, p, stream: CounterStream) -> int:
     """One p-biased subset of [n]; consumes exactly n counter slots."""
     mask = pack_rows(stream.bernoulli_block(stream.index, n, p))[0]

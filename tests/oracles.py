@@ -1,11 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: full enumeration with exact
-rationals, no sharing of code paths with the package under test.  The
-exception is the reference extractions at the end: they are the recursive
-forms of the package's three extraction loops, over the package's own link,
-spread check, Janson certificate and verification, so that they check the
-loops and nothing else.
+rationals, no sharing of code paths with the package under test.  Two
+exceptions check one layer of the package over its own lower layers:
+``kclique_hits_loop`` decides each sampled graph with the package's
+backtracking search and no pruning, and the reference extractions at the
+end are the recursive forms of the package's three extraction loops, over
+the package's own link, spread check, Janson certificate and verification.
 """
 
 from fractions import Fraction
@@ -319,6 +320,36 @@ def set_sample_hits(members, y, p, samples, stream):
             if bits[j]:
                 w |= 1 << pos
         if any(m & ~w == 0 for m in reduced):
+            hits += 1
+    return hits
+
+
+def kclique_hits_loop(n, k, p, samples, seed):
+    """Graphs of G(n, p) with a k-clique, one sample at a time with no pruning.
+
+    Sample s reads slots s*C(n,2) .. (s+1)*C(n,2) - 1 of stream 0 as its
+    edges in edge-index order (edge {u, v}, u < v, at (v-1)(v-2)/2 + u-1),
+    builds the neighbour masks edge by edge and runs the package's
+    backtracking search on them.
+    """
+    from sunflower_circuits.cliques import _has_clique_masks
+    from sunflower_circuits.rng import CounterStream
+
+    if k <= 1:
+        return samples if k <= 0 or n >= 1 else 0
+    m = n * (n - 1) // 2
+    endpoints = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+    stream = CounterStream(seed)
+    hits = 0
+    for s in range(samples):
+        bits = stream.bernoulli_block(s * m, m, p)
+        adj = [0] * n
+        for i in range(m):
+            if bits[i]:
+                u, v = endpoints[i]
+                adj[u - 1] |= 1 << (v - 1)
+                adj[v - 1] |= 1 << (u - 1)
+        if _has_clique_masks(adj, k):
             hits += 1
     return hits
 

@@ -287,6 +287,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("sizes", [
+        ["-P", "n=0", "-P", "k=2"],  # deriving p = n^(-2/(k-1)) divided by zero
+        ["-P", "n=-3", "-P", "k=3", "-P", "p=1/2"],
+        ["-P", "n=5", "-P", "k=-1", "-P", "p=1/2"],
+    ])
+    def test_clique_verify_bad_sizes_exit_two(self, sizes, capsys):
+        assert main(["clique-verify", "--seed", "1", "--samples", "100", *sizes]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
     def test_closure_demo_noise_outside_unit_interval_exits_two(self, capsys):
         argv = ["closure-demo", "-P", "n=3", "-P", "minterms=1", "-P", "eps=1/10",
                 "-P", "c=2", "-P", "noise_p=7"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sunflower_circuits.cliques import (
     CliqueApproxParams,
@@ -39,6 +39,7 @@ from sunflower_circuits.monotone import (
     is_closed,
     trim,
 )
+from sunflower_circuits.probability import Estimate
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, core, mask_of
 
@@ -49,6 +50,7 @@ from oracles import (
     brute_pq_hit,
     brute_probability,
     graph_accepts,
+    kclique_hits_loop,
 )
 
 
@@ -383,6 +385,30 @@ class TestParametersAndBounds:
     def test_kclique_probability_towards_zero(self):
         est = verify_no_kclique_bound(16, 4, 0.01, 500, seed=1)
         assert est.value <= 0.01
+
+    @pytest.mark.parametrize("n,k", [(0, 3), (-3, 3), (5, -1)])
+    def test_bad_sizes_refused_before_sampling(self, n, k):
+        with pytest.raises(ValueError):
+            verify_no_kclique_bound(n, k, 0.5, 100)
+
+    def test_sub_blocks_match_loop(self):
+        # 600 rows of n=64 span many sub-blocks of the pruned decider
+        est = verify_no_kclique_bound(64, 4, Fraction(1, 8), 600, seed=5)
+        assert est == Estimate.from_hits(kclique_hits_loop(64, 4, Fraction(1, 8), 600, 5), 600, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        k=st.integers(0, 6),
+        p=st.sampled_from([Fraction(0), Fraction(1, 16), Fraction(1, 2), Fraction(1)]),
+        samples=st.integers(100, 120),
+        seed=st.integers(0, 3),
+    )
+    @example(n=70, k=4, p=Fraction(1, 16), samples=100, seed=1)  # edge rows past one word
+    @example(n=3, k=5, p=Fraction(1), samples=100, seed=0)  # k > n
+    def test_pruned_hits_match_unpruned_loop(self, n, k, p, samples, seed):
+        est = verify_no_kclique_bound(n, k, p, samples, seed)
+        assert est == Estimate.from_hits(kclique_hits_loop(n, k, p, samples, seed), samples, seed)
 
 
 class TestCliqueSpread:

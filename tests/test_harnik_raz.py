@@ -1,7 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,6 +273,61 @@ class TestCwiseIndependence:
             vals = tuple(rng.randrange(5) for _ in range(3))
             got, want = verify_cwise_independence(params, pts, vals)
             assert got == want == Fraction(1, 125)
+
+
+class _ScriptedStream(CounterStream):
+    """A stream whose slot i holds draws[i], read one at a time or in blocks."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = draws
+
+    def at(self, i):
+        return int(self.draws[i])
+
+    def block(self, start, count):
+        assert start + count <= len(self.draws), "read past the scripted draws"
+        return self.draws[start : start + count].copy()
+
+
+class TestBlockPositiveSampler:
+    N, C = 11, 2
+    LIMIT = (1 << 64) // 11 * 11  # next_below(11) rejects draws at or above this
+
+    def _draws(self, seed):
+        rng = random.Random(seed)
+        values = [rng.getrandbits(64) for _ in range(400)]
+        for i in rng.sample(range(400), 60):  # dense rejections, runs of them included
+            values[i] = rng.randrange(self.LIMIT, 1 << 64)
+        values[:3] = [self.LIMIT, (1 << 64) - 1, self.LIMIT + 1]
+        return np.array(values, dtype=np.uint64)
+
+    def test_digits_drop_rejected_draws(self):
+        draws = self._draws(0)
+        want = [int(d) % self.N for d in draws if int(d) < self.LIMIT]
+        assert harnik_raz._draw_digits(draws, self.N).tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_indices_replay_sample_positive_over_the_same_slots(self, seed):
+        draws = self._draws(seed)
+        params = HRParams(self.N, self.C, 3)
+        # images = indices, so sample_positive returns the polynomial index it drew
+        hr = dataclasses.replace(build_hr_family(params), images=tuple(range(params.n_polynomials)))
+        samples = len(harnik_raz._draw_digits(draws, self.N)) // self.C
+        block, twin = _ScriptedStream(draws), _ScriptedStream(draws)
+        got = np.concatenate(list(harnik_raz._positive_indices(params, samples, block)))
+        assert got.tolist() == [sample_positive(hr, twin) for _ in range(samples)]
+        assert block.index == twin.index
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mc_verifiers_equal_the_per_draw_loop(self, seed):
+        hr = build_hr_family(HRParams(13, 2, 4))
+        a_mask = mask_of([2, 5], 13)
+        draw = lambda stream: sample_positive(hr, stream)
+        est, _ = verify_positive_acceptance(hr, "mc", 3000, seed)
+        assert est == mc_event_probability(lambda m: hr.eval(m) == 1, draw, 3000, seed)
+        est, _ = verify_minterm_spread(hr, a_mask, "mc", 3000, seed)
+        assert est == mc_event_probability(lambda m: m & a_mask == a_mask, draw, 3000, seed)
 
 
 class TestSamplers:
