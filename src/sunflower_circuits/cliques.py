@@ -8,13 +8,16 @@ derived edge family {K_A} feeds the same coverage engine used for plain
 set families, which keeps the two notions of sunflower aligned.
 
 The (p, q) variant draws an edge-biased graph and an independent
-q-biased vertex set; the q = 1 specialization coincides with the plain
-clique-sunflower test.  A member A over the vertex core B is the single
+q-biased vertex set.  A member A over the vertex core B is the single
 mask (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)): p-biased edge bits,
 then q-biased vertex bits.  This module builds those masks and reads
 cliques; the coverage core of ``probability`` makes every exact strategy
 choice and refusal (``exact_coverage``) and samples (one row of C(n,2)+n
-columns per sample, edges first), exactly as for set families.
+columns per sample, edges first), exactly as for set families.  The
+plain clique-sunflower is the q = 1 case, one call of the (p, q) path:
+the core clears the certain vertex bits, which leaves the edge family
+{K_A \\ K_B}.  ``has_k_clique`` is the one clique decider; it decides a
+block of graphs at a time.
 
 Clique-shaped functions are ``monotone.MonotoneFunction``s over vertex
 masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
@@ -23,7 +26,6 @@ masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,13 +40,11 @@ from .probability import (
     ExactProbability,
     RobustnessCheck,
     bernoulli_rows,
-    coverage_exact,
-    coverage_mc,
     exact_engine,
     exact_coverage,
     pack_rows,
+    sample_p_subset,
     sampled_coverage,
-    unpack_rows,
 )
 from .rng import CounterStream
 from .setfamily import (
@@ -75,14 +75,6 @@ def edge_index(u: int, v: int) -> int:
     return (v - 1) * (v - 2) // 2 + (u - 1)
 
 
-def edge_endpoints(idx: int) -> tuple[int, int]:
-    v = 2
-    while (v - 1) * (v - 2) // 2 + (v - 2) < idx:
-        v += 1
-    u = idx - (v - 1) * (v - 2) // 2 + 1
-    return u, v
-
-
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -105,18 +97,9 @@ def clique_edges(vertex_mask: int) -> int:
     return edges
 
 
-def clique_graph(n: int, vertex_mask: int) -> Graph:
-    if vertex_mask >> n:
-        raise ValueError("vertices outside [n]")
-    return Graph(n, clique_edges(vertex_mask))
-
-
 def gnp_sample(n: int, p, stream: CounterStream) -> Graph:
     """One draw of the binomial random graph; consumes C(n,2) counter slots."""
-    m = edge_count(n)
-    edges = pack_rows(stream.bernoulli_block(stream.index, m, p))[0]
-    stream.index += m
-    return Graph(n, edges)
+    return Graph(n, sample_p_subset(edge_count(n), p, stream))
 
 
 def _has_clique_masks(adj: list[int], k: int) -> bool:
@@ -166,13 +149,6 @@ def _has_clique_masks(adj: list[int], k: int) -> bool:
     return expand(0, cand)
 
 
-def has_k_clique(g: Graph, k: int) -> bool:
-    """Exact clique decision: the one-row case of ``_has_clique_rows``."""
-    if g.n > 128:
-        raise ValueError("clique decision capped at 128 vertices")
-    return bool(_has_clique_rows(unpack_rows([g.edges], edge_count(g.n)), g.n, k)[0])
-
-
 @lru_cache(maxsize=16)
 def _edge_columns(n: int) -> np.ndarray:
     """Column of edge {u, v} in an edge row at [u-1, v-1] and [v-1, u-1]; C(n,2) on the diagonal."""
@@ -184,7 +160,7 @@ def _edge_columns(n: int) -> np.ndarray:
     return pair
 
 
-def _has_clique_rows(bits: np.ndarray, n: int, k: int) -> np.ndarray:
+def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per row of edge bits (``edge_index`` order), whether its graph has a k-clique.
 
     The rows are cut into sub-blocks of about ``_ADJ_BLOCK`` adjacency
@@ -224,25 +200,6 @@ def _has_clique_rows(bits: np.ndarray, n: int, k: int) -> np.ndarray:
 CliqueFamily = SetFamily  # the name bench/workloads.py builds clique families by
 
 
-def clique_coverage(
-    s: SetFamily,
-    core_vertices: int,
-    p,
-    engine: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
-):
-    """Pr[some K_A lies inside G(n,p) union K_core], via the edge ground set."""
-    exact = exact_engine(engine)
-    if edge_count(s.n) == 0:
-        return ExactProbability(Fraction(1 if s.members else 0))  # only empty graphs exist
-    fam = SetFamily.from_masks(edge_count(s.n), (clique_edges(a) for a in s.members))
-    y = clique_edges(core_vertices)
-    if exact:
-        return coverage_exact(fam, y, p)
-    return coverage_mc(fam, y, p, samples, seed)
-
-
 def _pq_masks(s: SetFamily, core_vertices: int) -> Iterator[int]:
     """Each member's missing edges, then its missing vertices above C(n,2)."""
     b = core_vertices
@@ -257,7 +214,8 @@ def pq_coverage_exact(s: SetFamily, core_vertices: int, p, q) -> ExactProbabilit
     The per-member event is a conjunction of independent coordinates (the
     missing edges of K_A must be in G, the missing vertices in U), so the
     coverage core's (p, q) rule applies to the concatenated masks, with the
-    vertex bits as its q-part.
+    vertex bits as its q-part.  At q = 1 this is the coverage of the edge
+    family {K_A} over K_B by G(n, p).
     """
     return ExactProbability(exact_coverage(_pq_masks(s, core_vertices), edge_count(s.n), p, q))
 
@@ -271,16 +229,6 @@ def pq_coverage_mc(
     return sampled_coverage(masks, split + s.n, split, p, q, samples, seed)
 
 
-def is_clique_sunflower(
-    s: SetFamily, p, eps, engine: str = "exact", **kw
-) -> RobustnessCheck:
-    """Strict test: clique coverage over the family's vertex core > 1 - eps."""
-    if not s.members:
-        raise EmptyFamilyError("empty clique family")
-    y = core(s)
-    return RobustnessCheck.of(clique_coverage(s, y, p, engine, **kw), y, eps)
-
-
 def is_pq_clique_sunflower(
     s: SetFamily,
     p,
@@ -290,6 +238,7 @@ def is_pq_clique_sunflower(
     samples: int = 100_000,
     seed: int = 0,
 ) -> RobustnessCheck:
+    """Strict test: (p, q) coverage over the family's vertex core > 1 - eps."""
     if not s.members:
         raise EmptyFamilyError("empty clique family")
     b = core(s)
@@ -315,21 +264,6 @@ def s_poly_exact(size: int, t) -> Fraction:
     if tf <= 0:
         raise ValueError("t must be positive")
     return _s_poly_frac(size, tf)
-
-
-def clique_sunflower_threshold(size: int, p: float, eps: float) -> float:
-    """l!(2 ln(1/eps))^l (1/p)^C(l,2): guarantees a (p,eps)-clique-sunflower.
-
-    Note the C(l,2) exponent sits on 1/p only; the log factor carries a
-    plain l, which is what beats the generic robust-sunflower threshold.
-    """
-    if eps >= math.exp(-0.5):
-        warnings.warn("threshold regime expects eps < e^{-1/2}", stacklevel=2)
-    return (
-        math.factorial(size)
-        * (2.0 * math.log(1.0 / eps)) ** size
-        * (1.0 / p) ** math.comb(size, 2)
-    )
 
 
 @dataclass(frozen=True)
@@ -502,7 +436,7 @@ def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> E
     Sample s is row s of ``bernoulli_rows``: it reads counter slots
     s*C(n,2) + j of stream 0, edge j in ``edge_index`` order, so the
     estimate equals one ``gnp_sample`` per sample.  The rows are decided a
-    block at a time by ``_has_clique_rows``, which drops every edge whose
+    block at a time by ``has_k_clique``, which drops every edge whose
     endpoints share fewer than k-2 neighbours before the exact search; an
     edge of a k-clique shares the other k-2 clique vertices, so the pruning
     changes no decision and the hit count is exact.  n < 1 or k < 0 raise
@@ -514,7 +448,7 @@ def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> E
         raise ValueError("need k >= 0")
     m = edge_count(n)
     rows = bernoulli_rows(seed, samples, m, m, p, p)
-    hits = sum(int(_has_clique_rows(bits, n, k).sum()) for bits in rows)
+    hits = sum(int(has_k_clique(bits, n, k).sum()) for bits in rows)
     return Estimate.from_hits(hits, samples, seed)
 
 

@@ -297,18 +297,3 @@ def verify_cwise_independence(
     )
     return Fraction(hits, params.n_polynomials), Fraction(1, params.n**size)
 
-
-def default_hr_parameters(n: int, B: float = 1.0) -> tuple[int, int]:
-    """(k, c) = (round(sqrt(n)), round(k / (18 B ln n))), clamped to 1 <= c < k.
-
-    B defaults to 1 so that desk-scale n yields a usable c; the
-    extraction-grade default for B elsewhere is far larger.
-    """
-    if not is_prime(n):
-        raise ValueError("n must be prime")
-    k = round(math.sqrt(n))
-    c = max(1, round(k / (18.0 * B * math.log(n))))
-    c = min(c, k - 1)
-    if not 1 <= c < k < n:
-        raise ValueError(f"degenerate parameters for n={n}")
-    return k, c

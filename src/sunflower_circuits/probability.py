@@ -12,6 +12,9 @@ core B (see ``cliques``) is (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)).
 Coverage is Pr[some mask lies inside the random set], and
 ``exact_coverage`` owns every exact strategy and refusal:
 
+* q = 1: a bias-1 bit is always present, so every q-part is cleared
+  first and the masks are plain; the q = 1 clique reading is then the
+  plain edge reading, in value, strategy and refusal;
 * reduction: ``antichain_minimize``; no mask left means 0, the zero mask 1;
 * inclusion-exclusion over the subfamilies of at most min(work cap, 20)
   masks adds +-1 into integer counts c[a, b] keyed by the sizes of the
@@ -41,9 +44,8 @@ decides the strict test coverage > 1 - eps.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterator, Optional
@@ -107,14 +109,6 @@ class Estimate:
     @property
     def high(self) -> float:
         return min(1.0, self.value + self.half_width)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Estimate":
-        d = json.loads(text)
-        return cls(d["value"], d["half_width"], d["confidence"], d["samples"], d["seed"])
 
 
 def wilson_half_width(hits: int, samples: int, confidence: float) -> float:
@@ -268,7 +262,8 @@ def _weight_counts(table: np.ndarray, width: int) -> list[int]:
 def exact_coverage(masks, split: int, p, q) -> Fraction:
     """Pr[some mask lies inside the random set]: bits below ``split`` p-biased, the rest q-biased.
 
-    Masks with a q-part take inclusion-exclusion up to ``ie_limit()``
+    At q = 1 the q-parts are cleared before reduction, since a bias-1 bit
+    is always present, and the masks are plain.  Masks with a q-part take inclusion-exclusion up to ``ie_limit()``
     reduced masks; past that they condition on the q-envelope (the union of
     the q-parts, at most ``ie_limit()`` bits), each outcome U keeping the
     p-parts of the masks whose q-part lies in U.  Plain masks, m of them
@@ -278,6 +273,9 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     iff step * 2^m <= set-up + row * 2^w.  Either gives the same value.
     """
     pf, qf = bias(p), bias(q)
+    low = (1 << split) - 1
+    if qf == 1:
+        masks = (m & low for m in masks)
     reduced = antichain_minimize(masks)
     if not reduced:
         return Fraction(0)
@@ -293,9 +291,8 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
         width = envelope.bit_count()
         if width > limit:
             raise ExactIntractableError(width, limit)
-        low = (1 << split) - 1
         total = Fraction(0)
-        for u in iter_submasks(envelope):  # even at weight 0, so q = 1 refuses as q < 1 does
+        for u in iter_submasks(envelope):
             parts = [m & low for m in reduced if (m >> split) & ~u == 0]
             weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
             total += weight * exact_coverage(parts, split, pf, pf)

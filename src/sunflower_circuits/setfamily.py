@@ -103,9 +103,6 @@ class SetFamily:
     def __contains__(self, mask: int) -> bool:
         return mask in set(self.members)
 
-    def as_sets(self) -> list[tuple[int, ...]]:
-        return [elements_of(m) for m in self.members]
-
 
 def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
     """Keep inclusion-minimal masks, canonically ordered.

@@ -1,4 +1,4 @@
-"""Sunflower detection, robust-sunflower thresholds and constructive extraction.
+"""Sunflower detection and constructive robust-sunflower extraction.
 
 A sunflower is a family whose pairwise intersections all equal a common
 kernel; the robust variant asks instead that a p-biased set W joined with
@@ -11,7 +11,9 @@ ends the loop and is lifted once by the union of the Ts, which are
 disjoint, so that equals lifting by each T in turn.  B is a tunable
 constant, so every result is post-verified and carries a ``verified``
 flag; a False flag with a too-small B is a legitimate experimental
-outcome, not an error.
+outcome, not an error.  The threshold formulas here are the two the
+extractions use, the Erdős–Rado bound and ``spread_radius``; the paper's
+improved robust-sunflower threshold is ``spread_radius(...) ** l``.
 
 All logarithms are natural; a change of base is absorbed into B.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BaseCaseFailedError, ExactIntractableError, ThresholdNotMetError
-from .probability import RobustnessCheck, coverage_exact, is_robust_sunflower
+from .probability import RobustnessCheck, is_robust_sunflower
 from .setfamily import SetFamily, check_spread, core, link, uniform_size
 
 
@@ -47,7 +49,7 @@ class Sunflower:
 
 @dataclass(frozen=True)
 class ThresholdParams:
-    """Tunable constant of the improved robust-sunflower threshold.
+    """Tunable constant B of the spread radius.
 
     The bound only guarantees that some B > 0 works; 64 is a generous
     default for experiments and is deliberately configurable.
@@ -67,50 +69,9 @@ def erdos_rado_threshold(size: int, petals: int) -> int:
     return math.factorial(size) * (petals - 1) ** size
 
 
-def robust_sunflower_threshold(size: int, p: float, eps: float) -> float:
-    """l!(2 ln(1/eps)/p)^l: guarantees a (p,eps)-robust sunflower inside."""
-    if not 0 < p <= 1 or not 0 < eps < 1:
-        raise ValueError("need p in (0,1] and eps in (0,1)")
-    return math.factorial(size) * (2.0 * math.log(1.0 / eps) / p) ** size
-
-
-def improved_robust_threshold(
-    size: int, p: float, eps: float, params: ThresholdParams = ThresholdParams()
-) -> float:
-    """(B ln(l/eps)/p)^l, valid for p, eps in (0, 1/2]."""
-    if not 0 < p <= 0.5 or not 0 < eps <= 0.5:
-        raise ValueError("need p and eps in (0, 1/2]")
-    return (params.B * math.log(size / eps) / p) ** size
-
-
 def spread_radius(size: int, p: float, eps: float, params: ThresholdParams) -> float:
     """r = B ln(l/eps)/p used by the extraction loop."""
     return params.B * math.log(size / eps) / p
-
-
-def uniform_sunflower_robustness(petals: int, p: float, size: int) -> float:
-    """eps = exp(-r p^l): an l-uniform sunflower of r petals is (p, eps)-robust."""
-    return math.exp(-petals * p**size)
-
-
-def check_uniform_sunflower_robustness(sunflower: Sunflower, p) -> dict:
-    """Exact coverage of a sunflower vs the two closed-form lower bounds.
-
-    With r petals of size l and disjoint petal remainders, coverage equals
-    1-(1-p^(l-|kernel|))^r >= 1-(1-p^l)^r >= 1-exp(-r p^l).
-    """
-    r = len(sunflower.petals)
-    size = uniform_size(sunflower.petals)
-    cover = coverage_exact(sunflower.petals, sunflower.kernel, p)
-    pf = Fraction(p)
-    closed_form = 1 - (1 - pf ** (size - sunflower.kernel.bit_count())) ** r
-    weaker = 1 - (1 - pf**size) ** r
-    return {
-        "coverage": cover,
-        "closed_form": closed_form,
-        "weak_bound": weaker,
-        "exp_bound": 1.0 - uniform_sunflower_robustness(r, float(p), size),
-    }
 
 
 def _greedy_disjoint(family: SetFamily, petals: int) -> list[int]:

@@ -405,6 +405,26 @@ class TestMain:
         assert row["value"] is True
         assert row["probability"]["samples"] == 1000
 
+    @staticmethod
+    def _pairs_file(tmp_path):
+        # 22 disjoint edges on 44 vertices: the vertex envelope 44 is past every exact cap,
+        # the edge family (22 members over 22 edges) enumerates 2^22 rows
+        return write_family(tmp_path, "pairs.txt", 44, [(2 * i + 1, 2 * i + 2) for i in range(22)])
+
+    def test_janson_at_q_one_answers_exactly(self, tmp_path, capsys):
+        fam = self._pairs_file(tmp_path)
+        assert main(["janson", "-P", "n=44", "-P", f"family={fam}", "-P", "p=1/2"]) == 0
+        row = json.loads(capsys.readouterr().out)["checks"][0]
+        assert row["name"] == "janson-miss-bound" and row["value"] == "1/4194304"
+
+    def test_clique_extract_at_q_one_verifies_exactly(self, tmp_path, capsys):
+        fam = self._pairs_file(tmp_path)
+        argv = ["clique-extract", "-P", "n=44", "-P", f"family={fam}", "-P", "p=1/2",
+                "-P", "eps=1/10"]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)["checks"][0]
+        assert row["value"] is True and row["probability"] == "4194303/4194304"
+
     @pytest.mark.parametrize("argv", [
         ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],
         ["sunflower-extract", "-P", "n=4", "-P", "family=star:3", "-P", "p=1/2",

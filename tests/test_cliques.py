@@ -3,26 +3,22 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sunflower_circuits.cliques import (
     CliqueApproxParams,
-    Graph,
-    clique_coverage,
+    _edge_columns,
     clique_edges,
     clique_function,
-    clique_graph,
     clique_parameters,
     clique_spread_check,
-    clique_sunflower_threshold,
     edge_count,
-    edge_endpoints,
     edge_index,
     find_clique_sunflower,
     gnp_sample,
     has_k_clique,
-    is_clique_sunflower,
     is_pq_clique_sunflower,
     janson_certificate,
     pq_coverage_exact,
@@ -39,7 +35,7 @@ from sunflower_circuits.monotone import (
     is_closed,
     trim,
 )
-from sunflower_circuits.probability import Estimate
+from sunflower_circuits.probability import Estimate, coverage_exact, unpack_rows
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, core, mask_of
 
@@ -52,6 +48,11 @@ from oracles import (
     graph_accepts,
     kclique_hits_loop,
 )
+
+
+def edge_family(s):
+    """The edge family {K_A : A in s} over the C(n,2) vertex pairs."""
+    return SetFamily.from_masks(edge_count(s.n), [clique_edges(a) for a in s.members])
 
 
 class TestEdgeIndexing:
@@ -71,22 +72,24 @@ class TestEdgeIndexing:
             assert len(seen) == edge_count(n)
 
     def test_endpoints_inverse(self):
-        for idx in range(edge_count(12)):
-            u, v = edge_endpoints(idx)
-            assert edge_index(u, v) == idx
+        # the decider's column map sends both orders of {u, v} to edge_index(u, v)
+        n = 12
+        columns = _edge_columns(n)
+        for u, v in combinations(range(1, n + 1), 2):
+            assert columns[u - 1, v - 1] == columns[v - 1, u - 1] == edge_index(u, v)
+        assert (np.diagonal(columns) == edge_count(n)).all()
 
 
 class TestCliqueGraph:
     def test_pair(self):
-        assert clique_graph(4, mask_of([1, 2], 4)).edges == 1
+        assert clique_edges(mask_of([1, 2], 4)) == 1
 
     def test_empty(self):
-        assert clique_graph(4, 0).edges == 0
-        assert clique_graph(4, mask_of([3], 4)).edges == 0
+        assert clique_edges(0) == 0
+        assert clique_edges(mask_of([3], 4)) == 0
 
     def test_triangle(self):
-        g = clique_graph(4, mask_of([1, 2, 3], 4))
-        assert g.edges.bit_count() == 3
+        assert clique_edges(mask_of([1, 2, 3], 4)).bit_count() == 3
 
     def test_intersection_identity(self):
         # K_A intersect K_B equals K_{A cap B}, exhaustively for n <= 6
@@ -122,44 +125,50 @@ class TestGnp:
 
 class TestHasClique:
     def test_clique_graph_contains_itself(self):
-        g = clique_graph(8, mask_of([2, 4, 6, 8], 8))
-        assert has_k_clique(g, 4)
-        assert not has_k_clique(g, 5)
+        bits = unpack_rows([clique_edges(mask_of([2, 4, 6, 8], 8))], edge_count(8))
+        assert has_k_clique(bits, 8, 4).tolist() == [True]
+        assert has_k_clique(bits, 8, 5).tolist() == [False]
 
     def test_empty_graph(self):
-        assert not has_k_clique(Graph(5, 0), 2)
-        assert has_k_clique(Graph(5, 0), 1)
-        assert has_k_clique(Graph(5, 0), 0)
+        empty = np.zeros((3, edge_count(5)), dtype=bool)
+        assert has_k_clique(empty, 5, 2).tolist() == [False] * 3
+        assert has_k_clique(empty, 5, 1).tolist() == [True] * 3
+        assert has_k_clique(empty, 5, 0).tolist() == [True] * 3
 
     def test_against_exhaustive_scan(self):
+        # per n, one block of sparse, even, dense, empty and complete graphs
         rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(4, 8)
-            edges = rng.getrandbits(edge_count(n))
-            g = Graph(n, edges)
-            edge_set = {
-                frozenset(edge_endpoints(i))
-                for i in range(edge_count(n))
-                if edges >> i & 1
-            }
-            for k in (2, 3, 4):
-                assert has_k_clique(g, k) == brute_has_clique(n, edge_set, k)
+        for n in range(4, 9):
+            m = edge_count(n)
+            edges = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
+            edges += [rng.getrandbits(m) for _ in range(4)]
+            edges += [rng.getrandbits(m) | rng.getrandbits(m) for _ in range(8)]
+            edges += [0, (1 << m) - 1]
+            bits = unpack_rows(edges, m)
+            edge_sets = [
+                {frozenset((u, v)) for u, v in combinations(range(1, n + 1), 2)
+                 if e >> edge_index(u, v) & 1}
+                for e in edges
+            ]
+            for k in range(8):
+                want = [brute_has_clique(n, edge_set, k) for edge_set in edge_sets]
+                assert has_k_clique(bits, n, k).tolist() == want
 
 
 class TestCliqueCoverage:
     def test_two_edges_through_core(self):
         s = SetFamily.from_sets(3, [(1, 2), (1, 3)])
-        got = clique_coverage(s, mask_of([1], 3), Fraction(1, 2))
+        got = pq_coverage_exact(s, mask_of([1], 3), Fraction(1, 2), 1)
         assert got.value == Fraction(3, 4)
 
     def test_member_inside_core(self):
         s = SetFamily.from_sets(4, [(1, 2, 3)])
-        got = clique_coverage(s, mask_of([1, 2, 3], 4), Fraction(1, 7))
+        got = pq_coverage_exact(s, mask_of([1, 2, 3], 4), Fraction(1, 7), 1)
         assert got.value == 1
 
     def test_two_triangles_sharing_edge(self):
         s = SetFamily.from_sets(4, [(1, 2, 3), (1, 2, 4)])
-        got = clique_coverage(s, mask_of([1, 2], 4), Fraction(1, 2))
+        got = pq_coverage_exact(s, mask_of([1, 2], 4), Fraction(1, 2), 1)
         assert got.value == Fraction(7, 16)
 
 
@@ -167,7 +176,7 @@ class TestPqCoverage:
     def test_q_one_matches_plain(self):
         s = SetFamily.from_sets(5, [(1, 2), (1, 3), (4, 5)])
         y = core(s)
-        plain = clique_coverage(s, y, Fraction(1, 2)).value
+        plain = coverage_exact(edge_family(s), clique_edges(y), Fraction(1, 2)).value
         joint = pq_coverage_exact(s, y, Fraction(1, 2), 1).value
         assert plain == joint
 
@@ -204,15 +213,16 @@ class TestSunflowerChecks:
             while len(masks) < 2:
                 masks.add(sum(1 << i for i in rng.sample(range(n), 2)))
             s = SetFamily.from_masks(n, masks)
+            plain = coverage_exact(edge_family(s), clique_edges(core(s)), Fraction(1, 2)).value
             for eps in (0.2, 0.6):
                 a = is_pq_clique_sunflower(s, Fraction(1, 2), 1, eps)
-                b = is_clique_sunflower(s, Fraction(1, 2), eps)
-                assert a.decision == b.decision
-                assert a.probability.value == b.probability.value
+                assert a.kernel == core(s)
+                assert a.decision == (plain > 1 - Fraction(eps))
+                assert a.probability.value == plain
 
     def test_eps_above_one_always_true(self):
         s = SetFamily.from_sets(4, [(1, 2)])
-        assert is_clique_sunflower(s, Fraction(1, 2), 1.5).decision is True
+        assert is_pq_clique_sunflower(s, Fraction(1, 2), 1, 1.5).decision is True
 
 
 class TestSPoly:
@@ -237,25 +247,6 @@ class TestSPoly:
 
     def test_float_wrapper(self):
         assert float(s_poly_exact(2, 1)) == 3.0
-
-
-class TestThreshold:
-    def test_size_one(self):
-        eps = math.exp(-2)
-        assert clique_sunflower_threshold(1, 0.5, eps) == pytest.approx(4.0)
-
-    def test_size_two(self):
-        assert clique_sunflower_threshold(2, 0.5, math.exp(-1)) == pytest.approx(16.0)
-
-    def test_exponent_grows_quadratically_vs_linear(self):
-        # the log factor carries exponent l; 1/p carries C(l,2)
-        p, eps = 0.5, math.exp(-1)
-        t3 = clique_sunflower_threshold(3, p, eps)
-        assert t3 == pytest.approx(math.factorial(3) * 2**3 * 2**3)
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning):
-            clique_sunflower_threshold(2, 0.5, 0.9)
 
 
 class TestJanson:
@@ -370,15 +361,11 @@ class TestParametersAndBounds:
             clique_parameters(64, 0.5)
 
     def test_kclique_probability_small_case_exact(self):
-        # n=6, k=3, p=1/2: compare mc against exhaustive enumeration of 2^15 graphs
+        # n=6, k=3, p=1/2: compare mc against all 2^15 graphs, decided as one block
         n, k = 6, 3
-        total = 1 << edge_count(n)
-        hits = sum(
-            1
-            for e in range(total)
-            if has_k_clique(Graph(n, e), k)
-        )
-        exact = hits / total
+        m = edge_count(n)
+        graphs = np.arange(1 << m)[:, None]
+        exact = has_k_clique((graphs >> np.arange(m) & 1).astype(bool), n, k).mean()
         est = verify_no_kclique_bound(n, k, 0.5, 4000, seed=3)
         assert abs(est.value - exact) <= 3 * est.half_width
 
@@ -454,7 +441,7 @@ class TestCliqueShapedAlgebra:
             w_g, f_g, g_g = (graph_accepts(h.minterms, edges) for h in (w, f, g))
             assert w_g <= (f_g & g_g)
         for a in range(1 << n):
-            ka = clique_graph(n, a).edges
+            ka = clique_edges(a)
             w_k, f_k, g_k = (graph_accepts(h.minterms, ka) for h in (w, f, g))
             assert w_k == (f_k & g_k)
             assert (w(a), f(a), g(a)) == (w_k, f_k, g_k)  # f(A) is f on the clique K_A

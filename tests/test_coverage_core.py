@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sunflower_circuits import probability
 from sunflower_circuits.cliques import (
     clique_edges,
-    is_clique_sunflower,
+    is_pq_clique_sunflower,
     pq_coverage_exact,
     pq_coverage_mc,
     verify_no_kclique_bound,
@@ -178,7 +178,7 @@ class TestThresholdRule:
 
     def test_clique_check_records_vertex_core(self):
         s = SetFamily.from_sets(5, [(1, 2, 3), (1, 4, 5)])
-        chk = is_clique_sunflower(s, Fraction(1, 2), Fraction(1, 2))
+        chk = is_pq_clique_sunflower(s, Fraction(1, 2), 1, Fraction(1, 2))
         assert chk.kernel == mask_of([1], 5)
         assert chk.engine == "exact" and chk.threshold == 0.5
         assert chk.decision is (chk.probability.value > Fraction(1, 2))
@@ -264,7 +264,8 @@ def _conditioning_families():
 )
 def test_pq_conditioning_matches_oracle_loop(data, pq, slack):
     # a cap ``slack`` below the reduced family's size sends it past inclusion-exclusion
-    # into the conditioning; some outcomes, or the envelope, then refuse
+    # into the conditioning; some outcomes, or the envelope, then refuse.  At q = 1 the
+    # vertex bits are certain and the oracle is the plain edge coverage of {K_A} over K_B
     n, singles, rest, b = data
     s = SetFamily.from_masks(n, singles | rest)
     p, q = pq
@@ -275,8 +276,38 @@ def test_pq_conditioning_matches_oracle_loop(data, pq, slack):
 
     with patch.object(probability, "DEFAULT_WORK_CAP_BITS", cap):
         got = _value_or_refusal(lambda: pq_coverage_exact(s, b, p, q).value)
-        want = _value_or_refusal(lambda: conditioned_pq_coverage(
-            s.members, b, p, q, probability.ie_limit(), edge_coverage))
+        if q == 1:
+            want = _value_or_refusal(lambda: edge_coverage(
+                [clique_edges(a) for a in s.members], clique_edges(b)))
+        else:
+            want = _value_or_refusal(lambda: conditioned_pq_coverage(
+                s.members, b, p, q, probability.ie_limit(), edge_coverage))
+    assert got == want
+
+
+@st.composite
+def _q_one_cases(draw):
+    """(n, members, B, cap): up to 12 vertex sets of 1-4 vertices, B the core of
+    some members or 0, and a work cap at most 4 below the member count, so
+    that the vertex envelope often exceeds it and some families refuse."""
+    n = draw(st.integers(2, 12))
+    member = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(4, n)).map(
+        lambda vs: sum(1 << v for v in vs))
+    members = draw(st.lists(member, min_size=1, max_size=12, unique=True))
+    b = draw(st.sampled_from([0, members[0], members[0] & members[-1]]))
+    return n, members, b, max(2, len(members) - draw(st.integers(0, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_one_cases(), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1)]))
+def test_pq_coverage_at_q_one_is_the_edge_coverage(case, p):
+    # value and refusal alike: the certain vertex bits drop out before any strategy runs
+    n, members, b, cap = case
+    s = SetFamily.from_masks(n, members)
+    edges = SetFamily.from_masks(n * (n - 1) // 2, [clique_edges(a) for a in s.members])
+    with patch.object(probability, "DEFAULT_WORK_CAP_BITS", cap):
+        got = _value_or_refusal(lambda: pq_coverage_exact(s, b, p, 1).value)
+        want = _value_or_refusal(lambda: coverage_exact(edges, clique_edges(b), p).value)
     assert got == want
 
 

@@ -13,7 +13,6 @@ from sunflower_circuits.harnik_raz import (
     HRParams,
     PositiveTestDistribution,
     build_hr_family,
-    default_hr_parameters,
     is_prime,
     polynomial_values,
     sample_positive,
@@ -374,17 +373,3 @@ class TestSamplers:
             hr.n_qualifying, 49)
         assert dist.acceptance(MonotoneFunction.constant1(7)) == 1
         assert dist.acceptance(MonotoneFunction.constant0(7)) == 0
-
-
-class TestDefaultParameters:
-    def test_reference_point(self):
-        assert default_hr_parameters(10007, B=1.0) == (100, 1)
-
-    def test_monotone_in_n(self):
-        ks = [default_hr_parameters(n)[0] for n in (101, 1009, 10007)]
-        assert ks == sorted(ks)
-
-    def test_c_below_k(self):
-        for n in (11, 101, 997):
-            k, c = default_hr_parameters(n, B=0.01)  # tiny B inflates c
-            assert 1 <= c < k

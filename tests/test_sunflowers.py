@@ -10,13 +10,10 @@ from sunflower_circuits.setfamily import SetFamily, core, link, mask_of
 from sunflower_circuits.sunflowers import (
     Sunflower,
     ThresholdParams,
-    check_uniform_sunflower_robustness,
     erdos_rado_threshold,
     extract_robust_sunflower,
     find_sunflower,
-    improved_robust_threshold,
-    robust_sunflower_threshold,
-    uniform_sunflower_robustness,
+    spread_radius,
 )
 
 
@@ -34,24 +31,21 @@ class TestThresholds:
         # Python ints are unbounded; 2^63 is not a cliff
         assert erdos_rado_threshold(25, 10) == math.factorial(25) * 9**25
 
-    def test_robust_threshold_values(self):
-        assert robust_sunflower_threshold(1, 0.5, math.exp(-1)) == pytest.approx(4.0)
-        assert robust_sunflower_threshold(2, 0.5, math.exp(-1)) == pytest.approx(32.0)
-        assert robust_sunflower_threshold(1, 1.0, math.exp(-2)) == pytest.approx(4.0)
-
     def test_improved_threshold_values(self):
-        one = improved_robust_threshold(1, 0.5, 0.5, ThresholdParams(B=1))
+        # the improved threshold (B ln(l/eps)/p)^l is the spread radius to the power l
+        one = spread_radius(1, 0.5, 0.5, ThresholdParams(B=1))
         assert one == pytest.approx(2 * math.log(2))
-        two = improved_robust_threshold(2, 0.5, 0.5, ThresholdParams(B=1))
+        two = spread_radius(2, 0.5, 0.5, ThresholdParams(B=1)) ** 2
         assert two == pytest.approx((2 * math.log(4)) ** 2)
 
     def test_improved_threshold_monotone_in_B(self):
-        lo = improved_robust_threshold(3, 0.25, 0.1, ThresholdParams(B=1))
-        hi = improved_robust_threshold(3, 0.25, 0.1, ThresholdParams(B=2))
+        lo = spread_radius(3, 0.25, 0.1, ThresholdParams(B=1))
+        hi = spread_radius(3, 0.25, 0.1, ThresholdParams(B=2))
         assert lo < hi
 
     def test_improved_beats_factorial_bound_when_B_small(self):
-        # at eps = n^{-2c} scales, any B below 2 l!^{1/l} ln(1/eps)/ln(l/eps) wins
+        # at eps = n^{-2c} scales, any B below 2 l!^{1/l} ln(1/eps)/ln(l/eps) puts
+        # r^l under the robust-sunflower bound l!(2 ln(1/eps)/p)^l
         for n, c in ((11, 2), (13, 2)):
             eps = float(n) ** (-2 * c)
             for size in (2, 3):
@@ -61,17 +55,15 @@ class TestThresholds:
                     * math.log(1 / eps)
                     / math.log(size / eps)
                 )
+                factorial_bound = math.factorial(size) * (2.0 * math.log(1 / eps) / 0.5) ** size
                 for B in (1.0, 2.0):
                     if B <= cap:
-                        assert improved_robust_threshold(
-                            size, 0.5, eps, ThresholdParams(B=B)
-                        ) < robust_sunflower_threshold(size, 0.5, eps)
+                        r = spread_radius(size, 0.5, eps, ThresholdParams(B=B))
+                        assert r**size < factorial_bound
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             erdos_rado_threshold(0, 3)
-        with pytest.raises(ValueError):
-            improved_robust_threshold(2, 0.7, 0.1)
         with pytest.raises(ValueError):
             ThresholdParams(B=0)
 
@@ -110,27 +102,30 @@ class TestFindSunflower:
         assert not bad.is_valid()
 
 
+def sunflower_bounds(sf, p):
+    """Coverage of r petals of size l over the kernel, the closed form
+    1-(1-p^(l-|kernel|))^r of disjoint petal remainders, and the weaker
+    1-(1-p^l)^r and 1-exp(-r p^l)."""
+    r, size = len(sf.petals), sf.petals.members[0].bit_count()
+    cover = coverage_exact(sf.petals, sf.kernel, p).value
+    closed_form = 1 - (1 - p ** (size - sf.kernel.bit_count())) ** r
+    return cover, closed_form, 1 - (1 - p**size) ** r, 1 - math.exp(-r * p**size)
+
+
 class TestUniformRobustness:
-    def test_eps_formula(self):
-        assert uniform_sunflower_robustness(2, 0.5, 1) == pytest.approx(math.exp(-1))
-        assert uniform_sunflower_robustness(1, 0.5, 3) == pytest.approx(math.exp(-0.125))
-
-    def test_limit_p_to_one(self):
-        assert uniform_sunflower_robustness(3, 1.0, 4) == pytest.approx(math.exp(-3))
-
     def test_two_disjoint_singletons(self):
         sf = Sunflower(fam(4, (1,), (2,)), 0)
-        rep = check_uniform_sunflower_robustness(sf, Fraction(1, 2))
-        assert rep["coverage"].value == Fraction(3, 4)
-        assert rep["coverage"].value >= rep["closed_form"] >= rep["weak_bound"]
-        assert float(rep["coverage"].value) >= rep["exp_bound"]
+        cover, closed_form, weak, exp_bound = sunflower_bounds(sf, Fraction(1, 2))
+        assert cover == Fraction(3, 4)
+        assert cover >= closed_form >= weak
+        assert float(cover) >= exp_bound
 
     def test_star_sunflower_bounds(self):
         sf = Sunflower(fam(6, (1, 2), (1, 3), (1, 4)), mask_of([1], 6))
-        rep = check_uniform_sunflower_robustness(sf, Fraction(1, 2))
+        cover, closed_form, _, exp_bound = sunflower_bounds(sf, Fraction(1, 2))
         # disjoint petal remainders: coverage equals the closed form exactly
-        assert rep["coverage"].value == rep["closed_form"]
-        assert float(rep["coverage"].value) >= rep["exp_bound"]
+        assert cover == closed_form
+        assert float(cover) >= exp_bound
 
 
 class TestExtraction:
