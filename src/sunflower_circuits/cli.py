@@ -6,8 +6,9 @@ Report whose JSON serialization is byte-identical across runs with the
 same config and seed, except for the wall-clock field.  Exit status is 0
 iff every asserted check passed (1 otherwise); report-only rows never fail
 a run.  Bad input -- a ConfigError (an unknown or missing key, a missing
-seed) or any other ValueError (an unknown engine or mode, a value out of
-range) raised while building or running the experiment -- exits with
+seed), any other ValueError (an unknown engine or mode, a value out of
+range) raised while building or running the experiment, or an OSError
+reading --config or a family file or writing --out -- exits with
 status 2 and a one-line ``config error:`` message; so does a refusal (a
 ``RefusalError``: a work cap exceeded, or a guarantee that does not hold
 for the input), with a one-line ``refused:`` message.  ``--engine mc`` is
@@ -616,13 +617,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = build_config(argv)
         report = run(config)
-    except ValueError as exc:  # ConfigError included
+        text = emit(report, config.fmt, config.out)
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RefusalError as exc:
         print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = emit(report, config.fmt, config.out)
     if not config.out:
         sys.stdout.write(text)
     return 0 if report["all_passed"] else 1

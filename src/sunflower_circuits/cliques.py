@@ -98,7 +98,7 @@ def clique_edges(vertex_mask: int) -> int:
 
 
 def gnp_sample(n: int, p, stream: CounterStream) -> Graph:
-    """One draw of the binomial random graph; consumes C(n,2) counter slots."""
+    """One draw of the binomial random graph: one ``sample_p_subset`` row of C(n,2) slots."""
     return Graph(n, sample_p_subset(edge_count(n), p, stream))
 
 
@@ -168,8 +168,9 @@ def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     neighbours is dropped, for up to ``_PRUNE_ROUNDS`` rounds of one batched
     0/1 matrix product.  Every edge of a k-clique keeps its k-2 in-clique
     common neighbours, so no clique loses an edge and every decision is
-    unchanged.  A row left with fewer than C(k,2) edges has no k-clique; the
-    others go to the backtracking search one at a time.
+    unchanged.  A row left with fewer than C(k,2) edges has no k-clique; at
+    k <= 3 one round decides the rest (a kept edge lies in a k-clique), and
+    otherwise they go to the backtracking search one at a time.
     """
     rows = len(bits)
     if k <= 1 or k > n:  # no edge to test: the empty clique always, one vertex when n >= 1
@@ -184,7 +185,7 @@ def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
         padded[:, :m] = block
         adj = padded.take(_edge_columns(n), axis=1)  # (rows, n, n) symmetric adjacency
         index = np.arange(start, start + len(block))
-        for _ in range(_PRUNE_ROUNDS):
+        for _ in range(1 if k <= 3 else _PRUNE_ROUNDS):
             a = adj.astype(np.float32)  # counts below n < 2^24 are exact
             kept = adj & (np.matmul(a, a) >= k - 2)
             stable = np.array_equal(kept, adj)
@@ -192,6 +193,9 @@ def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
             adj, index = kept[live], index[live]
             if stable:
                 break
+        if k <= 3:  # an edge with k-2 common neighbours lies in a k-clique
+            found[index] = True
+            continue
         for i, row in zip(index, adj):
             found[i] = _has_clique_masks(pack_rows(row), k)
     return found
@@ -226,7 +230,8 @@ def pq_coverage_mc(
     """Sampled joint coverage; each sample consumes C(n,2)+n slots (edges first)."""
     split = edge_count(s.n)
     masks = antichain_minimize(_pq_masks(s, core_vertices))
-    return sampled_coverage(masks, split + s.n, split, p, q, samples, seed)
+    rows = bernoulli_rows(CounterStream(seed), samples, split + s.n, split, p, q)
+    return sampled_coverage(rows, masks, samples, seed)
 
 
 def is_pq_clique_sunflower(
@@ -357,8 +362,11 @@ def find_clique_sunflower(
     lifted by every core stepped over.  If no B qualifies the family itself
     is returned with its Janson certificate; the exponent must beat
     ln(1/eps), otherwise the input was below threshold and the result says
-    so instead of crashing.
+    so instead of crashing.  p or q outside (0, 1] and eps outside (0, 1)
+    raise ``ValueError``.
     """
+    if not (0 < Fraction(p) <= 1 and 0 < Fraction(q) <= 1 and 0 < Fraction(eps) < 1):
+        raise ValueError(f"need 0 < p, q <= 1 and 0 < eps < 1, got p={p}, q={q}, eps={eps}")
     if not s.members:
         raise EmptyFamilyError("empty clique family")
     eps_f = Fraction(eps)
@@ -433,8 +441,8 @@ def clique_parameters(n: int, delta: float) -> tuple[int, float, float]:
 def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> Estimate:
     """Monte-Carlo Pr[G(n,p) contains a k-clique]; the target bound is 3/4.
 
-    Sample s is row s of ``bernoulli_rows``: it reads counter slots
-    s*C(n,2) + j of stream 0, edge j in ``edge_index`` order, so the
+    Sample s is row s of ``bernoulli_rows`` on ``CounterStream(seed)``: it
+    reads counter slots s*C(n,2) + j, edge j in ``edge_index`` order, so the
     estimate equals one ``gnp_sample`` per sample.  The rows are decided a
     block at a time by ``has_k_clique``, which drops every edge whose
     endpoints share fewer than k-2 neighbours before the exact search; an
@@ -447,7 +455,7 @@ def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> E
     if k < 0:
         raise ValueError("need k >= 0")
     m = edge_count(n)
-    rows = bernoulli_rows(seed, samples, m, m, p, p)
+    rows = bernoulli_rows(CounterStream(seed), samples, m, m, p, p)
     hits = sum(int(has_k_clique(bits, n, k).sum()) for bits in rows)
     return Estimate.from_hits(hits, samples, seed)
 

@@ -14,8 +14,9 @@ family's image table, which every exact count and the positive sampler read.
 
 The positive test distribution draws a uniformly random polynomial and
 returns the indicator vector of S_P -- including non-qualifying P, whose
-rejection is exactly the positive-side failure event.  The negative test
-distribution is the uniform (1/2-biased) distribution on inputs.
+rejection is exactly the positive-side failure event.  Its one block
+sampler is ``positive_rows``; ``sample_positive`` is one draw of its indices.
+The negative test distribution is the uniform (1/2-biased) distribution.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .probability import (
     coverage_exact,
     exact_engine,
     pack_rows,
+    sampled_coverage,
     unpack_rows,
 )
 from .rng import CounterStream
@@ -131,12 +133,8 @@ def build_hr_family(params: HRParams) -> HRFamily:
 
 
 def sample_positive(hr: HRFamily, stream: CounterStream) -> int:
-    """Uniform random polynomial, returned as the mask of its value set.
-
-    Draws the c coefficients with ``next_below(n)``, degree 0 first.
-    """
-    n = hr.params.n
-    return hr.images[sum(stream.next_below(n) * n**j for j in range(hr.params.c))]
+    """Uniform random polynomial, as its value-set mask: one ``_positive_indices`` draw."""
+    return hr.images[int(next(_positive_indices(hr.params, 1, stream))[0])]
 
 
 def _draw_digits(draws: np.ndarray, n: int) -> np.ndarray:
@@ -150,13 +148,13 @@ def _draw_digits(draws: np.ndarray, n: int) -> np.ndarray:
 def _positive_indices(
     params: HRParams, samples: int, stream: CounterStream
 ) -> Iterator[np.ndarray]:
-    """Polynomial indices of ``samples`` ``sample_positive`` calls on ``stream``, in chunks.
+    """Indices of ``samples`` uniform random polynomials drawn from ``stream``, in chunks.
 
     The slots are read in blocks from ``stream.index`` on, in order; a
     rejected draw is dropped exactly as ``next_below`` drops it, and each c
     kept draws are one polynomial's coefficients, degree 0 first.  A block
     short of kept draws is topped up by exactly the missing number of slots,
-    so the stream ends where the per-draw calls would leave it.
+    so the stream ends where c ``next_below(n)`` calls per draw leave it.
     """
     n, c = params.n, params.c
     place = n ** np.arange(c, dtype=np.int64)
@@ -171,18 +169,11 @@ def _positive_indices(
         yield digits.reshape(-1, c) @ place
 
 
-def _sampled_containment(hr: HRFamily, masks, samples: int, seed: int) -> Estimate:
-    """Share of ``samples`` positive draws whose value set contains some mask.
-
-    Draw s is the s-th ``sample_positive`` call on ``CounterStream(seed)``,
-    so the estimate equals the one-draw-at-a-time ``mc_event_probability``.
-    """
-    hits = 0
-    for index in _positive_indices(hr.params, samples, CounterStream(seed)):
+def positive_rows(hr: HRFamily, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
+    """Value-set rows (n columns) of the ``_positive_indices`` draws, in chunks."""
+    for index in _positive_indices(hr.params, samples, stream):
         drawn, where = np.unique(index, return_inverse=True)
-        rows = unpack_rows((hr.images[i] for i in drawn.tolist()), hr.params.n)
-        hits += count_covered(rows[where], masks)
-    return Estimate.from_hits(hits, samples, seed)
+        yield unpack_rows((hr.images[i] for i in drawn.tolist()), hr.params.n)[where]
 
 
 class PositiveTestDistribution:
@@ -190,6 +181,7 @@ class PositiveTestDistribution:
 
     ``acceptance(f)`` is the exact share of polynomials whose value set f
     accepts, summed over the distinct images of the image table.
+    ``rows(samples, stream)`` is the block sampler ``positive_rows``.
     """
 
     def __init__(self, hr: HRFamily):
@@ -205,8 +197,8 @@ class PositiveTestDistribution:
         hits = sum(c for m, c in self.counts.items() if f(m))
         return Fraction(hits, self.hr.params.n_polynomials)
 
-    def sample(self, stream: CounterStream) -> int:
-        return sample_positive(self.hr, stream)
+    def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
+        return positive_rows(self.hr, samples, stream)
 
 
 def verify_positive_acceptance(
@@ -217,18 +209,17 @@ def verify_positive_acceptance(
     Exact mode counts qualifying polynomials; a qualifying S_P contains a
     minterm (itself), and a non-qualifying one is lighter than every
     minterm, so the count is exact, not just a bound.  Monte-Carlo mode
-    draws ``samples`` polynomials from ``CounterStream(seed)`` in blocks:
-    each c draws that ``next_below(n)`` keeps are one polynomial's
-    coefficients, degree 0 first, so the slots read and the estimate equal
-    ``samples`` calls of ``sample_positive``.  A draw counts when its value
-    set contains a member of ``hr.family``.
+    counts the ``positive_rows`` of ``samples`` polynomials drawn from
+    ``CounterStream(seed)`` whose value set contains a member of
+    ``hr.family``.
     """
     params = hr.params
     bound = 1 - Fraction(params.k - 1, params.n)
     if exact_engine(mode):
         value = Fraction(hr.n_qualifying, params.n_polynomials)
         return value, bound
-    return _sampled_containment(hr, hr.family.members, samples, seed), float(bound)
+    rows = positive_rows(hr, samples, CounterStream(seed))
+    return sampled_coverage(rows, hr.family.members, samples, seed), float(bound)
 
 
 def verify_negative_rejection(
@@ -246,7 +237,7 @@ def verify_negative_rejection(
         accept = coverage_exact(hr.family, 0, Fraction(1, 2))
         return 1 - accept.value, bound
     half = Fraction(1, 2)
-    rows = bernoulli_rows(seed, samples, params.n, params.n, half, half)
+    rows = bernoulli_rows(CounterStream(seed), samples, params.n, params.n, half, half)
     covered = sum(count_covered(bits, hr.family.members) for bits in rows)
     return Estimate.from_hits(samples - covered, samples, seed), bound
 
@@ -256,10 +247,9 @@ def verify_minterm_spread(
 ):
     """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c.
 
-    Monte-Carlo mode reads the slots of ``CounterStream(seed)`` as
-    ``verify_positive_acceptance`` does: ``samples`` block-drawn
-    polynomials, equal to as many ``sample_positive`` calls, each counted
-    when its value set contains A.
+    Monte-Carlo mode counts the ``positive_rows`` drawn from
+    ``CounterStream(seed)``, as ``verify_positive_acceptance`` does, whose
+    value set contains A.
     """
     params = hr.params
     exact = exact_engine(mode)
@@ -270,7 +260,8 @@ def verify_minterm_spread(
     if exact:
         hits = sum(1 for m in hr.images if m & a_mask == a_mask)
         return Fraction(hits, params.n_polynomials), bound
-    return _sampled_containment(hr, [a_mask], samples, seed), float(bound)
+    rows = positive_rows(hr, samples, CounterStream(seed))
+    return sampled_coverage(rows, [a_mask], samples, seed), float(bound)
 
 
 def verify_cwise_independence(

@@ -10,10 +10,10 @@ function above f for which near-certain acceptance under noise,
 Pr[f(N or x_A) = 1] > 1 - eps for every scanned A, forces acceptance of
 x_A itself.  Gate-by-gate replacement of a circuit yields an approximator
 plus a ledger of the per-gate approximation errors.  For monotone raw and
-ap each exact error is a difference of two acceptance probabilities,
-Pr[raw and not ap] = Pr[raw or ap] - Pr[ap], which a test distribution
-answers through ``acceptance(f)``; the Monte-Carlo ledger samples the
-joint event through ``sample(stream)``.
+ap each error is a difference, Pr[raw and not ap] = Pr[raw or ap] - Pr[ap],
+read by one identity on both engines: a test distribution answers each
+term exactly through ``acceptance(f)``, and on Monte-Carlo the rows of its
+block sampler ``rows(samples, stream)`` that each term covers are counted.
 
 The same algebra serves clique-shaped functions, whose minterms are vertex
 masks A standing for cliques K_A (``cliques.clique_function``): there f(A)
@@ -41,15 +41,16 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .probability import (
+    Estimate,
     ExactProbability,
     above_threshold,
+    count_covered,
     coverage_exact,
     coverage_mc,
     exact_engine,
-    mc_event_probability,
     up_closure,
 )
-from .rng import bias
+from .rng import CounterStream, bias
 from .setfamily import SetFamily, antichain_minimize
 
 TABLE_MAX_N = 23  # largest n whose exact closure reads a truth table; int64 there is 64 MiB
@@ -443,6 +444,15 @@ class ErrorLedger:
         return "\n".join(lines) + "\n"
 
 
+def _difference(dist, f, g, exact: bool, samples: int, seed: int, stream: int):
+    """Pr[f] - Pr[g] on ``dist``: exact, or counted on its ``samples`` rows on stream ``stream``."""
+    if exact:
+        return dist.acceptance(f) - dist.acceptance(g)
+    rows = dist.rows(samples, CounterStream(seed, stream))
+    hits = sum(count_covered(b, f.minterms) - count_covered(b, g.minterms) for b in rows)
+    return Estimate.from_hits(hits, samples, seed).value
+
+
 def approximate_circuit(
     circuit: MonotoneCircuit,
     params: ClosureParams,
@@ -463,12 +473,11 @@ def approximate_circuit(
 
     against the test distributions; summed over gates, these union-bound
     the end-to-end disagreement between the circuit and the final
-    approximator (the errors telescope through the DAG).  Exactly, with
-    either = raw or ap >= both, they are the differences
-    acceptance(either) - acceptance(ap) on ``pos_dist`` and
-    acceptance(either) - acceptance(raw) on ``neg_dist``.  On ``mc`` each
-    joint event is sampled through the distribution's ``sample`` on
-    stream 2*gate (positive) or 2*gate + 1 (negative).
+    approximator (the errors telescope through the DAG).  With either =
+    raw or ap, both engines read them as Pr[either] - Pr[ap] on ``pos_dist``
+    and Pr[either] - Pr[raw] on ``neg_dist``: exact ``acceptance``s, or on
+    ``mc`` the shares of ``samples`` rows of the distribution's ``rows`` on
+    stream 2*gate (positive) or 2*gate + 1 (negative) that each accepts.
     """
     exact = exact_engine(engine)
     approx: list[MonotoneFunction] = []
@@ -482,15 +491,9 @@ def approximate_circuit(
         raw = fa | fb if gate[0] == "or" else fa & fb
         ap = trim(closure(raw, params, engine, samples, seed), params.trim)
         approx.append(ap)
-        if exact:
-            either = raw | ap
-            pos = pos_dist.acceptance(either) - pos_dist.acceptance(ap)
-            neg = neg_dist.acceptance(either) - neg_dist.acceptance(raw)
-        else:
-            pos = mc_event_probability(lambda x: raw(x) == 1 and ap(x) == 0, pos_dist.sample,
-                                       samples, seed=seed, stream_id=2 * idx).value
-            neg = mc_event_probability(lambda x: raw(x) == 0 and ap(x) == 1, neg_dist.sample,
-                                       samples, seed=seed, stream_id=2 * idx + 1).value
+        either = raw | ap
+        pos = _difference(pos_dist, either, ap, exact, samples, seed, 2 * idx)
+        neg = _difference(neg_dist, either, raw, exact, samples, seed, 2 * idx + 1)
         entries.append(GateError(idx, gate[0], pos, neg))
     return approx[circuit.output - 1], ErrorLedger(tuple(entries))
 

@@ -28,11 +28,12 @@ Coverage is Pr[some mask lies inside the random set], and
   b = |E|-w.  Plain masks take whichever of inclusion-exclusion (2^m
   steps) and enumeration (a set-up plus 2^|E| rows) costs less by the
   measured costs ``EXACT_COST_NS``;
-* sampling: one chunked block sampler, row s of a ``width``-column draw
-  reading counter slots s*width + j, column j p-biased below the split and
-  q-biased above it.  Plain coverage remaps E onto contiguous bits first,
-  so its columns are the elements of E in ascending order.  Estimates
-  carry a Wilson score interval.
+* sampling: one chunked block sampler, ``bernoulli_rows``, row s of a
+  ``width``-column draw reading slots s*width + j from the stream's index,
+  column j p-biased below the split and q-biased above it;
+  ``sample_p_subset`` is its one-row call.  Plain coverage remaps E onto
+  contiguous bits first.  One estimator, ``sampled_coverage``, counts the
+  rows of any block sampler containing some mask, with a Wilson interval.
 
 Every exact strategy refuses when its work exceeds the cap
 ``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
@@ -154,10 +155,8 @@ def unpack_rows(masks, width: int) -> np.ndarray:
 
 
 def sample_p_subset(n: int, p, stream: CounterStream) -> int:
-    """One p-biased subset of [n]; consumes exactly n counter slots."""
-    mask = pack_rows(stream.bernoulli_block(stream.index, n, p))[0]
-    stream.index += n
-    return mask
+    """One p-biased subset of [n]: one row of ``bernoulli_rows``, n counter slots."""
+    return pack_rows(next(bernoulli_rows(stream, 1, n, n, p, p)))[0]
 
 
 def compact(masks) -> tuple[list[int], int]:
@@ -315,23 +314,25 @@ def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
     return ExactProbability(exact_coverage((m & ~y for m in family.members), family.n, p, p))
 
 
-def bernoulli_rows(seed: int, samples: int, width: int, split: int, p, q) -> Iterator[np.ndarray]:
+def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, p, q) -> Iterator:
     """``samples`` boolean rows of ``width`` columns, in chunks of about 2^21 slots.
 
-    Row s reads counter slots s*width + j of stream 0; column j is accepted
-    with probability p below ``split`` and q at or above it, by the same
-    threshold test as ``CounterStream.bernoulli_block``.
+    Row s reads slots i + s*width + j, i the ``stream.index`` at the call;
+    each chunk advances the index before it is yielded.  Column j is accepted
+    when its draw is below ``threshold_for`` p (below ``split``) or q (at or above it).
     """
-    thresholds = [threshold_for(p)] * split + [threshold_for(q)] * (width - split)
-    limit = np.array([min(t, _MAX_U64) for t in thresholds], dtype=np.uint64)
-    certain = np.array([t > _MAX_U64 for t in thresholds], dtype=bool)  # bias 1
-    stream = CounterStream(seed, stream=0)
+    tp, tq = threshold_for(p), threshold_for(q)
+    limit = np.full(width, min(tq, _MAX_U64), dtype=np.uint64)
+    limit[:split] = min(tp, _MAX_U64)
+    certain = np.full(width, tq > _MAX_U64)  # bias 1
+    certain[:split] = tp > _MAX_U64
     chunk = max(1, _CHUNK_SLOTS // max(width, 1))
     for done in range(0, samples, chunk):
         take = min(chunk, samples - done)
         # no local keeps the uint64 draws alive while the caller holds the rows
-        rows = stream.block(done * width, take * width).reshape(take, width) < limit
+        rows = stream.block(stream.index, take * width).reshape(take, width) < limit
         rows |= certain
+        stream.index += take * width
         yield rows
 
 
@@ -353,9 +354,8 @@ def count_covered(bits: np.ndarray, masks) -> int:
     return int(covered.sum())
 
 
-def sampled_coverage(masks, width: int, split: int, p, q, samples: int, seed: int) -> Estimate:
-    """Frequency of rows of ``bernoulli_rows`` that contain some mask."""
-    rows = bernoulli_rows(seed, samples, width, split, p, q)
+def sampled_coverage(rows, masks, samples: int, seed: int) -> Estimate:
+    """Frequency of the ``samples`` rows, from any block sampler, that contain some mask."""
     hits = sum(count_covered(bits, masks) for bits in rows)
     return Estimate.from_hits(hits, samples, seed)
 
@@ -368,7 +368,8 @@ def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Es
     so the estimate has half-width 0.
     """
     masks, width = compact(antichain_minimize(m & ~y for m in family.members))
-    est = sampled_coverage(masks, width, width, p, p, samples, seed)
+    rows = bernoulli_rows(CounterStream(seed), samples, width, width, p, p)
+    est = sampled_coverage(rows, masks, samples, seed)
     if not masks or masks[0] == 0:
         return replace(est, half_width=0.0)
     return est
@@ -434,7 +435,8 @@ class PBiasedDistribution:
 
     ``acceptance(f)`` is Pr[f(W) = 1] for a monotone f, the coverage of
     its minterms through ``coverage_exact`` (which refuses past the work
-    cap); p outside [0, 1] is refused at construction.
+    cap); ``rows(samples, stream)`` is ``bernoulli_rows`` over n columns.
+    p outside [0, 1] is refused at construction.
     """
 
     def __init__(self, n: int, p):
@@ -444,8 +446,8 @@ class PBiasedDistribution:
     def acceptance(self, f) -> Fraction:
         return coverage_exact(f.minterm_family(), 0, self.p).value
 
-    def sample(self, stream: CounterStream) -> int:
-        return sample_p_subset(self.n, self.p, stream)
+    def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
+        return bernoulli_rows(stream, samples, self.n, self.n, self.p, self.p)
 
 
 def mc_event_probability(

@@ -104,12 +104,3 @@ class CounterStream:
         z *= _NP_GOLDEN
         z += np.uint64(self.key)
         return _block_mix(z)
-
-    def bernoulli_block(self, start: int, count: int, p) -> np.ndarray:
-        """Boolean array: slot i accepted with probability ~p (see threshold_for)."""
-        t = threshold_for(p)
-        if t >= 1 << 64:
-            return np.ones(count, dtype=bool)
-        if t <= 0:
-            return np.zeros(count, dtype=bool)
-        return self.block(start, count) < np.uint64(t)

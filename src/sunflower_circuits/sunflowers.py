@@ -70,7 +70,9 @@ def erdos_rado_threshold(size: int, petals: int) -> int:
 
 
 def spread_radius(size: int, p: float, eps: float, params: ThresholdParams) -> float:
-    """r = B ln(l/eps)/p used by the extraction loop."""
+    """r = B ln(l/eps)/p used by the extraction loop; p outside (0, 1], eps outside (0, 1) raise."""
+    if not (0 < p <= 1 and 0 < eps < 1):
+        raise ValueError(f"need 0 < p <= 1 and 0 < eps < 1, got p={p}, eps={eps}")
     return params.B * math.log(size / eps) / p
 
 

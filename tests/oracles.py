@@ -1,12 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: full enumeration with exact
-rationals, no sharing of code paths with the package under test.  Two
-exceptions check one layer of the package over its own lower layers:
-``kclique_hits_loop`` decides each sampled graph with the package's
-backtracking search and no pruning, and the reference extractions at the
-end are the recursive forms of the package's three extraction loops, over
-the package's own link, spread check, Janson certificate and verification.
+rationals, no sharing of code paths with the package under test.  Three
+exceptions check one layer of the package over its own lower layers: the
+per-draw samplers (``bernoulli_block``, ``p_subset_draw``,
+``positive_draw`` and the ``*_hits`` loops) read the package's counter
+stream and threshold rule one draw at a time, as references for its block
+samplers; ``kclique_hits_loop`` decides each sampled graph with the
+package's backtracking search and no pruning; and the reference
+extractions at the end are the recursive forms of the package's three
+extraction loops, over the package's own link, spread check, Janson
+certificate and verification.
 """
 
 from fractions import Fraction
@@ -267,11 +271,41 @@ def brute_agreement(w1, w2):
     return sum(1 for a, b in zip(w1, w2) if a == b)
 
 
+def bernoulli_block(stream, start, count, p):
+    """Boolean array over slots [start, start+count) of ``stream``, one per draw.
+
+    A slot is accepted when its draw is below ``threshold_for(p)``; bias 1
+    accepts and bias 0 rejects without reading a draw.
+    """
+    import numpy as np
+    from sunflower_circuits.rng import threshold_for
+
+    t = threshold_for(p)
+    if t >= 1 << 64:
+        return np.ones(count, dtype=bool)
+    if t <= 0:
+        return np.zeros(count, dtype=bool)
+    return stream.block(start, count) < np.uint64(t)
+
+
+def p_subset_draw(n, p, stream):
+    """One p-biased subset of [n] from the next n slots of ``stream``, set bit by bit."""
+    bits = bernoulli_block(stream, stream.index, n, p)
+    stream.index += n
+    return sum(1 << i for i in range(n) if bits[i])
+
+
+def positive_draw(hr, stream):
+    """One uniform polynomial's value-set mask: c ``next_below(n)`` coefficients, degree 0 first."""
+    n = hr.params.n
+    return hr.images[sum(stream.next_below(n) * n**j for j in range(hr.params.c))]
+
+
 def pq_sample_hits(vertex_masks, b_mask, p, q, n, samples, stream):
     """Hits of the joint (p, q) coverage event, one sample at a time.
 
     Each sample reads C(n,2) edge slots of ``stream`` (a counter stream with
-    ``bernoulli_block`` and ``index``) and then n vertex slots, bit by bit.
+    ``block`` and ``index``) and then n vertex slots, bit by bit.
     """
     m = n * (n - 1) // 2
     b_edges = clique_edge_mask([i + 1 for i in iter_bits(b_mask)])
@@ -281,13 +315,13 @@ def pq_sample_hits(vertex_masks, b_mask, p, q, n, samples, stream):
         pairs.append((a_edges & ~b_edges, a & ~b_mask))
     hits = 0
     for _ in range(samples):
-        bits = stream.bernoulli_block(stream.index, m, p)
+        bits = bernoulli_block(stream, stream.index, m, p)
         stream.index += m
         g = 0
         for i in range(m):
             if bits[i]:
                 g |= 1 << i
-        bits = stream.bernoulli_block(stream.index, n, q)
+        bits = bernoulli_block(stream, stream.index, n, q)
         stream.index += n
         u = 0
         for j in range(n):
@@ -313,7 +347,7 @@ def set_sample_hits(members, y, p, samples, stream):
     positions = list(iter_bits(env))
     hits = 0
     for _ in range(samples):
-        bits = stream.bernoulli_block(stream.index, len(positions), p)
+        bits = bernoulli_block(stream, stream.index, len(positions), p)
         stream.index += len(positions)
         w = 0
         for j, pos in enumerate(positions):
@@ -342,7 +376,7 @@ def kclique_hits_loop(n, k, p, samples, seed):
     stream = CounterStream(seed)
     hits = 0
     for s in range(samples):
-        bits = stream.bernoulli_block(s * m, m, p)
+        bits = bernoulli_block(stream, s * m, m, p)
         adj = [0] * n
         for i in range(m):
             if bits[i]:

@@ -281,8 +281,26 @@ class TestMain:
         ["hr-verify", "--seed", "1", "--samples", "200",
          "-P", "n=11", "-P", "c=2", "-P", "k=3", "-P", "mode=foo"],
         ["coverage", "-P", "n=4", "-P", "family=star", "-P", "p=1/2"],  # star:<m> without m
+        # p = 0 or eps = 0 divided by zero in the spread radius or the clique thresholds
+        ["sunflower-extract", "-P", "n=6", "-P", "family=star:3", "-P", "p=0", "-P", "eps=1/2"],
+        ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=2", "-P", "p=0",
+         "-P", "eps=1/2"],
+        ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=2", "-P", "p=1/2",
+         "-P", "eps=0"],
+        ["clique-extract", "-P", "n=6", "-P", "family=star:3", "-P", "eps=1/2", "-P", "p=0"],
+        ["clique-extract", "-P", "n=6", "-P", "family=star:3", "-P", "eps=1/2", "-P", "p=1/2",
+         "-P", "q=0"],
+        ["clique-extract", "-P", "n=6", "-P", "family=star:3", "-P", "eps=0", "-P", "p=1/2"],
+        # an OSError from a missing config, a directory as family file, --out under a file
+        ["coverage", "--config", "{tmp}/missing.cfg", "-P", "n=4", "-P", "family=star:2",
+         "-P", "p=1/2"],
+        ["coverage", "-P", "n=4", "-P", "family={tmp}", "-P", "p=1/2"],
+        ["coverage", "--out", "{tmp}/file/report.json", "-P", "n=4", "-P", "family=star:2",
+         "-P", "p=1/2"],
     ])
-    def test_bad_input_exits_two_without_traceback(self, argv, capsys):
+    def test_bad_input_exits_two_without_traceback(self, argv, capsys, tmp_path):
+        (tmp_path / "file").write_text("a regular file\n", encoding="utf-8")
+        argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1

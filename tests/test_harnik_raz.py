@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits import harnik_raz
+from sunflower_circuits.cliques import gnp_sample
 from sunflower_circuits.errors import EnumerationTooLargeError
 from sunflower_circuits.harnik_raz import (
     HRParams,
@@ -26,7 +27,7 @@ from sunflower_circuits.probability import mc_event_probability, sample_p_subset
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import elements_of, mask_of
 
-from oracles import hr_value_set, index_digits, poly_value
+from oracles import hr_value_set, index_digits, p_subset_draw, poly_value, positive_draw
 
 
 class TestParams:
@@ -203,7 +204,7 @@ class TestNegativeRejection:
         est, _ = verify_negative_rejection(hr, "mc", samples=1000, seed=4)
         loop = mc_event_probability(
             lambda m: hr.eval(m) == 0,
-            lambda stream: sample_p_subset(n, Fraction(1, 2), stream),
+            lambda stream: p_subset_draw(n, Fraction(1, 2), stream),
             1000,
             seed=4,
         )
@@ -310,19 +311,19 @@ class TestBlockPositiveSampler:
     def test_indices_replay_sample_positive_over_the_same_slots(self, seed):
         draws = self._draws(seed)
         params = HRParams(self.N, self.C, 3)
-        # images = indices, so sample_positive returns the polynomial index it drew
+        # images = indices, so the per-draw reference returns the polynomial index it drew
         hr = dataclasses.replace(build_hr_family(params), images=tuple(range(params.n_polynomials)))
         samples = len(harnik_raz._draw_digits(draws, self.N)) // self.C
         block, twin = _ScriptedStream(draws), _ScriptedStream(draws)
         got = np.concatenate(list(harnik_raz._positive_indices(params, samples, block)))
-        assert got.tolist() == [sample_positive(hr, twin) for _ in range(samples)]
+        assert got.tolist() == [positive_draw(hr, twin) for _ in range(samples)]
         assert block.index == twin.index
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mc_verifiers_equal_the_per_draw_loop(self, seed):
         hr = build_hr_family(HRParams(13, 2, 4))
         a_mask = mask_of([2, 5], 13)
-        draw = lambda stream: sample_positive(hr, stream)
+        draw = lambda stream: positive_draw(hr, stream)
         est, _ = verify_positive_acceptance(hr, "mc", 3000, seed)
         assert est == mc_event_probability(lambda m: hr.eval(m) == 1, draw, 3000, seed)
         est, _ = verify_minterm_spread(hr, a_mask, "mc", 3000, seed)
@@ -347,6 +348,27 @@ class TestSamplers:
         stream = CounterStream(3)
         total = sum(sample_p_subset(11, Fraction(1, 2), stream).bit_count() for _ in range(2000))
         assert abs(total / (2000 * 11) - 0.5) < 0.03
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_draws_read_the_oracle_slots(self, seed):
+        # the per-draw samplers share one stream: each returns the oracle's draw
+        # and leaves the stream where the oracle leaves it
+        hr = build_hr_family(HRParams(11, 2, 3))
+        draws = [
+            (lambda s: sample_p_subset(11, Fraction(1, 3), s),
+             lambda s: p_subset_draw(11, Fraction(1, 3), s)),
+            (lambda s: sample_positive(hr, s), lambda s: positive_draw(hr, s)),
+            (lambda s: gnp_sample(7, Fraction(1, 2), s).edges,
+             lambda s: p_subset_draw(21, Fraction(1, 2), s)),
+            (lambda s: sample_p_subset(5, 0, s), lambda s: p_subset_draw(5, 0, s)),
+            (lambda s: sample_p_subset(5, 1, s), lambda s: p_subset_draw(5, 1, s)),
+        ]
+        rng = random.Random(seed)
+        stream, twin = CounterStream(seed, stream=4), CounterStream(seed, stream=4)
+        for _ in range(60):
+            draw, reference = rng.choice(draws)
+            assert draw(stream) == reference(twin)
+            assert stream.index == twin.index
 
     @pytest.mark.parametrize("n,c,k", [(11, 2, 3), (13, 3, 5)])
     def test_positive_is_oracle_of_drawn_coefficients(self, n, c, k):

@@ -32,6 +32,8 @@ from oracles import (
     brute_polynomial_probability,
     brute_probability,
     enumerate_antichains,
+    p_subset_draw,
+    positive_draw,
     reversed_scan_closure,
 )
 
@@ -445,14 +447,18 @@ class TestLedgerAgainstOracles:
     def test_mc_ledger_entries_are_the_joint_estimates(self):
         rng = random.Random(4)
         hr = build_hr_family(HRParams(5, 2, 3))
-        cases = [(or_of_ands(5, hr.family.members), PositiveTestDistribution(hr))]
+        # each distribution with its per-draw reference sampler
+        cases = [(or_of_ands(5, hr.family.members), PositiveTestDistribution(hr),
+                  lambda s: positive_draw(hr, s))]
         for _ in range(3):
             n = rng.randint(3, 6)
-            cases.append((random_circuit(n, rng, 6), PBiasedDistribution(n, Fraction(1, 4))))
+            cases.append((random_circuit(n, rng, 6), PBiasedDistribution(n, Fraction(1, 4)),
+                          lambda s, n=n: p_subset_draw(n, Fraction(1, 4), s)))
         params = ClosureParams(eps=0.45, c=2)  # loose enough that closures add minterms
         nonzero = [0, 0]
-        for seed, (circuit, pos) in enumerate(cases, start=1):
+        for seed, (circuit, pos, pos_draw) in enumerate(cases, start=1):
             neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
+            neg_draw = lambda s, n=circuit.n: p_subset_draw(n, Fraction(1, 2), s)
             ap, ledger = approximate_circuit(circuit, params, pos, neg, "mc", 200, seed)
             final, per_gate = gate_functions(circuit, params, engine="mc", samples=200, seed=seed)
             assert ap == final
@@ -460,9 +466,9 @@ class TestLedgerAgainstOracles:
                 if fs is None:
                     continue
                 raw, a = fs
-                pos_est = mc_event_probability(lambda x: raw(x) == 1 and a(x) == 0, pos.sample,
+                pos_est = mc_event_probability(lambda x: raw(x) == 1 and a(x) == 0, pos_draw,
                                                200, seed=seed, stream_id=2 * idx)
-                neg_est = mc_event_probability(lambda x: raw(x) == 0 and a(x) == 1, neg.sample,
+                neg_est = mc_event_probability(lambda x: raw(x) == 0 and a(x) == 1, neg_draw,
                                                200, seed=seed, stream_id=2 * idx + 1)
                 assert (e.positive_error, e.negative_error) == (pos_est.value, neg_est.value)
                 nonzero[0] += e.positive_error > 0

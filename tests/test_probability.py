@@ -22,7 +22,7 @@ from sunflower_circuits.probability import (
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, mask_of
 
-from oracles import brute_coverage, brute_probability
+from oracles import brute_coverage, brute_probability, p_subset_draw
 
 
 def fam(n, *sets):
@@ -226,7 +226,7 @@ def test_mc_event_probability_matches_exact():
     dist = PBiasedDistribution(8, Fraction(1, 2))
     event = lambda m: m.bit_count() >= 4
     exact = brute_probability(event, 8, Fraction(1, 2))
-    est = mc_event_probability(event, dist.sample, 20_000, seed=4)
+    est = mc_event_probability(event, lambda s: p_subset_draw(8, dist.p, s), 20_000, seed=4)
     assert abs(est.value - float(exact)) <= 3 * est.half_width
 
 

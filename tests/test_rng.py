@@ -1,6 +1,9 @@
 import pytest
 
+from sunflower_circuits.probability import bernoulli_rows
 from sunflower_circuits.rng import CounterStream, mix64, threshold_for
+
+from oracles import bernoulli_block
 
 
 def test_scalar_and_block_agree():
@@ -40,7 +43,9 @@ def test_threshold_refuses_p_outside_unit_interval(p):
     with pytest.raises(ValueError, match="outside"):
         threshold_for(p)
     with pytest.raises(ValueError):
-        CounterStream(0).bernoulli_block(0, 8, p)
+        bernoulli_block(CounterStream(0), 0, 8, p)
+    with pytest.raises(ValueError):
+        next(bernoulli_rows(CounterStream(0), 1, 8, 8, p, p))
 
 
 def test_next_below_uniform_support():
@@ -51,6 +56,8 @@ def test_next_below_uniform_support():
 
 def test_bernoulli_block_mean():
     s = CounterStream(42)
-    bits = s.bernoulli_block(0, 100_000, 0.25)
+    bits = bernoulli_block(s, 0, 100_000, 0.25)
     mean = bits.mean()
     assert abs(mean - 0.25) < 0.01
+    row = next(bernoulli_rows(CounterStream(42), 1, 100_000, 100_000, 0.25, 0.25))[0]
+    assert (row == bits).all()

@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function, class and method it defines is named outside its definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sunflower_circuits"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sunflower_circuits"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +35,57 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def named(tree) -> Counter:
+    """How often each identifier is named in ``tree``: read, as attribute, import or string."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1  # getattr targets such as the bench tracer's
+    return names
+
+
+def definitions(tree):
+    """A module's top-level functions and classes and the methods of its classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, defs))
+
+
+def dead_symbols(package_trees: dict, other_trees) -> list[str]:
+    """The definitions in ``package_trees`` named nowhere outside their own body."""
+    total = Counter()
+    for tree in [*package_trees.values(), *other_trees]:
+        total += named(tree)
+    dead = []
+    for module, tree in package_trees.items():
+        for node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] - named(node)[name] <= 0:
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_the_check_sees_a_dead_symbol():
+    package = {"m": ast.parse("def used():\n    pass\n\ndef dead(x):\n    return dead(x)\n")}
+    caller = ast.parse("from m import used\nused()\n")
+    assert dead_symbols(package, [caller]) == ["m: dead"]
+
+
+def test_every_package_symbol_is_named_outside_its_definition():
+    package = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    others = [ast.parse(p.read_text()) for d in ("tests", "bench")
+              for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_symbols(package, others) == []
