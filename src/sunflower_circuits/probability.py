@@ -54,7 +54,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import EmptyFamilyError, ExactIntractableError
-from .rng import CounterStream, bias, threshold_for
+from .rng import _PIECE, CounterStream, bias, threshold_for
 from .setfamily import SetFamily, antichain_minimize, core, elements_of, iter_submasks
 
 DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
@@ -63,7 +63,7 @@ _IE_LIMIT = 20  # max family size for the inclusion-exclusion strategy
 # measured costs (ns) of one inclusion-exclusion step, the enumeration's
 # set-up and one enumerated row: plain masks take the cheaper strategy
 EXACT_COST_NS = (900, 100_000, 10)
-_CHUNK_SLOTS = 1 << 21  # counter slots drawn per sampler chunk
+_CHUNK_SLOTS = 1 << 21  # counter slots per chunk ``bernoulli_rows`` yields (drawn by ``_PIECE``)
 _MAX_U64 = (1 << 64) - 1
 
 
@@ -315,11 +315,14 @@ def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
 
 
 def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, p, q) -> Iterator:
-    """``samples`` boolean rows of ``width`` columns, in chunks of about 2^21 slots.
+    """``samples`` boolean rows of ``width`` columns, yielded in chunks of about 2^21 slots.
 
     Row s reads slots i + s*width + j, i the ``stream.index`` at the call;
     each chunk advances the index before it is yielded.  Column j is accepted
     when its draw is below ``threshold_for`` p (below ``split``) or q (at or above it).
+    A chunk is filled one ``_PIECE``-slot piece of draws at a time, whole rows
+    per piece, or one piece of a row wider than a piece: each piece is drawn
+    and thresholded while it is in cache, and no uint64 array outlives it.
     """
     tp, tq = threshold_for(p), threshold_for(q)
     limit = np.full(width, min(tq, _MAX_U64), dtype=np.uint64)
@@ -327,12 +330,17 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
     certain = np.full(width, tq > _MAX_U64)  # bias 1
     certain[:split] = tp > _MAX_U64
     chunk = max(1, _CHUNK_SLOTS // max(width, 1))
+    step = max(1, _PIECE // max(width, 1))  # rows per piece
+    span = min(width, _PIECE) or 1  # columns per piece
     for done in range(0, samples, chunk):
-        take = min(chunk, samples - done)
-        # no local keeps the uint64 draws alive while the caller holds the rows
-        rows = stream.block(stream.index, take * width).reshape(take, width) < limit
+        rows = np.empty((min(chunk, samples - done), width), dtype=bool)
+        for r in range(0, len(rows), step):
+            for c in range(0, width, span):
+                piece = rows[r : r + step, c : c + span]
+                draws = stream.block(stream.index, piece.size).reshape(piece.shape)
+                np.less(draws, limit[c : c + span], out=piece)
+                stream.index += piece.size
         rows |= certain
-        stream.index += take * width
         yield rows
 
 

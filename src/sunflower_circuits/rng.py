@@ -8,6 +8,14 @@ mixes the seed with the stream index.  This gives:
 * bit-identical results for identical ``(seed, stream)`` on any platform,
 * random access (``at(i)``), so vectorized block generation and scalar
   stateful draws agree slot-for-slot.
+
+``block`` fills its output in pieces of ``_PIECE`` slots (256 KiB of
+uint64): each piece is one add of the precomputed steps ``(j+1)*GOLDEN``
+to the piece's offset, then the finalizer in place.  A piece and its shift
+buffer (512 KiB) fit in a core's L2 cache, so the add and the finalizer's
+eight array passes run from cache instead of streaming a chunk-sized
+temporary through memory on each pass.  The piece size changes the speed
+only: every slot value is the finalizer of the same counter.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ _NP_GOLDEN = np.uint64(_GOLDEN)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
+_PIECE = 1 << 15  # slots mixed at a time by ``block``: 256 KiB of uint64
+_STEPS = np.arange(1, _PIECE + 1, dtype=np.uint64)
+_STEPS *= _NP_GOLDEN  # (j+1)*GOLDEN mod 2^64, built in place: one 256 KiB array
+
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit bijective hash."""
@@ -35,15 +47,13 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _block_mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array, in place, with one shift buffer."""
-    shifted = np.empty_like(z)
+def _block_mix(z: np.ndarray, shifted: np.ndarray) -> None:
+    """splitmix64 finalizer over a uint64 array, in place, through the buffer ``shifted``."""
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _NP_MIX1
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _NP_MIX2
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
 
 
 def bias(p) -> Fraction:
@@ -99,8 +109,20 @@ class CounterStream:
                 return v % n
 
     def block(self, start: int, count: int) -> np.ndarray:
-        """Outputs for slots [start, start+count) as a uint64 array."""
-        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z *= _NP_GOLDEN
-        z += np.uint64(self.key)
-        return _block_mix(z)
+        """Outputs for slots [start, start+count) as a uint64 array, ``at`` slot by slot.
+
+        The array is filled one ``_PIECE``-slot piece at a time.  A piece's
+        offset key + (start+lo)*GOLDEN is one Python integer taken mod 2^64,
+        so any slot ``at`` answers is reachable.  A negative count raises
+        ``ValueError``.
+        """
+        if count < 0:
+            raise ValueError(f"negative slot count {count}")
+        out = np.empty(count, dtype=np.uint64)
+        shifted = np.empty(min(count, _PIECE), dtype=np.uint64)
+        for lo in range(0, count, _PIECE):
+            piece = out[lo : lo + _PIECE]
+            offset = np.uint64((self.key + (start + lo) * _GOLDEN) & _MASK64)
+            np.add(_STEPS[: len(piece)], offset, out=piece)
+            _block_mix(piece, shifted[: len(piece)])
+        return out

@@ -4,13 +4,13 @@ Everything here is deliberately dumb: full enumeration with exact
 rationals, no sharing of code paths with the package under test.  Three
 exceptions check one layer of the package over its own lower layers: the
 per-draw samplers (``bernoulli_block``, ``p_subset_draw``,
-``positive_draw`` and the ``*_hits`` loops) read the package's counter
-stream and threshold rule one draw at a time, as references for its block
-samplers; ``kclique_hits_loop`` decides each sampled graph with the
-package's backtracking search and no pruning; and the reference
-extractions at the end are the recursive forms of the package's three
-extraction loops, over the package's own link, spread check, Janson
-certificate and verification.
+``positive_draw`` and the ``*_hits`` loops) read the package's scalar
+counter stream (``CounterStream.at``) and threshold rule one draw at a
+time, as references for its block samplers; ``kclique_hits_loop``
+decides each sampled graph with the package's backtracking search and
+no pruning; and the reference extractions at the end are the recursive
+forms of the package's three extraction loops, over the package's own
+link, spread check, Janson certificate and verification.
 """
 
 from fractions import Fraction
@@ -274,8 +274,10 @@ def brute_agreement(w1, w2):
 def bernoulli_block(stream, start, count, p):
     """Boolean array over slots [start, start+count) of ``stream``, one per draw.
 
-    A slot is accepted when its draw is below ``threshold_for(p)``; bias 1
-    accepts and bias 0 rejects without reading a draw.
+    Each draw is the scalar ``stream.at(i)`` (the splitmix64 finalizer on
+    Python integers), not the package's vectorized ``block``.  A slot is
+    accepted when its draw is below ``threshold_for(p)``; bias 1 accepts and
+    bias 0 rejects without reading a draw.
     """
     import numpy as np
     from sunflower_circuits.rng import threshold_for
@@ -285,7 +287,7 @@ def bernoulli_block(stream, start, count, p):
         return np.ones(count, dtype=bool)
     if t <= 0:
         return np.zeros(count, dtype=bool)
-    return stream.block(start, count) < np.uint64(t)
+    return np.array([stream.at(i) < t for i in range(start, start + count)], dtype=bool)
 
 
 def p_subset_draw(n, p, stream):
