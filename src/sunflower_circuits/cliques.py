@@ -16,8 +16,8 @@ choice and refusal (``exact_coverage``) and samples (one row of C(n,2)+n
 columns per sample, edges first), exactly as for set families.  The
 plain clique-sunflower is the q = 1 case, one call of the (p, q) path:
 the core clears the certain vertex bits, which leaves the edge family
-{K_A \\ K_B}.  ``has_k_clique`` is the one clique decider; it decides a
-block of graphs at a time.
+{K_A \\ K_B}.  ``has_k_clique`` is the one clique decider; it prunes a
+block of graphs to a fixpoint, then searches the rows that are left.
 
 Clique-shaped functions are ``monotone.MonotoneFunction``s over vertex
 masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
@@ -61,7 +61,6 @@ from .monotone import ClosureParams, MonotoneFunction
 
 
 _ADJ_BLOCK = 1 << 17  # adjacency entries per sub-block of the clique decider
-_PRUNE_ROUNDS = 3  # common-neighbour pruning rounds before the exact search
 
 
 def edge_count(n: int) -> int:
@@ -75,18 +74,6 @@ def edge_index(u: int, v: int) -> int:
     return (v - 1) * (v - 2) // 2 + (u - 1)
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
-        if self.edges >> edge_count(self.n):
-            raise ValueError("edge bits outside the pair range")
-
-
 def clique_edges(vertex_mask: int) -> int:
     """Edge mask of the clique on the given vertices (empty if <= 1 vertex)."""
     verts = elements_of(vertex_mask)
@@ -97,56 +84,30 @@ def clique_edges(vertex_mask: int) -> int:
     return edges
 
 
-def gnp_sample(n: int, p, stream: CounterStream) -> Graph:
-    """One draw of the binomial random graph: one ``sample_p_subset`` row of C(n,2) slots."""
-    return Graph(n, sample_p_subset(edge_count(n), p, stream))
+def gnp_sample(n: int, p, stream: CounterStream) -> int:
+    """The edge mask of one G(n, p) draw: one ``sample_p_subset`` row of C(n,2) slots."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    return sample_p_subset(edge_count(n), p, stream)
 
 
 def _has_clique_masks(adj: list[int], k: int) -> bool:
-    """k-clique search over per-vertex neighbour masks, k >= 2."""
-    n = len(adj)
-    cand = (1 << n) - 1
-    # iterated degree pruning: a k-clique needs minimum degree k-1 inside
-    changed = True
-    while changed:
-        changed = False
-        c = cand
-        while c:
-            low = c & -c
-            vi = low.bit_length() - 1
-            if (adj[vi] & cand).bit_count() < k - 1:
-                cand ^= low
-                changed = True
-            c ^= low
-    if cand.bit_count() < k:
-        return False
+    """Ordered k-clique search over neighbour masks (Carraghan-Pardalos 1990).
 
-    def expand(size: int, cand: int) -> bool:
+    Take the lowest candidate v, drop it, and extend by v over the candidates
+    adjacent to v; a branch stops once fewer candidates are left than it lacks.
+    """
+    def extend(size: int, cand: int) -> bool:
         if size == k:
             return True
-        if size + cand.bit_count() < k:
-            return False
-        # pivot on the candidate with most candidate-neighbors
-        best, best_deg = -1, -1
-        c = cand
-        while c:
-            low = c & -c
-            vi = low.bit_length() - 1
-            d = (adj[vi] & cand).bit_count()
-            if d > best_deg:
-                best, best_deg = vi, d
-            c ^= low
-        branch = cand & ~adj[best]
-        while branch:
-            low = branch & -branch
-            vi = low.bit_length() - 1
-            if expand(size + 1, cand & adj[vi]):
-                return True
+        while cand.bit_count() >= k - size:
+            low = cand & -cand
             cand ^= low
-            branch ^= low
+            if extend(size + 1, cand & adj[low.bit_length() - 1]):
+                return True
         return False
 
-    return expand(0, cand)
+    return extend(0, (1 << len(adj)) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -164,13 +125,12 @@ def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
     """Per row of edge bits (``edge_index`` order), whether its graph has a k-clique.
 
     The rows are cut into sub-blocks of about ``_ADJ_BLOCK`` adjacency
-    entries.  In each, an edge whose endpoints have fewer than k-2 common
-    neighbours is dropped, for up to ``_PRUNE_ROUNDS`` rounds of one batched
-    0/1 matrix product.  Every edge of a k-clique keeps its k-2 in-clique
-    common neighbours, so no clique loses an edge and every decision is
-    unchanged.  A row left with fewer than C(k,2) edges has no k-clique; at
-    k <= 3 one round decides the rest (a kept edge lies in a k-clique), and
-    otherwise they go to the backtracking search one at a time.
+    entries.  In each, rounds of one batched 0/1 matrix product drop every
+    edge whose endpoints have fewer than k-2 common neighbours, until a
+    round drops nothing.  An edge of a k-clique keeps its k-2 in-clique
+    common neighbours, so no decision changes.  A row left with fewer than
+    C(k,2) edges has no k-clique; at k <= 3 one round decides the rest (a
+    kept edge lies in a k-clique), and otherwise ``_has_clique_masks``.
     """
     rows = len(bits)
     if k <= 1 or k > n:  # no edge to test: the empty clique always, one vertex when n >= 1
@@ -185,10 +145,10 @@ def has_k_clique(bits: np.ndarray, n: int, k: int) -> np.ndarray:
         padded[:, :m] = block
         adj = padded.take(_edge_columns(n), axis=1)  # (rows, n, n) symmetric adjacency
         index = np.arange(start, start + len(block))
-        for _ in range(1 if k <= 3 else _PRUNE_ROUNDS):
+        while len(adj):
             a = adj.astype(np.float32)  # counts below n < 2^24 are exact
             kept = adj & (np.matmul(a, a) >= k - 2)
-            stable = np.array_equal(kept, adj)
+            stable = k <= 3 or np.array_equal(kept, adj)  # at k <= 3 one round decides
             live = kept.sum(axis=(1, 2)) >= need
             adj, index = kept[live], index[live]
             if stable:
@@ -443,12 +403,9 @@ def verify_no_kclique_bound(n: int, k: int, p, samples: int, seed: int = 0) -> E
 
     Sample s is row s of ``bernoulli_rows`` on ``CounterStream(seed)``: it
     reads counter slots s*C(n,2) + j, edge j in ``edge_index`` order, so the
-    estimate equals one ``gnp_sample`` per sample.  The rows are decided a
-    block at a time by ``has_k_clique``, which drops every edge whose
-    endpoints share fewer than k-2 neighbours before the exact search; an
-    edge of a k-clique shares the other k-2 clique vertices, so the pruning
-    changes no decision and the hit count is exact.  n < 1 or k < 0 raise
-    ``ValueError``.
+    estimate equals one ``gnp_sample`` edge mask per sample.  The rows are
+    decided a block at a time by ``has_k_clique``, whose pruning changes no
+    decision, so the hit count is exact.  n < 1 or k < 0 raise ``ValueError``.
     """
     if n < 1:
         raise ValueError("need at least one vertex")

@@ -329,6 +329,7 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
     limit[:split] = min(tp, _MAX_U64)
     certain = np.full(width, tq > _MAX_U64)  # bias 1
     certain[:split] = tp > _MAX_U64
+    any_certain = certain.any()
     chunk = max(1, _CHUNK_SLOTS // max(width, 1))
     step = max(1, _PIECE // max(width, 1))  # rows per piece
     span = min(width, _PIECE) or 1  # columns per piece
@@ -340,7 +341,8 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
                 draws = stream.block(stream.index, piece.size).reshape(piece.shape)
                 np.less(draws, limit[c : c + span], out=piece)
                 stream.index += piece.size
-        rows |= certain
+        if any_certain:
+            rows |= certain
         yield rows
 
 

@@ -1,16 +1,15 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately dumb: full enumeration with exact
-rationals, no sharing of code paths with the package under test.  Three
+rationals, no sharing of code paths with the package under test.  Two
 exceptions check one layer of the package over its own lower layers: the
 per-draw samplers (``bernoulli_block``, ``p_subset_draw``,
 ``positive_draw`` and the ``*_hits`` loops) read the package's scalar
 counter stream (``CounterStream.at``) and threshold rule one draw at a
-time, as references for its block samplers; ``kclique_hits_loop``
-decides each sampled graph with the package's backtracking search and
-no pruning; and the reference extractions at the end are the recursive
-forms of the package's three extraction loops, over the package's own
-link, spread check, Janson certificate and verification.
+time, as references for its block samplers; and the reference
+extractions at the end are the recursive forms of the package's three
+extraction loops, over the package's own link, spread check, Janson
+certificate and verification.
 """
 
 from fractions import Fraction
@@ -360,15 +359,27 @@ def set_sample_hits(members, y, p, samples, stream):
     return hits
 
 
+def has_clique_sets(neighbours, k):
+    """Whether some k vertices are pairwise adjacent: grow sorted vertex lists,
+    each next vertex above the last and a neighbour of every vertex listed."""
+
+    def grow(clique, candidates):
+        if len(clique) == k:
+            return True
+        return any(grow(clique + [v], [u for u in candidates if u > v and u in neighbours[v]])
+                   for v in candidates)
+
+    return grow([], sorted(neighbours))
+
+
 def kclique_hits_loop(n, k, p, samples, seed):
     """Graphs of G(n, p) with a k-clique, one sample at a time with no pruning.
 
     Sample s reads slots s*C(n,2) .. (s+1)*C(n,2) - 1 of stream 0 as its
     edges in edge-index order (edge {u, v}, u < v, at (v-1)(v-2)/2 + u-1),
-    builds the neighbour masks edge by edge and runs the package's
-    backtracking search on them.
+    builds each vertex's neighbour set edge by edge and decides the graph
+    with ``has_clique_sets``.
     """
-    from sunflower_circuits.cliques import _has_clique_masks
     from sunflower_circuits.rng import CounterStream
 
     if k <= 1:
@@ -379,13 +390,13 @@ def kclique_hits_loop(n, k, p, samples, seed):
     hits = 0
     for s in range(samples):
         bits = bernoulli_block(stream, s * m, m, p)
-        adj = [0] * n
+        neighbours = {v: set() for v in range(1, n + 1)}
         for i in range(m):
             if bits[i]:
                 u, v = endpoints[i]
-                adj[u - 1] |= 1 << (v - 1)
-                adj[v - 1] |= 1 << (u - 1)
-        if _has_clique_masks(adj, k):
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+        if has_clique_sets(neighbours, k):
             hits += 1
     return hits
 

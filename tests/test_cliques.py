@@ -108,8 +108,8 @@ class TestCliqueGraph:
 class TestGnp:
     def test_extreme_p(self):
         s = CounterStream(0)
-        assert gnp_sample(6, 0, s).edges == 0
-        assert gnp_sample(6, 1, s).edges == (1 << 15) - 1
+        assert gnp_sample(6, 0, s) == 0
+        assert gnp_sample(6, 1, s) == (1 << 15) - 1
 
     def test_deterministic(self):
         a = gnp_sample(8, 0.5, CounterStream(7))
@@ -119,7 +119,7 @@ class TestGnp:
     def test_edge_density(self):
         s = CounterStream(1)
         m = edge_count(10)
-        total = sum(gnp_sample(10, 0.3, s).edges.bit_count() for _ in range(500))
+        total = sum(gnp_sample(10, 0.3, s).bit_count() for _ in range(500))
         assert abs(total / (500 * m) - 0.3) < 0.03
 
 
@@ -136,14 +136,22 @@ class TestHasClique:
         assert has_k_clique(empty, 5, 0).tolist() == [True] * 3
 
     def test_against_exhaustive_scan(self):
-        # per n, one block of sparse, even, dense, empty and complete graphs
+        # per n <= 8, one block of sparse, even, dense, empty and complete graphs; per
+        # n >= 9, p = 1/2 and p = 3/4 rows with a planted 6- or 7-clique, which the
+        # pruning leaves to the ordered search
         rng = random.Random(3)
-        for n in range(4, 9):
+        for n in range(4, 13):
             m = edge_count(n)
-            edges = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
-            edges += [rng.getrandbits(m) for _ in range(4)]
-            edges += [rng.getrandbits(m) | rng.getrandbits(m) for _ in range(8)]
-            edges += [0, (1 << m) - 1]
+            if n <= 8:
+                edges = [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(4)]
+                edges += [rng.getrandbits(m) for _ in range(4)]
+                edges += [rng.getrandbits(m) | rng.getrandbits(m) for _ in range(8)]
+                edges += [0, (1 << m) - 1]
+            else:
+                planted = [clique_edges(sum(1 << v for v in rng.sample(range(n), size)))
+                           for size in (6, 7) * 4]
+                edges = [rng.getrandbits(m) | c for c in planted]
+                edges += [rng.getrandbits(m) | rng.getrandbits(m) | c for c in planted]
             bits = unpack_rows(edges, m)
             edge_sets = [
                 {frozenset((u, v)) for u, v in combinations(range(1, n + 1), 2)

@@ -358,7 +358,7 @@ class TestSamplers:
             (lambda s: sample_p_subset(11, Fraction(1, 3), s),
              lambda s: p_subset_draw(11, Fraction(1, 3), s)),
             (lambda s: sample_positive(hr, s), lambda s: positive_draw(hr, s)),
-            (lambda s: gnp_sample(7, Fraction(1, 2), s).edges,
+            (lambda s: gnp_sample(7, Fraction(1, 2), s),
              lambda s: p_subset_draw(21, Fraction(1, 2), s)),
             (lambda s: sample_p_subset(5, 0, s), lambda s: p_subset_draw(5, 0, s)),
             (lambda s: sample_p_subset(5, 1, s), lambda s: p_subset_draw(5, 1, s)),

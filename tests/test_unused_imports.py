@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-function, class and method it defines is named outside its definition."""
+function, class, method and module-level name it defines is named outside
+its definition."""
 
 import ast
 from collections import Counter
@@ -53,13 +54,17 @@ def named(tree) -> Counter:
 
 
 def definitions(tree):
-    """A module's top-level functions and classes and the methods of its classes."""
+    """(name, node) for a module's top-level functions, classes and assigned
+    names, and for the methods of its classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, defs))
+            yield from ((m.name, m) for m in node.body if isinstance(m, defs))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
 def dead_symbols(package_trees: dict, other_trees) -> list[str]:
@@ -69,8 +74,7 @@ def dead_symbols(package_trees: dict, other_trees) -> list[str]:
         total += named(tree)
     dead = []
     for module, tree in package_trees.items():
-        for node in definitions(tree):
-            name = node.name
+        for name, node in definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if total[name] - named(node)[name] <= 0:
@@ -82,6 +86,12 @@ def test_the_check_sees_a_dead_symbol():
     package = {"m": ast.parse("def used():\n    pass\n\ndef dead(x):\n    return dead(x)\n")}
     caller = ast.parse("from m import used\nused()\n")
     assert dead_symbols(package, [caller]) == ["m: dead"]
+
+
+def test_the_check_sees_a_dead_constant():
+    source = "__all__ = ['f']\n_USED = 3\n_DEAD: int = 4\n\ndef f():\n    return _USED\n"
+    caller = ast.parse("from m import f\nf()\n")
+    assert dead_symbols({"m": ast.parse(source)}, [caller]) == ["m: _DEAD"]
 
 
 def test_every_package_symbol_is_named_outside_its_definition():
