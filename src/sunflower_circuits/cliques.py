@@ -39,12 +39,12 @@ from .probability import (
     Estimate,
     ExactProbability,
     RobustnessCheck,
+    bernoulli_hits,
     bernoulli_rows,
     exact_engine,
     exact_coverage,
     pack_rows,
     sample_p_subset,
-    sampled_coverage,
 )
 from .rng import CounterStream
 from .setfamily import (
@@ -187,11 +187,11 @@ def pq_coverage_exact(s: SetFamily, core_vertices: int, p, q) -> ExactProbabilit
 def pq_coverage_mc(
     s: SetFamily, core_vertices: int, p, q, samples: int, seed: int = 0
 ) -> Estimate:
-    """Sampled joint coverage; each sample consumes C(n,2)+n slots (edges first)."""
+    """Sampled joint coverage: ``bernoulli_hits`` over rows of C(n,2)+n columns, edges first."""
     split = edge_count(s.n)
     masks = antichain_minimize(_pq_masks(s, core_vertices))
-    rows = bernoulli_rows(CounterStream(seed), samples, split + s.n, split, p, q)
-    return sampled_coverage(rows, masks, samples, seed)
+    hits = bernoulli_hits(CounterStream(seed), samples, split + s.n, split, p, q, masks)
+    return Estimate.from_hits(hits, samples, seed)
 
 
 def is_pq_clique_sunflower(

@@ -32,8 +32,7 @@ import numpy as np
 from .errors import EnumerationTooLargeError
 from .probability import (
     Estimate,
-    bernoulli_rows,
-    count_covered,
+    bernoulli_hits,
     coverage_exact,
     exact_engine,
     pack_rows,
@@ -166,7 +165,9 @@ def _positive_indices(
             take = want - len(digits)
             digits = np.concatenate([digits, _draw_digits(stream.block(stream.index, take), n)])
             stream.index += take
-        yield digits.reshape(-1, c) @ place
+        index = digits.reshape(-1, c) @ place
+        del digits  # not held while the caller builds the chunk's rows
+        yield index
 
 
 def positive_rows(hr: HRFamily, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
@@ -237,8 +238,8 @@ def verify_negative_rejection(
         accept = coverage_exact(hr.family, 0, Fraction(1, 2))
         return 1 - accept.value, bound
     half = Fraction(1, 2)
-    rows = bernoulli_rows(CounterStream(seed), samples, params.n, params.n, half, half)
-    covered = sum(count_covered(bits, hr.family.members) for bits in rows)
+    stream = CounterStream(seed)
+    covered = bernoulli_hits(stream, samples, params.n, params.n, half, half, hr.family.members)
     return Estimate.from_hits(samples - covered, samples, seed), bound
 
 

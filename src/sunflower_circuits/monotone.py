@@ -27,7 +27,9 @@ exact coverage enumerates with (``probability.up_closure``): one weighted
 superset sum (Yates' transform) gives every candidate's noisy acceptance at
 once as an exact integer, and each round adds every violator.  Monte-Carlo,
 the clique reading and larger n or denominators scan the candidates one
-coverage call at a time, adding the first violator per round.
+at a time, adding the first violator per round: one ``coverage_exact``
+call per candidate, or on Monte-Carlo one count against a packed block of
+rows drawn once per compacted width per round (``probability.CoverageBlocks``).
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .probability import (
+    CoverageBlocks,
     Estimate,
     ExactProbability,
     above_threshold,
     count_covered,
     coverage_exact,
-    coverage_mc,
     exact_engine,
     up_closure,
 )
@@ -200,13 +202,18 @@ def is_closed(
     The exact plain reading reads f's truth table (``_table_scan``) when
     n <= ``TABLE_MAX_N`` and the noise is a/b with b^n < 2^63; it reports
     the same witness and probability as the per-candidate scan, plus every
-    other violation.  Otherwise each candidate costs one coverage call.
+    other violation.  Otherwise the candidates are scanned one at a time:
+    on ``exact`` each costs one ``coverage_exact`` call; on ``mc`` each is
+    counted against the scan's ``CoverageBlocks``, one packed block of
+    rows per compacted width, drawn once, so every estimate is
+    ``coverage_mc``'s at (noise_p, samples, seed).
     """
     exact = exact_engine(engine)
     if exact and type(params) is ClosureParams and f.n <= TABLE_MAX_N:
         p = bias(params.noise_p)
         if p.denominator**f.n < 1 << 63:
             return _table_scan(f, params, p.numerator, p.denominator)
+    blocks = None if exact else CoverageBlocks(params.noise_p, samples, seed)
     fam = None
     for a in params.candidates(f.n):
         if f(a):
@@ -214,10 +221,7 @@ def is_closed(
         if fam is None:  # once per scan, and only when some coverage is needed
             fam = params.coverage_family(f)
         y = params.coverage_mask(a)
-        if exact:
-            prob = coverage_exact(fam, y, params.noise_p)
-        else:
-            prob = coverage_mc(fam, y, params.noise_p, samples, seed=seed)
+        prob = coverage_exact(fam, y, params.noise_p) if exact else blocks.coverage(fam, y)
         if above_threshold(prob, params.eps) is True:
             return ClosednessReport(False, a, prob, (a,))
     return ClosednessReport(True, None, None)

@@ -32,8 +32,15 @@ Coverage is Pr[some mask lies inside the random set], and
   ``width``-column draw reading slots s*width + j from the stream's index,
   column j p-biased below the split and q-biased above it;
   ``sample_p_subset`` is its one-row call.  Plain coverage remaps E onto
-  contiguous bits first.  One estimator, ``sampled_coverage``, counts the
-  rows of any block sampler containing some mask, with a Wilson interval.
+  contiguous bits first.  One hit counter, ``bernoulli_hits``, counts the
+  rows containing some mask: pairwise disjoint masks (petals over their
+  core) slot by slot, reading a slot only while its row is uncovered and
+  its mask not yet rejected, other masks on the packed rows
+  (``count_covered``: ``pack_words``, then ``count_matched``).  One
+  estimator, ``sampled_coverage``, counts the rows of any block sampler
+  containing some mask, with a Wilson interval; ``CoverageBlocks`` answers
+  many ``coverage_mc`` calls at one (p, samples, seed) from one packed
+  block per compacted width.
 
 Every exact strategy refuses when its work exceeds the cap
 ``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
@@ -314,6 +321,20 @@ def coverage_exact(family: SetFamily, y: int, p) -> ExactProbability:
     return ExactProbability(exact_coverage((m & ~y for m in family.members), family.n, p, p))
 
 
+def _column_limits(width: int, split: int, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the uint64 acceptance limit of its draw and whether its bias is 1.
+
+    Columns below ``split`` take ``threshold_for`` p, the others q; a bias-1
+    column is accepted without reading its draw.
+    """
+    tp, tq = threshold_for(p), threshold_for(q)
+    limit = np.full(width, min(tq, _MAX_U64), dtype=np.uint64)
+    limit[:split] = min(tp, _MAX_U64)
+    certain = np.full(width, tq > _MAX_U64)
+    certain[:split] = tp > _MAX_U64
+    return limit, certain
+
+
 def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, p, q) -> Iterator:
     """``samples`` boolean rows of ``width`` columns, yielded in chunks of about 2^21 slots.
 
@@ -324,11 +345,7 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
     per piece, or one piece of a row wider than a piece: each piece is drawn
     and thresholded while it is in cache, and no uint64 array outlives it.
     """
-    tp, tq = threshold_for(p), threshold_for(q)
-    limit = np.full(width, min(tq, _MAX_U64), dtype=np.uint64)
-    limit[:split] = min(tp, _MAX_U64)
-    certain = np.full(width, tq > _MAX_U64)  # bias 1
-    certain[:split] = tp > _MAX_U64
+    limit, certain = _column_limits(width, split, p, q)
     any_certain = certain.any()
     chunk = max(1, _CHUNK_SLOTS // max(width, 1))
     step = max(1, _PIECE // max(width, 1))  # rows per piece
@@ -346,22 +363,84 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
         yield rows
 
 
-def count_covered(bits: np.ndarray, masks) -> int:
-    """Number of rows of ``bits`` containing some mask, matched per 64-column word."""
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as uint64 words, column j at bit j % 64 of word j // 64 (one word at least)."""
     rows, width = bits.shape
     words = -(-width // 64) or 1
     packed = np.zeros((rows, 8 * words), dtype=np.uint8)
     packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    w = packed.view("<u8")
-    covered = np.zeros(rows, dtype=bool)
+    return packed.view("<u8")
+
+
+def count_matched(words: np.ndarray, masks) -> int:
+    """Number of ``pack_words`` rows containing some mask, matched per 64-column word."""
+    covered = np.zeros(len(words), dtype=bool)
     for r in masks:
-        hit = np.ones(rows, dtype=bool)
-        for k in range(words):
+        hit = True  # the zero mask lies in every row
+        for k in range(words.shape[1]):
             part = np.uint64(r >> (64 * k) & _MAX_U64)
             if part:
-                hit &= (w[:, k] & part) == part
+                hit &= (words[:, k] & part) == part
         covered |= hit
     return int(covered.sum())
+
+
+def count_covered(bits: np.ndarray, masks) -> int:
+    """Number of rows of ``bits`` containing some mask."""
+    return count_matched(pack_words(bits), masks)
+
+
+def bernoulli_hits(stream: CounterStream, samples: int, width: int, split: int, p, q, masks) -> int:
+    """Number of ``bernoulli_rows(stream, samples, width, split, p, q)`` rows containing some mask.
+
+    The stream's index ends where ``bernoulli_rows`` leaves it.  Pairwise
+    disjoint masks (their sizes sum to the size of their union) never share
+    a slot, so they are decided lazily: in chunks of ``_PIECE`` rows, one
+    mask at a time, slot i + s*width + j is read (``CounterStream.gather``)
+    only while row s is uncovered and the mask has no rejected column yet.
+    A mask with a bias-0 column covers no row, and one whose columns all
+    have bias 1 covers every row.  Overlapping masks would read slots
+    again, and are counted on the rows with ``count_covered``.
+    """
+    masks = list(masks)
+    union = size = 0
+    for m in masks:
+        union |= m
+        size += m.bit_count()
+    if size != union.bit_count():
+        rows = bernoulli_rows(stream, samples, width, split, p, q)
+        return sum(count_covered(bits, masks) for bits in rows)
+    limit, certain = _column_limits(width, split, p, q)
+    start = stream.index
+    stream.index += samples * width
+    columns = []  # per mask that can cover a row, the columns whose draws it reads
+    for m in masks:
+        read = [j - 1 for j in elements_of(m) if not certain[j - 1]]
+        if not read:
+            return samples
+        if all(limit[j] for j in read):
+            columns.append(read)
+    hits = 0
+    for lo in range(0, samples, _PIECE):
+        rows = min(_PIECE, samples - lo)
+        base = start + lo * width
+        uncovered, left = np.ones(rows, dtype=bool), rows
+        for read in columns:
+            slots, at = np.flatnonzero(uncovered).view(np.uint64), 0  # rows accepted so far
+            slots *= np.uint64(width)  # their slots of column 0, from base
+            for j in read:
+                slots += np.uint64(j - at)
+                at = j
+                slots = np.compress(stream.gather(base, slots) < limit[j], slots)
+                if not len(slots):
+                    break
+            if len(slots):
+                uncovered[slots // np.uint64(width)] = False
+                left -= len(slots)
+                if not left:
+                    break
+        hits += rows - left
+    return hits
 
 
 def sampled_coverage(rows, masks, samples: int, seed: int) -> Estimate:
@@ -370,19 +449,55 @@ def sampled_coverage(rows, masks, samples: int, seed: int) -> Estimate:
     return Estimate.from_hits(hits, samples, seed)
 
 
-def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Estimate:
-    """Empirical coverage frequency with a Wilson interval.
+def _reduced_masks(family: SetFamily, y: int) -> tuple[list[int], int]:
+    """The minimal sets of F \\ Y remapped onto columns 0..w-1 (``compact``), and w."""
+    return compact(antichain_minimize(m & ~y for m in family.members))
 
-    The rows range over the elements of E only.  With no mask left, or a
-    member inside Y, the rows have no columns and the frequency is exact,
-    so the estimate has half-width 0.
-    """
-    masks, width = compact(antichain_minimize(m & ~y for m in family.members))
-    rows = bernoulli_rows(CounterStream(seed), samples, width, width, p, p)
-    est = sampled_coverage(rows, masks, samples, seed)
+
+def _coverage_estimate(hits: int, masks: list[int], samples: int, seed: int) -> Estimate:
+    """The estimate of ``hits`` rows; exact (half-width 0) with no mask left or the zero mask."""
+    est = Estimate.from_hits(hits, samples, seed)
     if not masks or masks[0] == 0:
         return replace(est, half_width=0.0)
     return est
+
+
+def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Estimate:
+    """Empirical coverage frequency with a Wilson interval.
+
+    The rows range over the elements of E only, compacted onto columns
+    0..|E|-1, and ``bernoulli_hits`` counts them on ``CounterStream(seed)``.
+    With no mask left, or a member inside Y, the rows have no columns and
+    the frequency is exact, so the estimate has half-width 0.
+    """
+    masks, width = _reduced_masks(family, y)
+    hits = bernoulli_hits(CounterStream(seed), samples, width, width, p, p, masks)
+    return _coverage_estimate(hits, masks, samples, seed)
+
+
+class CoverageBlocks:
+    """``coverage_mc`` at one (p, samples, seed) for many (family, Y).
+
+    Its rows depend only on the compacted width w, so the rows of each w
+    are drawn once, on first use, and packed once (``pack_words``); every
+    call counts its compacted masks against them (``count_matched``), with
+    ``coverage_mc``'s reduction and zero-mask rule.  The estimates are
+    ``coverage_mc``'s, bit for bit.
+    """
+
+    def __init__(self, p, samples: int, seed: int):
+        self.p, self.samples, self.seed = p, samples, seed
+        self.words: dict[int, np.ndarray] = {}
+
+    def coverage(self, family: SetFamily, y: int) -> Estimate:
+        masks, width = _reduced_masks(family, y)
+        words = self.words.get(width)
+        if words is None:
+            stream = CounterStream(self.seed)
+            rows = bernoulli_rows(stream, self.samples, width, width, self.p, self.p)
+            empty = np.zeros((0, -(-width // 64) or 1), dtype=np.uint64)  # for no rows at all
+            words = self.words[width] = np.concatenate([empty, *map(pack_words, rows)])
+        return _coverage_estimate(count_matched(words, masks), masks, self.samples, self.seed)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ is the splitmix64 finalizer applied to ``key + (i+1)*GOLDEN``, where the key
 mixes the seed with the stream index.  This gives:
 
 * bit-identical results for identical ``(seed, stream)`` on any platform,
-* random access (``at(i)``), so vectorized block generation and scalar
-  stateful draws agree slot-for-slot.
+* random access (``at(i)``), so vectorized block generation, vectorized
+  reads of scattered slots (``gather``) and scalar stateful draws agree
+  slot-for-slot.
 
 ``block`` fills its output in pieces of ``_PIECE`` slots (256 KiB of
 uint64): each piece is one add of the precomputed steps ``(j+1)*GOLDEN``
@@ -126,3 +127,15 @@ class CounterStream:
             np.add(_STEPS[: len(piece)], offset, out=piece)
             _block_mix(piece, shifted[: len(piece)])
         return out
+
+    def gather(self, start: int, offsets: np.ndarray) -> np.ndarray:
+        """Outputs for slots start + o, o running over the uint64 array ``offsets``.
+
+        Slot by slot these are ``at``'s.  As in ``block``, the offset
+        key + (start+1)*GOLDEN is one Python integer taken mod 2^64, so any
+        slot ``at`` answers is reachable.  ``offsets`` is left as it is.
+        """
+        z = np.multiply(offsets, _NP_GOLDEN, dtype=np.uint64)
+        z += np.uint64((self.key + (start + 1) * _GOLDEN) & _MASK64)
+        _block_mix(z, np.empty_like(z))
+        return z

@@ -6,7 +6,9 @@ exceptions check one layer of the package over its own lower layers: the
 per-draw samplers (``bernoulli_block``, ``p_subset_draw``,
 ``positive_draw`` and the ``*_hits`` loops) read the package's scalar
 counter stream (``CounterStream.at``) and threshold rule one draw at a
-time, as references for its block samplers; and the reference
+time, as references for its block samplers and hit counters (with
+``mc_closedness_scan``, the Monte-Carlo closure's per-candidate scan over
+the package's estimate and threshold rule); and the reference
 extractions at the end are the recursive forms of the package's three
 extraction loops, over the package's own link, spread check, Janson
 certificate and verification.
@@ -357,6 +359,35 @@ def set_sample_hits(members, y, p, samples, stream):
         if any(m & ~w == 0 for m in reduced):
             hits += 1
     return hits
+
+
+def mc_closedness_scan(f, params, samples, seed):
+    """``is_closed`` on Monte-Carlo, one candidate at a time: (witness, estimate), or None.
+
+    Each candidate A of ``params`` that f rejects counts its own
+    ``set_sample_hits`` on a fresh ``CounterStream(seed)``, over f's
+    coverage family and Y = A's coverage mask.  The estimate has half-width
+    0 when no member is left or some member lies inside Y; the first
+    candidate it puts strictly above 1 - eps (``above_threshold``) is the
+    witness.
+    """
+    from dataclasses import replace
+
+    from sunflower_circuits.probability import Estimate, above_threshold
+    from sunflower_circuits.rng import CounterStream
+
+    members = params.coverage_family(f).members
+    for a in params.candidates(f.n):
+        if f(a):
+            continue
+        y = params.coverage_mask(a)
+        hits = set_sample_hits(members, y, params.noise_p, samples, CounterStream(seed))
+        est = Estimate.from_hits(hits, samples, seed)
+        if not members or any(m & ~y == 0 for m in members):
+            est = replace(est, half_width=0.0)
+        if above_threshold(est, params.eps) is True:
+            return a, est
+    return None
 
 
 def has_clique_sets(neighbours, k):

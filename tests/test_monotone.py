@@ -32,6 +32,7 @@ from oracles import (
     brute_polynomial_probability,
     brute_probability,
     enumerate_antichains,
+    mc_closedness_scan,
     p_subset_draw,
     positive_draw,
     reversed_scan_closure,
@@ -191,6 +192,36 @@ class TestClosure:
             f = random_monotone(5, rng)
             if not any(m == 0 for m in f.minterms):
                 assert closure(f, params) == f or f.le(closure(f, params))
+
+
+# plain and clique readings; a single-vertex minterm has no edges, so on the
+# clique reading every candidate's reduced family holds the zero mask
+_MC_SCANS = {
+    "plain": (mf(6, (1, 2, 3), (3, 4, 5), (1, 5, 6)), ClosureParams(eps=0.5, c=3)),
+    "clique": (clique_function(5, [0b00111, 0b01110, 0b11100]), CliqueApproxParams(eps=0.8, c=3)),
+    "clique-zero-mask": (MonotoneFunction.from_masks(5, [0b00001, 0b11100]),
+                         CliqueApproxParams(eps=0.5, c=3)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("reading", sorted(_MC_SCANS))
+def test_mc_closure_is_the_per_candidate_scan(reading, seed):
+    # each round's report, and the fixpoint, are the oracle's one candidate at a time
+    f, params = _MC_SCANS[reading]
+    current, rounds = f, 0
+    while True:
+        found = mc_closedness_scan(current, params, 200, seed)
+        report = is_closed(current, params, "mc", 200, seed)
+        if found is None:
+            assert report == (True, None, None, ())
+            break
+        witness, est = found
+        assert report == (False, witness, est, (witness,))
+        current = MonotoneFunction.from_masks(f.n, current.minterms + (witness,))
+        rounds += 1
+    assert rounds >= 3
+    assert closure(f, params, "mc", 200, seed) == current
 
 
 class TestTrim:
