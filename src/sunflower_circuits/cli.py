@@ -16,8 +16,12 @@ a config error for a subcommand without a Monte-Carlo path, and every
 such path needs a --seed.  The sample budget (--samples) serves every
 Monte-Carlo path, the fallbacks of the extractions included.
 
-Configs can come from a ``key=value`` file (--config) with command-line
-flags taking precedence; unknown keys are rejected.
+Configs can come from a ``key=value`` file (--config): a flag given on
+the command line beats it, and it beats the defaults.  ``run`` reads each
+subcommand parameter once, by its ``_SUBCOMMANDS`` reader, and refuses an
+unknown key or a malformed value before the runner starts.  Every
+probability, bias and eps is an exact ``Fraction`` except clique-verify's
+``p`` and ``delta``, which only feed an estimate and are floats.
 """
 
 from __future__ import annotations
@@ -95,7 +99,6 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        self.params = Params(self.params)
         if self.fmt not in _FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}, expected 'json' or 'csv'")
 
@@ -130,8 +133,7 @@ def _plain(v):
     return v
 
 
-def _load_family(config: ExperimentConfig, n: int) -> SetFamily:
-    spec = config.params["family"]
+def _load_family(spec: str, n: int, seed: Optional[int]) -> SetFamily:
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return family_from_text(fh.read())
@@ -153,9 +155,9 @@ def _load_family(config: ExperimentConfig, n: int) -> SetFamily:
         return SetFamily.from_sets(
             n, [range(i * size + 1, (i + 1) * size + 1) for i in range(m)]
         )
-    if config.seed is None:
+    if seed is None:
         raise ConfigError(f"family {spec!r} needs a --seed to draw its members")
-    stream = CounterStream(config.seed, stream=7)
+    stream = CounterStream(seed, stream=7)
     return SetFamily.from_masks(n, _random_masks(stream, n, size, m))
 
 
@@ -180,31 +182,27 @@ def _parse_elements(text: str, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each takes the config and its parsed parameters
 
 
-def _run_coverage(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    family = _load_family(config, n)
-    y = _parse_elements(str(config.params.get("Y", "")), n)
-    p = Fraction(str(config.params["p"]))
+def _run_coverage(config: ExperimentConfig, params: Params) -> dict:
+    n = params["n"]
+    family = _load_family(params["family"], n, config.seed)
+    y = _parse_elements(params.get("Y", ""), n)
     if exact_engine(config.engine):
-        prob = coverage_exact(family, y, p)
-        checks = [_check("coverage", prob, None, None, engine="exact")]
+        prob = coverage_exact(family, y, params["p"])
     else:
-        est = coverage_mc(family, y, p, config.samples, seed=config.require_seed())
-        checks = [_check("coverage", est, None, None, engine="mc")]
+        prob = coverage_mc(family, y, params["p"], config.samples, seed=config.require_seed())
+    checks = [_check("coverage", prob, None, None, engine=config.engine)]
     return {"checks": checks, "payload": {"family_size": len(family), "Y": elements_of(y)}}
 
 
-def _run_sunflower_extract(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    family = _load_family(config, n)
-    p = float(Fraction(str(config.params["p"])))
-    eps = float(Fraction(str(config.params["eps"])))
-    params = ThresholdParams(B=float(config.params.get("B", 64.0)))
+def _run_sunflower_extract(config: ExperimentConfig, params: Params) -> dict:
+    family = _load_family(params["family"], params["n"], config.seed)
     seed = config.seed if config.seed is not None else 0
-    result = extract_robust_sunflower(family, p, eps, params, config.samples, seed)
+    threshold = ThresholdParams(B=params.get("B", 64.0))
+    result = extract_robust_sunflower(family, params["p"], params["eps"], threshold,
+                                      config.samples, seed)
     checks = [
         _check(
             "extraction-verified",
@@ -224,20 +222,18 @@ def _run_sunflower_extract(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_closure_demo(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    sets = str(config.params["minterms"]).split(";")
+def _run_closure_demo(config: ExperimentConfig, params: Params) -> dict:
+    n = params["n"]
+    sets = params["minterms"].split(";")
     f = MonotoneFunction.from_masks(n, (_parse_elements(s, n) for s in sets))
-    params = ClosureParams(
-        eps=Fraction(str(config.params["eps"])),
-        c=int(config.params["c"]),
-        noise_p=Fraction(str(config.params.get("noise_p", "1/2"))),
+    closure_params = ClosureParams(
+        eps=params["eps"], c=params["c"], noise_p=params.get("noise_p", Fraction(1, 2))
     )
     seed = 0 if exact_engine(config.engine) else config.require_seed()
     how = (config.engine, config.samples, seed)
-    cl = closure(f, params, *how)
-    closed_before = is_closed(f, params, *how).closed
-    closed_after = is_closed(cl, params, *how).closed
+    cl = closure(f, closure_params, *how)
+    closed_before = is_closed(f, closure_params, *how).closed
+    closed_after = is_closed(cl, closure_params, *how).closed
     checks = [
         _check("input-closed", closed_before, None, None),
         _check("fixpoint-contains-input", f.le(cl), True, f.le(cl)),
@@ -251,60 +247,43 @@ def _run_closure_demo(config: ExperimentConfig) -> dict:
     }
 
 
-def _run_hr_verify(config: ExperimentConfig) -> dict:
-    params = HRParams(
-        n=int(config.params["n"]), c=int(config.params["c"]), k=int(config.params["k"])
-    )
-    exact = exact_engine(str(config.params.get("mode", config.engine)))
-    hr = build_hr_family(params)
-    checks = []
+def _run_hr_verify(config: ExperimentConfig, params: Params) -> dict:
+    hr_params = HRParams(n=params["n"], c=params["c"], k=params["k"])
+    exact = exact_engine(params.get("mode", config.engine))
+    hr = build_hr_family(hr_params)
+    how = ("exact",) if exact else ("mc", config.samples, config.require_seed())
+    value, bound = verify_positive_acceptance(hr, *how)
+    accepted = value >= bound if exact else value.value + 3 * value.half_width >= bound
+    checks = [_check("positive-accept-rate", value, bound, accepted)]
+    nvalue, nbound = verify_negative_rejection(hr, *how)
+    checks.append(_check("negative-reject-rate", nvalue, nbound, None))
     if exact:
-        value, bound = verify_positive_acceptance(hr, "exact")
-        checks.append(_check("positive-accept-rate", value, bound, value >= bound))
-        nvalue, nbound = verify_negative_rejection(hr, "exact")
-        checks.append(_check("negative-reject-rate", nvalue, nbound, None))
-        for size in range(1, min(params.c, 2) + 1):
-            worst = None
-            for mask_elems in iter_masks_of_weight(params.n, size):
-                v, b = verify_minterm_spread(hr, mask_elems, "exact")
-                if worst is None or v > worst[0]:
-                    worst = (v, b)
-            checks.append(
-                _check(f"minterm-spread-l{size}", worst[0], worst[1], worst[0] <= worst[1])
-            )
-        pts = tuple(range(1, min(params.c, params.k) + 1))
+        for size in range(1, min(hr_params.c, 2) + 1):
+            v, b = max((verify_minterm_spread(hr, mask, "exact")
+                        for mask in iter_masks_of_weight(hr_params.n, size)), key=lambda vb: vb[0])
+            checks.append(_check(f"minterm-spread-l{size}", v, b, v <= b))
+        pts = tuple(range(1, min(hr_params.c, hr_params.k) + 1))
         vals = tuple(0 for _ in pts)
-        got, want = verify_cwise_independence(params, pts, vals)
+        got, want = verify_cwise_independence(hr_params, pts, vals)
         checks.append(_check("cwise-independence", got, want, got == want))
-    else:
-        seed = config.require_seed()
-        est, bound = verify_positive_acceptance(hr, "mc", config.samples, seed)
-        checks.append(
-            _check("positive-accept-rate", est, bound, est.value + 3 * est.half_width >= bound)
-        )
-        nest, nbound = verify_negative_rejection(hr, "mc", config.samples, seed)
-        checks.append(_check("negative-reject-rate", nest, nbound, None))
     checks.append(
-        _check("family-size", len(hr.family), params.n_polynomials,
-               len(hr.family) <= params.n_polynomials)
+        _check("family-size", len(hr.family), hr_params.n_polynomials,
+               len(hr.family) <= hr_params.n_polynomials)
     )
     return {"checks": checks, "payload": {"qualifying": hr.n_qualifying}}
 
 
-def _run_clique_verify(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
+def _run_clique_verify(config: ExperimentConfig, params: Params) -> dict:
+    n = params["n"]
     if n < 1:
         raise ConfigError("clique-verify needs n >= 1")
-    if "delta" in config.params:
-        k, p, eps = clique_parameters(n, float(config.params["delta"]))
+    if "delta" in params:
+        k, p, eps = clique_parameters(n, params["delta"])
     else:
-        k = int(config.params["k"])
-        if "p" in config.params:
-            p = float(Fraction(str(config.params["p"])))
-        elif k < 2:
+        k = params["k"]
+        if "p" not in params and k < 2:
             raise ConfigError("deriving p = n^(-2/(k-1)) needs k >= 2; give p instead")
-        else:
-            p = n ** (-2.0 / (k - 1))
+        p = params["p"] if "p" in params else n ** (-2.0 / (k - 1))
         eps = float(n) ** (-k)
     seed = config.require_seed()
     est = verify_no_kclique_bound(n, k, p, config.samples, seed)
@@ -317,23 +296,21 @@ def _run_clique_verify(config: ExperimentConfig) -> dict:
             engine="mc",  # the estimate is the only path, whatever the run's engine
         )
     ]
-    worst = None
-    for size in range(0, min(k, 4) + 1):
-        v, b = clique_spread_check(n, k, size)
-        ok = v <= b
-        if worst is None or not ok:
-            worst = (v, b, ok, size)
-    checks.append(_check("clique-spread", worst[0], worst[1], worst[2], size=worst[3]))
+    # C(n-l, k-l)/C(n, k) <= (k/n)^l must hold for every l <= min(k, 4); the row shows the
+    # largest l, where the bound is smallest
+    size = min(k, 4)
+    spread = [clique_spread_check(n, k, l) for l in range(size + 1)]
+    value, bound = spread[-1]
+    checks.append(_check("clique-spread", value, bound, all(v <= b for v, b in spread), size=size))
     return {"checks": checks, "payload": {"k": k, "p": p, "eps": eps}}
 
 
-def _run_clique_extract(config: ExperimentConfig) -> dict:
-    family = _load_family(config, int(config.params["n"]))  # a family file brings its own n
-    p = float(Fraction(str(config.params["p"])))
-    q = float(Fraction(str(config.params.get("q", 1))))
-    eps = float(Fraction(str(config.params["eps"])))
+def _run_clique_extract(config: ExperimentConfig, params: Params) -> dict:
+    # a family file brings its own n
+    family = _load_family(params["family"], params["n"], config.seed)
     seed = config.seed if config.seed is not None else 0
-    result = find_clique_sunflower(family, p, q, eps, config.samples, seed)
+    result = find_clique_sunflower(family, params["p"], params.get("q", 1), params["eps"],
+                                   config.samples, seed)
     checks = [
         _check(
             "extraction-verified",
@@ -359,12 +336,10 @@ def _run_clique_extract(config: ExperimentConfig) -> dict:
     return {"checks": checks, "payload": payload}
 
 
-def _run_janson(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    sf = _load_family(config, n)
-    family = SetFamily.from_masks(n, sf.members)
-    p = Fraction(str(config.params["p"]))
-    q = Fraction(str(config.params.get("q", 1)))
+def _run_janson(config: ExperimentConfig, params: Params) -> dict:
+    n = params["n"]
+    family = SetFamily.from_masks(n, _load_family(params["family"], n, config.seed).members)
+    p, q = params["p"], params.get("q", 1)
     cert = janson_certificate(family, p, q)
     miss = 1 - pq_coverage_exact(family, 0, p, q).value
     checks = [
@@ -380,11 +355,8 @@ def _run_janson(config: ExperimentConfig) -> dict:
     return {"checks": checks, "payload": {"exponent": cert.exponent}}
 
 
-def _run_code_poly(config: ExperimentConfig) -> dict:
-    q = int(config.params["q"])
-    n = int(config.params["n"])
-    dim = int(config.params["dim"])
-    audit = str(config.params.get("audit", "false")).lower() in ("1", "true", "yes")
+def _run_code_poly(config: ExperimentConfig, params: Params) -> dict:
+    q, n, dim = params["q"], params["n"], params["dim"]
     if q**dim > AGREEMENT_CAP:  # the pairwise scan below would refuse it; do so before building
         raise TooLargeError(f"{q**dim} codewords exceed the pairwise-scan cap {AGREEMENT_CAP}")
     code = reed_solomon_code(q, n, dim)
@@ -403,7 +375,7 @@ def _run_code_poly(config: ExperimentConfig) -> dict:
     checks.append(_check("canonical-decomposition-valid", ok, True, ok, reason=why))
     s, csize, passed = size_lower_bound_report(code, decomposition)
     checks.append(_check("decomposition-size", s, csize, passed))
-    if audit:
+    if params.get("audit", False):
         ok1, _ = single_monomial_audit(decomposition, agreement)
         checks.append(_check("canonical-audit", ok1, True, ok1))
         merged = _merged_candidate(decomposition)
@@ -429,25 +401,20 @@ def _merged_candidate(d: Decomposition) -> Decomposition:
     return Decomposition(((merged_g, h1),) + d.pairs[2:])
 
 
-def _run_spread_experiment(config: ExperimentConfig) -> dict:
-    n = int(config.params["n"])
-    size = int(config.params["l"])
-    count = int(config.params.get("count", 20))
-    members = int(config.params.get("members", 12))
-    p = float(Fraction(str(config.params["p"])))
-    eps = float(Fraction(str(config.params["eps"])))
-    B = float(config.params.get("B", 1.0))
+def _run_spread_experiment(config: ExperimentConfig, params: Params) -> dict:
+    n, size, p, eps = params["n"], params["l"], params["p"], params["eps"]
+    members = params.get("members", 12)
     seed = config.require_seed()
 
-    r = spread_radius(size, p, eps, ThresholdParams(B=B))
+    r = spread_radius(size, float(p), float(eps), ThresholdParams(B=params.get("B", 1.0)))
     stream = CounterStream(seed, stream=3)
     spread_count = 0
     covered_count = 0
     rows = []
-    for trial in range(count):
+    for trial in range(params.get("count", 20)):
         fam = SetFamily.from_masks(n, _random_masks(stream, n, size, members))
         rep = check_spread(fam, Fraction(r))
-        cover = coverage_exact(fam, 0, Fraction(str(config.params["p"])))
+        cover = coverage_exact(fam, 0, p)
         hit = above_threshold(cover, eps)
         if rep.is_spread:
             spread_count += 1
@@ -467,16 +434,30 @@ def _run_spread_experiment(config: ExperimentConfig) -> dict:
     return {"checks": checks, "payload": {"trials": rows}}
 
 
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def _estimate_p(text: str) -> float:  # a rational p that only feeds an estimate
+    return float(Fraction(text))
+
+
+# each subcommand's runner and, per key it accepts, the reader of that key's value
 _SUBCOMMANDS = {
-    "coverage": (_run_coverage, {"n", "family", "Y", "p"}),
-    "sunflower-extract": (_run_sunflower_extract, {"n", "family", "p", "eps", "B"}),
-    "closure-demo": (_run_closure_demo, {"n", "minterms", "eps", "c", "noise_p"}),
-    "hr-verify": (_run_hr_verify, {"n", "c", "k", "mode"}),
-    "clique-verify": (_run_clique_verify, {"n", "k", "p", "delta"}),
-    "clique-extract": (_run_clique_extract, {"n", "family", "p", "q", "eps"}),
-    "janson": (_run_janson, {"n", "family", "p", "q"}),
-    "code-poly": (_run_code_poly, {"q", "n", "dim", "audit"}),
-    "spread-experiment": (_run_spread_experiment, {"n", "l", "count", "members", "p", "eps", "B"}),
+    "coverage": (_run_coverage, {"n": int, "family": str, "Y": str, "p": Fraction}),
+    "sunflower-extract": (_run_sunflower_extract, {
+        "n": int, "family": str, "p": Fraction, "eps": Fraction, "B": float}),
+    "closure-demo": (_run_closure_demo, {
+        "n": int, "minterms": str, "eps": Fraction, "c": int, "noise_p": Fraction}),
+    "hr-verify": (_run_hr_verify, {"n": int, "c": int, "k": int, "mode": str}),
+    "clique-verify": (_run_clique_verify, {"n": int, "k": int, "p": _estimate_p, "delta": float}),
+    "clique-extract": (_run_clique_extract, {
+        "n": int, "family": str, "p": Fraction, "q": Fraction, "eps": Fraction}),
+    "janson": (_run_janson, {"n": int, "family": str, "p": Fraction, "q": Fraction}),
+    "code-poly": (_run_code_poly, {"q": int, "n": int, "dim": int, "audit": _flag}),
+    "spread-experiment": (_run_spread_experiment, {
+        "n": int, "l": int, "count": int, "members": int, "p": Fraction, "eps": Fraction,
+        "B": float}),
 }
 _MONTE_CARLO = {"coverage", "closure-demo", "hr-verify", "clique-verify"}  # the rest refuse mc
 
@@ -485,14 +466,15 @@ def run(config: ExperimentConfig) -> dict:
     """Dispatch a config to its runner and wrap the result in a report."""
     if config.subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
-    runner, allowed = _SUBCOMMANDS[config.subcommand]
-    unknown = set(config.params) - allowed
+    runner, readers = _SUBCOMMANDS[config.subcommand]
+    unknown = set(config.params) - set(readers)
     if unknown:
         raise ConfigError(f"unknown config keys for {config.subcommand}: {sorted(unknown)}")
     if not exact_engine(config.engine) and config.subcommand not in _MONTE_CARLO:
         raise ConfigError(f"{config.subcommand} has no Monte-Carlo path; drop --engine mc")
+    params = Params({key: readers[key](str(value)) for key, value in config.params.items()})
     start = time.monotonic()
-    body = runner(config)
+    body = runner(config, params)
     elapsed = time.monotonic() - start
     return {
         "artifact_version": __version__,
@@ -554,7 +536,14 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_COMMON_KEYS = {"seed", "samples", "engine", "out", "format"}
+# the keys every subcommand shares, in ExperimentConfig's field order: (reader, default)
+_COMMON_KEYS = {
+    "seed": (int, None),
+    "engine": (str, "exact"),
+    "samples": (int, 100_000),
+    "out": (str, None),
+    "format": (str, "json"),
+}
 
 
 def build_config(argv: list[str]) -> ExperimentConfig:
@@ -574,26 +563,11 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         help="subcommand parameter (repeatable)",
     )
     args = parser.parse_args(argv)
-    params: dict = {}
-    seed = args.seed
-    samples = args.samples
-    engine = args.engine
-    out = args.out
-    fmt = args.format
-    if args.config:
-        for key, val in _read_config_file(args.config).items():
-            if key == "seed":
-                seed = int(val) if seed is None else seed
-            elif key == "samples":
-                samples = int(val) if samples is None else samples
-            elif key == "engine":
-                engine = engine or val
-            elif key == "out":
-                out = out or val
-            elif key == "format":
-                fmt = fmt or val
-            else:
-                params[key] = val
+    params = _read_config_file(args.config) if args.config else {}
+    common = []
+    for key, (read, default) in _COMMON_KEYS.items():
+        flag, text = getattr(args, key), params.pop(key, None)
+        common.append(flag if flag is not None else default if text is None else read(text))
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"bad --param {item!r}, expected KEY=VALUE")
@@ -601,15 +575,7 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         if key in _COMMON_KEYS:
             raise ConfigError(f"{key} must be passed as a top-level flag")
         params[key] = val
-    return ExperimentConfig(
-        subcommand=args.subcommand,
-        params=params,
-        seed=seed,
-        engine=engine or "exact",
-        samples=100_000 if samples is None else samples,
-        out=out,
-        fmt=fmt or "json",
-    )
+    return ExperimentConfig(args.subcommand, params, *common)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

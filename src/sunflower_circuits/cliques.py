@@ -362,7 +362,7 @@ def find_clique_sunflower(
             default=None,
         )
         if b is None:
-            certificate = janson_certificate(fam, p, float(q_now))
+            certificate = janson_certificate(fam, p, q_now)
             beats = certificate.exponent > float(ln_inv_eps)
             status = "ok" if beats else "below_threshold"
             trace.append(CliqueTraceStep(

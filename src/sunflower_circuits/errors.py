@@ -11,7 +11,7 @@ class RefusalError(RuntimeError):
 
 
 class ExactIntractableError(RefusalError):
-    """Exact enumeration would exceed the work cap (``probability.DEFAULT_WORK_CAP_BITS``).
+    """An exact strategy would exceed its cap (``DEFAULT_WORK_CAP_BITS`` or ``ie_limit()``).
 
     Callers are expected to fall back to a Monte-Carlo engine.
     """

@@ -277,6 +277,8 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     work cap, enumeration when m exceeds ``ie_limit()``, and otherwise the
     cheaper by ``EXACT_COST_NS`` = (step, set-up, row): inclusion-exclusion
     iff step * 2^m <= set-up + row * 2^w.  Either gives the same value.
+    Past both caps the refusal names the strategy nearer its own cap: m
+    against ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``.
     """
     pf, qf = bias(p), bias(q)
     low = (1 << split) - 1
@@ -307,7 +309,8 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     ie_ok = len(masks) <= limit
     enum_ok = width <= DEFAULT_WORK_CAP_BITS
     if not ie_ok and not enum_ok:
-        raise ExactIntractableError(min(len(masks), width), DEFAULT_WORK_CAP_BITS)
+        plans = ((len(masks), limit), (width, DEFAULT_WORK_CAP_BITS))
+        raise ExactIntractableError(*min(plans, key=lambda plan: plan[0] - plan[1]))
     step, setup, row = EXACT_COST_NS
     if ie_ok and (not enum_ok or step * 2 ** len(masks) <= setup + row * 2**width):
         return union_probability(masks, width, pf, pf)

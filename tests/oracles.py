@@ -692,7 +692,7 @@ def recursive_find_clique_sunflower(s, p, q, eps, mc_samples=100_000, seed=0):
                 trace.append(CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now)))
                 sub = recurse(link(fam, b), q_now * p_f**j, depth + 1)
                 return SetFamily.from_masks(fam.n, (a | b for a in sub.members))
-        cert = janson_certificate(fam, p, float(q_now))
+        cert = janson_certificate(fam, p, q_now)
         outcome["certificate"] = cert
         if cert.exponent > float(ln_inv_eps):
             case = "janson"

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,9 @@ from sunflower_circuits.cli import (
     report_to_json,
     run,
 )
+from sunflower_circuits.cliques import clique_parameters
 from sunflower_circuits.errors import ConfigError
+from sunflower_circuits.probability import above_threshold
 from sunflower_circuits.setfamily import SetFamily, family_to_text
 
 
@@ -490,3 +494,105 @@ class TestMain:
         )
         assert rc == 0
         assert json.loads(out.read_text())["subcommand"] == "code-poly"
+
+
+def _ratio(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+class TestParameterTable:
+    def test_each_subcommand_accepts_its_keys(self):
+        assert {name: set(readers) for name, (_, readers) in cli._SUBCOMMANDS.items()} == {
+            "coverage": {"n", "family", "Y", "p"},
+            "sunflower-extract": {"n", "family", "p", "eps", "B"},
+            "closure-demo": {"n", "minterms", "eps", "c", "noise_p"},
+            "hr-verify": {"n", "c", "k", "mode"},
+            "clique-verify": {"n", "k", "p", "delta"},
+            "clique-extract": {"n", "family", "p", "q", "eps"},
+            "janson": {"n", "family", "p", "q"},
+            "code-poly": {"q", "n", "dim", "audit"},
+            "spread-experiment": {"n", "l", "count", "members", "p", "eps", "B"},
+        }
+
+    def test_sunflower_extract_keeps_p_exact(self, capsys):
+        argv = ["sunflower-extract", "-P", "n=6", "-P", "family=disjoint:3:2", "-P", "p=1/3",
+                "-P", "eps=1/2", "-P", "B=0.25"]
+        assert main(argv) == 1  # 217/729 is not above 1 - eps
+        row = json.loads(capsys.readouterr().out)["checks"][0]
+        assert row["probability"] == _ratio(1 - (1 - Fraction(1, 9)) ** 3) == "217/729"
+
+    def test_clique_extract_keeps_q_exact(self, capsys):
+        argv = ["clique-extract", "-P", "n=12", "-P", "family=star:8", "-P", "p=1/2",
+                "-P", "q=1/3", "-P", "eps=1/2"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [t["case"] for t in report["payload"]["trace"]] == ["link", "base"]
+        # over the core {1}, each of the 8 leaves joins with probability q p = 1/6
+        assert report["checks"][0]["probability"] == _ratio(1 - (1 - Fraction(1, 6)) ** 8)
+
+    def test_spread_experiment_reads_eps_exactly(self, monkeypatch, capsys):
+        seen = []
+
+        def recording(probability, eps):
+            seen.append(eps)
+            return above_threshold(probability, eps)
+
+        monkeypatch.setattr(cli, "above_threshold", recording)
+        argv = ["spread-experiment", "--seed", "1", "-P", "n=10", "-P", "l=2", "-P", "count=3",
+                "-P", "p=1/4", "-P", "eps=1/3"]
+        assert main(argv) in (0, 1)
+        assert len(seen) == 3
+        assert all(isinstance(eps, Fraction) and eps == Fraction(1, 3) for eps in seen)
+
+    def test_clique_verify_derives_its_parameters_from_delta(self, capsys):
+        argv = ["clique-verify", "--seed", "1", "--samples", "200", "-P", "n=20", "-P", "delta=0.1"]
+        assert main(argv) == 0
+        k, p, eps = clique_parameters(20, 0.1)
+        assert json.loads(capsys.readouterr().out)["payload"] == {"k": k, "p": p, "eps": eps}
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (8, 3), (32, 4), (12, 6)])
+    def test_clique_spread_row_checks_a_nonempty_set(self, n, k, capsys):
+        argv = ["clique-verify", "--seed", "1", "--samples", "100",
+                "-P", f"n={n}", "-P", f"k={k}", "-P", "p=1/2"]
+        assert main(argv) in (0, 1)
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        row, size = checks["clique-spread"], min(k, 4)
+        assert row["size"] == size >= 1
+        assert row["value"] == _ratio(Fraction(math.comb(n - size, k - size), math.comb(n, k)))
+        assert row["bound"] == _ratio(Fraction(k, n) ** size) and row["status"] == "pass"
+
+    def test_malformed_value_is_refused_even_where_unused(self, capsys):
+        # delta sets k, yet a k that is not an integer is still bad input
+        argv = ["clique-verify", "--seed", "1", "-P", "n=20", "-P", "delta=0.1", "-P", "k=three"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "config error: invalid literal for int() with base 10: 'three'\n")
+
+    def test_out_from_config_file(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"out={report}\nq=5\nn=5\ndim=2\n")
+        assert main(["code-poly", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(report.read_text())["subcommand"] == "code-poly"
+        # a flag given on the command line wins, an empty --out too: the report goes to stdout
+        report.unlink()
+        assert main(["code-poly", "--config", str(cfg), "--out", ""]) == 0
+        assert json.loads(capsys.readouterr().out)["subcommand"] == "code-poly"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("param,err", [
+        ("n", "bad --param 'n', expected KEY=VALUE"),
+        ("seed=1", "seed must be passed as a top-level flag"),
+    ])
+    def test_malformed_param_exits_two(self, param, err, capsys):
+        assert main(["code-poly", "-P", param]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+    @pytest.mark.parametrize("spec,err", [
+        ("star:5", "star family needs n >= m+1"),
+        ("disjoint:2:3", "disjoint family needs n >= m*size"),
+    ])
+    def test_family_larger_than_n_exits_two(self, spec, err, capsys):
+        assert main(["coverage", "-P", "n=5", "-P", f"family={spec}", "-P", "p=1/2"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {err}\n")

@@ -334,6 +334,20 @@ class TestFindCliqueSunflower:
         assert res.certificate.exponent > math.log(1 / 0.2)
         assert res.verified
 
+    def test_janson_moments_stay_exact(self):
+        # six disjoint triangles at p = 3/4, q = 1/3: mu = 6 q^3 p^3 = 3/32, and no pair overlaps
+        s = SetFamily.from_masks(18, [0b111 << (3 * i) for i in range(6)])
+        res = find_clique_sunflower(s, Fraction(3, 4), Fraction(1, 3), Fraction(1, 2))
+        assert res.trace[-1].case in ("janson", "below_threshold")
+        assert res.certificate.mu_exact == Fraction(3, 32)
+        assert res.certificate.delta_bar_exact == 0
+        assert res.certificate == janson_certificate(s, Fraction(3, 4), Fraction(1, 3))
+
+    def test_empty_member_is_the_trivial_case(self):
+        res = find_clique_sunflower(SetFamily.from_masks(4, [0]), Fraction(1, 2), 1, Fraction(1, 2))
+        assert [(t.case, t.uniform_size) for t in res.trace] == [("trivial", 0)]
+        assert res.status == "ok" and res.verified and res.core_set == 0
+
     def test_below_threshold_status(self):
         s = SetFamily.from_sets(6, [(1, 2), (3, 4)])
         res = find_clique_sunflower(s, Fraction(1, 10), Fraction(1, 10), 0.01)

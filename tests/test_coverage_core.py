@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sunflower_circuits import probability
 from sunflower_circuits.cliques import (
@@ -140,6 +140,40 @@ class TestValidationAndCaps:
         monkeypatch.setattr(probability, "DEFAULT_WORK_CAP_BITS", 4)
         with pytest.raises(ExactIntractableError):
             coverage_exact(f, 0, Fraction(1, 2))
+
+    def test_refusal_names_the_strategy_nearer_its_cap(self):
+        # 22 members over 33 points: inclusion-exclusion is 2 past its 20, enumeration 9 past 24
+        rng = random.Random(3)
+        masks = set()
+        while len(masks) < 22:
+            masks.add(sum(1 << e for e in rng.sample(range(40), 3)))
+        with pytest.raises(ExactIntractableError) as refusal:
+            coverage_exact(SetFamily.from_masks(40, masks), 0, Fraction(1, 2))
+        assert str(refusal.value) == "exact enumeration needs ~2^22 steps, cap is 2^20"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        split=st.integers(32, 60),
+        size=st.integers(3, 5),
+        count=st.integers(21, 40),
+        q_parts=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_refusal_names_a_cost_past_its_cap(self, split, size, count, q_parts, seed):
+        # more than 20 distinct masks of one size (an antichain) over more than 24 points are
+        # past both plain strategies; with one q-biased bit each, past the conditioning
+        rng = random.Random(seed)
+        masks = set()
+        while len(masks) < count:
+            mask = sum(1 << e for e in rng.sample(range(split), size))
+            masks.add(mask | (1 << (split + len(masks))) if q_parts else mask)
+        union = 0
+        for m in masks:
+            union |= m
+        assume(q_parts or union.bit_count() > probability.DEFAULT_WORK_CAP_BITS)
+        with pytest.raises(ExactIntractableError) as refusal:
+            probability.exact_coverage(masks, split, Fraction(1, 2), Fraction(1, 3))
+        assert refusal.value.cost_bits > refusal.value.cap_bits
 
     def test_default_cap_keeps_inclusion_exclusion_at_20(self):
         # 20 disjoint pairs: width 40 is past enumeration, 20 members still fit
