@@ -285,6 +285,8 @@ def _run_clique_verify(config: ExperimentConfig, params: Params) -> dict:
             raise ConfigError("deriving p = n^(-2/(k-1)) needs k >= 2; give p instead")
         p = params["p"] if "p" in params else n ** (-2.0 / (k - 1))
         eps = float(n) ** (-k)
+    if not 0 <= k <= n:  # refused before any graph is drawn
+        raise ConfigError(f"clique-verify needs 0 <= k <= n, got k={k}, n={n}")
     seed = config.require_seed()
     est = verify_no_kclique_bound(n, k, p, config.samples, seed)
     checks = [

@@ -2,10 +2,10 @@
 
 Graphs on n vertices are edge bit-vectors over the C(n,2) vertex pairs:
 edge {u, v} with 1 <= u < v <= n sits at index (v-1)(v-2)/2 + (u-1),
-zero-based.  A clique family is a ``SetFamily`` of vertex subsets A of
-[n] (a member with at most one vertex denotes the empty graph); the
-derived edge family {K_A} feeds the same coverage engine used for plain
-set families, which keeps the two notions of sunflower aligned.
+zero-based.  A clique family is a ``SetFamily`` of vertex subsets A of [n]
+(a member with at most one vertex denotes the empty graph); its edge family
+{K_A} feeds the coverage engine of set families, and ``find_clique_sunflower``
+runs their descent (``sunflowers.descend``): the two notions stay aligned.
 
 The (p, q) variant draws an edge-biased graph and an independent
 q-biased vertex set.  A member A over the vertex core B is the single
@@ -34,11 +34,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BaseCaseFailedError, EmptyFamilyError, ExactIntractableError
+from .errors import EmptyFamilyError
 from .probability import (
     Estimate,
     ExactProbability,
     RobustnessCheck,
+    _coverage_estimate,
     bernoulli_hits,
     bernoulli_rows,
     exact_engine,
@@ -50,14 +51,13 @@ from .rng import CounterStream
 from .setfamily import (
     SetFamily,
     antichain_minimize,
-    canonical_key,
     core,
     elements_of,
-    link,
-    submask_counts,
+    popular_core,
     uniform_size,
 )
 from .monotone import ClosureParams, MonotoneFunction
+from .sunflowers import descend
 
 
 _ADJ_BLOCK = 1 << 17  # adjacency entries per sub-block of the clique decider
@@ -187,11 +187,14 @@ def pq_coverage_exact(s: SetFamily, core_vertices: int, p, q) -> ExactProbabilit
 def pq_coverage_mc(
     s: SetFamily, core_vertices: int, p, q, samples: int, seed: int = 0
 ) -> Estimate:
-    """Sampled joint coverage: ``bernoulli_hits`` over rows of C(n,2)+n columns, edges first."""
+    """Sampled joint coverage: ``bernoulli_hits`` over rows of C(n,2)+n columns, edges first.
+
+    A member inside the core covers every row: half-width 0, as in ``coverage_mc``.
+    """
     split = edge_count(s.n)
     masks = antichain_minimize(_pq_masks(s, core_vertices))
     hits = bernoulli_hits(CounterStream(seed), samples, split + s.n, split, p, q, masks)
-    return Estimate.from_hits(hits, samples, seed)
+    return _coverage_estimate(hits, masks, samples, seed)
 
 
 def is_pq_clique_sunflower(
@@ -255,7 +258,7 @@ def janson_certificate(s: SetFamily, p, q) -> JansonCertificate:
     """
     if not s.members:
         raise EmptyFamilyError("empty clique family")
-    if not 0 < float(q) <= 1 or not 0 < float(p) <= 1:
+    if not (0 < Fraction(q) <= 1 and 0 < Fraction(p) <= 1):
         raise ValueError("need p, q in (0, 1]")
     size = uniform_size(s)
     pf, qf = Fraction(p), Fraction(q)
@@ -312,42 +315,21 @@ def find_clique_sunflower(
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> CliqueSunflowerResult:
-    """Extract a (p, q, eps)-clique-sunflower by the popular-core loop.
+    """Extract a (p, q, eps)-clique-sunflower by ``sunflowers.descend`` at bias q' = q p^|lift|.
 
-    With c_j = s_j(ln(1/eps)): the 1-uniform base case succeeds once
-    (1-q)^|S| < eps exactly; otherwise the canonically first core B with
-    1 <= |B| = j < l contained in at least
-    c_{l-j} (1/(q p^j))^{l-j} (1/p)^C(l-j,2) members is stepped over: the
-    loop goes on in the vertex link of B with q' = q p^j, and the result is
-    lifted by every core stepped over.  If no B qualifies the family itself
-    is returned with its Janson certificate; the exponent must beat
-    ln(1/eps), otherwise the input was below threshold and the result says
-    so instead of crashing.  p or q outside (0, 1] and eps outside (0, 1)
-    raise ``ValueError``.
+    With c_j = s_j(ln(1/eps)), the canonically first core B, 1 <= |B| = j < l,
+    in at least c_{l-j} (1/(q' p^j))^{l-j} (1/p)^C(l-j,2) members is stepped
+    over.  Without one, the family stops with its Janson certificate: ``janson``
+    if the exponent beats ln(1/eps), else ``below_threshold``, unverified.
     """
-    if not (0 < Fraction(p) <= 1 and 0 < Fraction(q) <= 1 and 0 < Fraction(eps) < 1):
-        raise ValueError(f"need 0 < p, q <= 1 and 0 < eps < 1, got p={p}, q={q}, eps={eps}")
     if not s.members:
         raise EmptyFamilyError("empty clique family")
-    eps_f = Fraction(eps)
-    ln_inv_eps = Fraction(math.log(1.0 / float(eps)))
-    p_f = Fraction(p)
-    trace: list[CliqueTraceStep] = []
-    certificate: Optional[JansonCertificate] = None
-    status = "ok"
-    fam, lift, q_now, depth = s, 0, Fraction(q), 0
-    while True:
-        size = uniform_size(fam)
-        if size == 0:
-            trace.append(CliqueTraceStep(depth, 0, len(fam), "trivial", None, None, float(q_now)))
-            break
-        if size == 1:
-            if (1 - q_now) ** len(fam) < eps_f:
-                trace.append(CliqueTraceStep(depth, 1, len(fam), "base", None, None, float(q_now)))
-                break
-            raise BaseCaseFailedError("(1-q)^|S| >= eps at the 1-uniform base case")
+    p_f, q_f = Fraction(p), Fraction(q)
+
+    def rule(fam: SetFamily, size: int, q_now: Fraction):
+        ln_inv_eps = Fraction(math.log(1.0 / float(eps)))
         # a count is an integer, so it meets a threshold iff it meets its ceiling
-        needed = {
+        need = {
             j: math.ceil(
                 _s_poly_frac(size - j, ln_inv_eps)
                 * (1 / (q_now * p_f**j)) ** (size - j)
@@ -355,37 +337,24 @@ def find_clique_sunflower(
             )
             for j in range(1, size)
         }
-        b = min(
-            (t for t, cnt in submask_counts(fam).items()
-             if t.bit_count() < size and cnt >= needed[t.bit_count()]),
-            key=canonical_key,
-            default=None,
-        )
-        if b is None:
-            certificate = janson_certificate(fam, p, q_now)
-            beats = certificate.exponent > float(ln_inv_eps)
-            status = "ok" if beats else "below_threshold"
-            trace.append(CliqueTraceStep(
-                depth, size, len(fam), "janson" if beats else status, None, None, float(q_now)))
-            break
-        j = b.bit_count()
-        trace.append(CliqueTraceStep(depth, size, len(fam), "link", j, b, float(q_now)))
-        fam, lift, q_now, depth = link(fam, b), lift | b, q_now * p_f**j, depth + 1
+        hit = popular_core(fam, need)
+        if hit is not None:
+            return "link", hit[0], None
+        cert = janson_certificate(fam, p, q_now)
+        return ("janson" if cert.exponent > float(ln_inv_eps) else "below_threshold"), None, cert
 
-    subfamily = SetFamily.from_masks(s.n, (a | lift for a in fam.members))
-    core_set = core(subfamily)
-    probability = None
-    verified = False
-    if status == "ok":
-        try:
-            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "exact")
-        except ExactIntractableError:
-            chk = is_pq_clique_sunflower(subfamily, p, q, eps, "mc", mc_samples, seed)
-        probability = chk.probability
-        verified = chk.decision is True
-    return CliqueSunflowerResult(
-        subfamily, core_set, verified, status, certificate, probability, tuple(trace)
-    )
+    def trace_step(depth, size, count, case, t, q_now, cert):
+        return CliqueTraceStep(depth, size, count, case, None if t is None else t.bit_count(), t,
+                               float(q_now))
+
+    subfamily, trace, chk, cert = descend(
+        s, {"p": p, "q": q}, eps, lambda lift: q_f * p_f ** lift.bit_count(), rule,
+        trace_step, "(1-q)^|S| >= eps at the 1-uniform base case",
+        lambda sub, engine: is_pq_clique_sunflower(sub, p, q, eps, engine, mc_samples, seed))
+    ok = chk is not None  # a below_threshold stop is not verified
+    return CliqueSunflowerResult(subfamily, core(subfamily), ok and chk.decision is True,
+                                 "ok" if ok else "below_threshold", cert,
+                                 chk.probability if ok else None, trace)
 
 
 def clique_parameters(n: int, delta: float) -> tuple[int, float, float]:

@@ -13,14 +13,15 @@ class RefusalError(RuntimeError):
 class ExactIntractableError(RefusalError):
     """An exact strategy would exceed its cap (``DEFAULT_WORK_CAP_BITS`` or ``ie_limit()``).
 
-    Callers are expected to fall back to a Monte-Carlo engine.
+    ``work`` names what it counts: inclusion-exclusion terms, conditioning
+    outcomes or enumerated rows.  Callers fall back to a Monte-Carlo engine.
     """
 
-    def __init__(self, cost_bits: int, cap_bits: int):
+    def __init__(self, cost_bits: int, cap_bits: int, work: str):
         self.cost_bits = cost_bits
         self.cap_bits = cap_bits
         super().__init__(
-            f"exact enumeration needs ~2^{cost_bits} steps, cap is 2^{cap_bits}"
+            f"exact coverage needs ~2^{cost_bits} {work}, cap is 2^{cap_bits}"
         )
 
 

@@ -298,7 +298,7 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
             return union_probability(reduced, split, pf, qf)
         width = envelope.bit_count()
         if width > limit:
-            raise ExactIntractableError(width, limit)
+            raise ExactIntractableError(width, limit, "conditioning outcomes")
         total = Fraction(0)
         for u in iter_submasks(envelope):
             parts = [m & low for m in reduced if (m >> split) & ~u == 0]
@@ -309,7 +309,8 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     ie_ok = len(masks) <= limit
     enum_ok = width <= DEFAULT_WORK_CAP_BITS
     if not ie_ok and not enum_ok:
-        plans = ((len(masks), limit), (width, DEFAULT_WORK_CAP_BITS))
+        plans = ((len(masks), limit, "inclusion-exclusion terms"),
+                 (width, DEFAULT_WORK_CAP_BITS, "enumerated rows"))
         raise ExactIntractableError(*min(plans, key=lambda plan: plan[0] - plan[1]))
     step, setup, row = EXACT_COST_NS
     if ie_ok and (not enum_ok or step * 2 ** len(masks) <= setup + row * 2**width):

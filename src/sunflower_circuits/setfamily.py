@@ -169,6 +169,17 @@ def submask_counts(family: SetFamily) -> Counter:
     return counts
 
 
+def popular_core(family: SetFamily, need: dict[int, int]) -> Optional[tuple[int, int]]:
+    """The canonically first nonempty T in at least ``need[|T|]`` members, with that count.
+
+    None if no T is; sizes missing from ``need`` never are.  Only submasks of
+    members are counted, up to ``SUBMASK_CAP`` (``submask_counts``).
+    """
+    popular = [(t, cnt) for t, cnt in submask_counts(family).items()
+               if t.bit_count() in need and cnt >= need[t.bit_count()]]
+    return min(popular, key=lambda hit: canonical_key(hit[0]), default=None)
+
+
 @dataclass(frozen=True)
 class SpreadReport:
     is_spread: bool
@@ -179,31 +190,20 @@ class SpreadReport:
 def check_spread(family: SetFamily, r) -> SpreadReport:
     """Check r-spreadness: no nonempty T lies in more than |F|/r^|T| members.
 
-    Only T that are subsets of some member are enumerated; any other T has
-    link size 0 and satisfies the bound trivially.  The witness of a failure
-    is the violating T of smallest cardinality, ties broken by numeric mask
-    value.  Comparisons are exact: r is taken as a rational, and each count
-    is compared with the integer floor(|F| / r^|T|), one per size.  The count
-    refuses past ``SUBMASK_CAP`` submasks (``submask_counts``).
+    The witness of a failure is the canonically first violating T
+    (``popular_core``).  Comparisons are exact: r is taken as a rational,
+    and each count is compared with the integer floor(|F| / r^|T|).
     """
     if not family.members:
         raise EmptyFamilyError("spreadness of an empty family is undefined")
     if r <= 0:
         raise ValueError("r must be positive")
     r = Fraction(r)
-    counts = submask_counts(family)
     size = len(family.members)
-    # an integer count exceeds |F| / r^k iff it exceeds floor(|F| / r^k)
-    bound = [size // r**k for k in range(family.members[-1].bit_count() + 1)]
-    worst = None
-    for t, cnt in counts.items():
-        if cnt > bound[t.bit_count()]:
-            key = canonical_key(t)
-            if worst is None or key < worst[0]:
-                worst = (key, t, cnt)
-    if worst is None:
-        return SpreadReport(True, None, 0)
-    return SpreadReport(False, worst[1], worst[2])
+    # an integer count exceeds |F| / r^k iff it reaches floor(|F| / r^k) + 1
+    need = {k: size // r**k + 1 for k in range(1, family.members[-1].bit_count() + 1)}
+    hit = popular_core(family, need)
+    return SpreadReport(True, None, 0) if hit is None else SpreadReport(False, *hit)
 
 
 def family_to_text(family: SetFamily) -> str:

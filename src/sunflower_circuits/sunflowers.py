@@ -4,15 +4,17 @@ A sunflower is a family whose pairwise intersections all equal a common
 kernel; the robust variant asks instead that a p-biased set W joined with
 the kernel covers some member with probability > 1 - eps.
 
-``extract_robust_sunflower`` runs the spreadness argument as a loop: a
-family that is not r-spread has a popular set T whose link is a smaller
-uniform family; step there.  An r-spread family (for r = B*ln(l/eps)/p)
-ends the loop and is lifted once by the union of the Ts, which are
-disjoint, so that equals lifting by each T in turn.  B is a tunable
-constant, so every result is post-verified and carries a ``verified``
-flag; a False flag with a too-small B is a legitimate experimental
-outcome, not an error.  The threshold formulas here are the two the
-extractions use, the Erdős–Rado bound and ``spread_radius``; the paper's
+``descend`` runs the popular-core argument of Alweiss-Lovett-Wu-Zhang
+(2019) as one loop for both extractions: a uniform family either stops
+(spread enough, or a base case) or has a popular core T whose link is a
+smaller uniform family to step into; the family reached is lifted once by
+the union of the Ts and verified.  ``extract_robust_sunflower`` steps over
+the witness of a failed r-spread check (r = B*ln(l/eps)/p), and
+``cliques.find_clique_sunflower`` over popular vertex cores.  B is a
+tunable constant, so every result is post-verified and carries a
+``verified`` flag; a False flag with a too-small B is a legitimate
+experimental outcome, not an error.  The threshold formulas here are the
+Erdős–Rado bound of ``find_sunflower`` and ``spread_radius``; the paper's
 improved robust-sunflower threshold is ``spread_radius(...) ** l``.
 
 All logarithms are natural; a change of base is absorbed into B.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .errors import BaseCaseFailedError, ExactIntractableError, ThresholdNotMetError
@@ -36,15 +39,8 @@ class Sunflower:
     kernel: int
 
     def is_valid(self) -> bool:
-        """Every pair of distinct petals intersects exactly in the kernel."""
-        ms = self.petals.members
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                if ms[i] & ms[j] != self.kernel:
-                    return False
-        if len(ms) >= 2 and core(self.petals) != self.kernel:
-            return False
-        return True
+        """Every pair of distinct petals intersects exactly in the kernel (so it is their core)."""
+        return all(a & b == self.kernel for a, b in combinations(self.petals.members, 2))
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,48 @@ class RobustSunflowerResult:
     check: Optional[RobustnessCheck] = None
 
 
+def descend(family: SetFamily, probs: dict, eps, bias, rule, trace_step, refusal: str, verify):
+    """The popular-core descent of both extractions: (subfamily, trace, check, detail).
+
+    ``probs`` (named as given) must lie in (0, 1] and eps in (0, 1), exactly.
+    On the l-uniform family F reached, at b = bias(lift) for the union ``lift``
+    of the cores stepped over, l = 0 stops (``trivial``); l = 1 stops (``base``)
+    iff (1-b)^|F| < eps, exactly rather than the looser exp(-b|F|) <= eps, else
+    raises ``BaseCaseFailedError`` with ``refusal`` formatted at count=|F|;
+    larger l take (case, T, detail) from ``rule(F, l, b)``, and ``link`` steps
+    into the link at T.  Each level appends ``trace_step(depth, l, |F|, case,
+    T, b, detail)``.  F is lifted once by the (disjoint) cores and checked by
+    ``verify(subfamily, engine)``: exactly, by Monte-Carlo if that refuses,
+    and not at all after a ``below_threshold`` stop.
+    """
+    if not (all(0 < Fraction(v) <= 1 for v in probs.values()) and 0 < Fraction(eps) < 1):
+        given = ", ".join(f"{name}={value}" for name, value in {**probs, "eps": eps}.items())
+        raise ValueError(f"need 0 < {', '.join(probs)} <= 1 and 0 < eps < 1, got {given}")
+    trace = []
+    fam, lift = family, 0
+    while True:
+        size = uniform_size(fam)
+        b = bias(lift)
+        if size >= 2:
+            case, t, detail = rule(fam, size, b)
+        elif size == 1 and (1 - b) ** len(fam) >= Fraction(eps):
+            raise BaseCaseFailedError(refusal.format(count=len(fam)))
+        else:  # at l = 0 a member is empty, so coverage is certain
+            case, t, detail = ("base" if size else "trivial"), None, None
+        trace.append(trace_step(len(trace), size, len(fam), case, t, b, detail))
+        if case != "link":
+            break
+        fam, lift = link(fam, t), lift | t
+    subfamily = SetFamily.from_masks(family.n, (m | lift for m in fam.members))
+    if case == "below_threshold":
+        return subfamily, tuple(trace), None, detail
+    try:
+        check = verify(subfamily, "exact")
+    except ExactIntractableError:
+        check = verify(subfamily, "mc")
+    return subfamily, tuple(trace), check, detail
+
+
 def extract_robust_sunflower(
     family: SetFamily,
     p,
@@ -163,51 +201,20 @@ def extract_robust_sunflower(
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> RobustSunflowerResult:
-    """Extract a candidate (p, eps)-robust sunflower and verify it.
+    """Extract a candidate (p, eps)-robust sunflower by ``descend`` at bias p, and verify it.
 
-    Base case (1-uniform): the family itself qualifies once
-    (1-p)^|F| < eps; the exact inequality is used instead of the looser
-    exp(-p|F|) <= eps, so strictly more extractions succeed.  Otherwise
-    compute r = B ln(l/eps)/p: a spreadness violation T steps to the link
-    at T; an r-spread family is returned, lifted by every T stepped over.
+    At l >= 2, with r = B ln(l/eps)/p, an r-spread family stops with
+    ``spread``; otherwise the witness T of ``check_spread`` is stepped over.
     """
-    eps_f = Fraction(eps)
-    p_f = Fraction(p)
-    trace: list[TraceStep] = []
-    fam, lift, depth = family, 0, 0
-    while True:
-        fam_size = uniform_size(fam)
-        if fam_size == 0:
-            # a member shrank to the empty set: coverage is certain
-            trace.append(TraceStep(depth, 0, len(fam), 0.0, "trivial", None))
-            break
-        if fam_size == 1:
-            if (1 - p_f) ** len(fam) < eps_f:
-                trace.append(TraceStep(depth, 1, len(fam), 0.0, "base", None))
-                break
-            raise BaseCaseFailedError(
-                f"(1-p)^{len(fam)} >= eps at the 1-uniform base case"
-            )
-        r = spread_radius(fam_size, float(p), float(eps), params)
+    def rule(fam: SetFamily, size: int, b):
+        r = spread_radius(size, float(p), float(eps), params)
         report = check_spread(fam, Fraction(r))
-        if report.is_spread:
-            trace.append(TraceStep(depth, fam_size, len(fam), r, "spread", None))
-            break
-        t = report.witness
-        trace.append(TraceStep(depth, fam_size, len(fam), r, "link", t))
-        fam, lift, depth = link(fam, t), lift | t, depth + 1
+        return ("spread", None, r) if report.is_spread else ("link", report.witness, r)
 
-    subfamily = SetFamily.from_masks(family.n, (m | lift for m in fam.members))
-    kernel = core(subfamily)
-    try:
-        chk = is_robust_sunflower(subfamily, p, eps, "exact")
-    except ExactIntractableError:
-        chk = is_robust_sunflower(subfamily, p, eps, "mc", mc_samples, seed)
-    return RobustSunflowerResult(
-        subfamily=subfamily,
-        kernel=kernel,
-        verified=chk.decision is True,
-        probability=chk.probability,
-        recursion_trace=tuple(trace),
-        check=chk,
-    )
+    subfamily, trace, chk, _ = descend(
+        family, {"p": p}, eps, lambda lift: Fraction(p), rule,
+        lambda depth, size, count, case, t, b, r: TraceStep(depth, size, count, r or 0.0, case, t),
+        "(1-p)^{count} >= eps at the 1-uniform base case",
+        lambda sub, engine: is_robust_sunflower(sub, p, eps, engine, mc_samples, seed))
+    return RobustSunflowerResult(subfamily, core(subfamily), chk.decision is True,
+                                 chk.probability, trace, chk)

@@ -287,6 +287,9 @@ class TestMain:
         ["coverage", "-P", "n=4", "-P", "family=star", "-P", "p=1/2"],  # star:<m> without m
         # p = 0 or eps = 0 divided by zero in the spread radius or the clique thresholds
         ["sunflower-extract", "-P", "n=6", "-P", "family=star:3", "-P", "p=0", "-P", "eps=1/2"],
+        # on a 1-uniform family too, p = 0 is out of range rather than a failed base case
+        ["sunflower-extract", "-P", "n=6", "-P", "family=disjoint:3:1", "-P", "p=0",
+         "-P", "eps=1/2"],
         ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=2", "-P", "p=0",
          "-P", "eps=1/2"],
         ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=2", "-P", "p=1/2",
@@ -318,6 +321,16 @@ class TestMain:
         assert main(["clique-verify", "--seed", "1", "--samples", "100", *sizes]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+
+    def test_clique_verify_refuses_k_above_n_before_sampling(self, capsys, monkeypatch):
+        def sampler(*args):
+            raise AssertionError("sampled before refusing k > n")
+
+        monkeypatch.setattr(cli, "verify_no_kclique_bound", sampler)
+        argv = ["clique-verify", "--seed", "1", "-P", "n=40", "-P", "k=41", "-P", "p=1/2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: clique-verify needs 0 <= k <= n, got k=41, n=40\n"
 
     def test_closure_demo_noise_outside_unit_interval_exits_two(self, capsys):
         argv = ["closure-demo", "-P", "n=3", "-P", "minterms=1", "-P", "eps=1/10",

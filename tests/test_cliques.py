@@ -211,6 +211,15 @@ class TestPqCoverage:
         est = pq_coverage_mc(s, 0, 0.5, 0.5, 20_000, seed=4)
         assert abs(est.value - float(exact)) <= 3 * est.half_width
 
+    def test_member_inside_the_core_makes_the_estimate_exact(self):
+        # {1,2} is the core of {12, 123}, so every row is covered: half-width 0, as in coverage_mc
+        s = SetFamily.from_sets(3, [(1, 2), (1, 2, 3)])
+        eps = Fraction(1, 1000)
+        mc = is_pq_clique_sunflower(s, Fraction(1, 2), Fraction(1, 2), eps, "mc", 1_000, 1)
+        assert (mc.probability.value, mc.probability.half_width) == (1.0, 0.0)
+        assert mc.decision is True
+        assert is_pq_clique_sunflower(s, Fraction(1, 2), Fraction(1, 2), eps).decision is True
+
 
 class TestSunflowerChecks:
     def test_q1_specialization_agrees(self):
@@ -278,6 +287,12 @@ class TestJanson:
         s = SetFamily.from_sets(3, [(1, 2)])
         with pytest.raises(ValueError):
             janson_certificate(s, Fraction(1, 2), 0)
+
+    def test_range_is_checked_exactly(self):
+        # q = 1 + 10^-20 rounds to 1.0 as a float, but lies outside (0, 1]
+        s = SetFamily.from_sets(3, [(1, 2)])
+        with pytest.raises(ValueError, match=r"need p, q in \(0, 1\]"):
+            janson_certificate(s, Fraction(1, 2), Fraction(10**20 + 1, 10**20))
 
     def test_validity_on_random_families(self):
         rng = random.Random(7)

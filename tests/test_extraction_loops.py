@@ -1,9 +1,10 @@
 """The three extraction loops against their recursive reference forms.
 
 ``find_sunflower``, ``extract_robust_sunflower`` and ``find_clique_sunflower``
-step from link to link and lift once by the accumulated kernel; the
-oracles recurse and lift one level at a time.  Both must agree result for
-result, trace step for trace step, and refusal for refusal.
+step from link to link and lift once by the accumulated kernel; the last
+two share one loop, ``sunflowers.descend``.  The oracles recurse and lift
+one level at a time.  Both must agree result for result, trace step for
+trace step, and refusal for refusal.
 """
 
 from fractions import Fraction
