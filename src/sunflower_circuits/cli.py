@@ -13,8 +13,10 @@ status 2 and a one-line ``config error:`` message; so does a refusal (a
 ``RefusalError``: a work cap exceeded, or a guarantee that does not hold
 for the input), with a one-line ``refused:`` message.  ``--engine mc`` is
 a config error for a subcommand without a Monte-Carlo path, and every
-such path needs a --seed.  The sample budget (--samples) serves every
-Monte-Carlo path, the fallbacks of the extractions included.
+such path needs a --seed, except the Monte-Carlo fallbacks of
+``sunflower-extract`` and ``clique-extract``, which run on seed 0 when
+none is given.  The sample budget (--samples) serves every Monte-Carlo
+path, the fallbacks of the extractions included.
 
 Configs can come from a ``key=value`` file (--config): a flag given on
 the command line beats it, and it beats the defaults.  ``run`` reads each
@@ -405,7 +407,10 @@ def _merged_candidate(d: Decomposition) -> Decomposition:
 
 def _run_spread_experiment(config: ExperimentConfig, params: Params) -> dict:
     n, size, p, eps = params["n"], params["l"], params["p"], params["eps"]
-    members = params.get("members", 12)
+    members, count = params.get("members", 12), params.get("count", 20)
+    for key, value in (("l", size), ("count", count)):
+        if value < 1:
+            raise ConfigError(f"spread-experiment needs {key} >= 1, got {key}={value}")
     seed = config.require_seed()
 
     r = spread_radius(size, float(p), float(eps), ThresholdParams(B=params.get("B", 1.0)))
@@ -413,7 +418,7 @@ def _run_spread_experiment(config: ExperimentConfig, params: Params) -> dict:
     spread_count = 0
     covered_count = 0
     rows = []
-    for trial in range(params.get("count", 20)):
+    for trial in range(count):
         fam = SetFamily.from_masks(n, _random_masks(stream, n, size, members))
         rep = check_spread(fam, Fraction(r))
         cover = coverage_exact(fam, 0, p)

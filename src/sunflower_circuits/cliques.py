@@ -12,12 +12,14 @@ q-biased vertex set.  A member A over the vertex core B is the single
 mask (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)): p-biased edge bits,
 then q-biased vertex bits.  This module builds those masks and reads
 cliques; the coverage core of ``probability`` makes every exact strategy
-choice and refusal (``exact_coverage``) and samples (one row of C(n,2)+n
-columns per sample, edges first), exactly as for set families.  The
-plain clique-sunflower is the q = 1 case, one call of the (p, q) path:
-the core clears the certain vertex bits, which leaves the edge family
-{K_A \\ K_B}.  ``has_k_clique`` is the one clique decider; it prunes a
-block of graphs to a fixpoint, then searches the rows that are left.
+choice and refusal (``exact_coverage``) and samples (``estimate_coverage``:
+one row of C(n,2)+n columns per sample, edges first), exactly as for set
+families.  The plain clique-sunflower is the q = 1 case, one call of the
+(p, q) path: both engines clear the certain vertex bits
+(``reduce_coverage``), which leaves the edge family {K_A \\ K_B}; the
+sampled rows keep their n vertex columns.  ``has_k_clique`` is the one
+clique decider; it prunes a block of graphs to a fixpoint, then searches
+the rows that are left.
 
 Clique-shaped functions are ``monotone.MonotoneFunction``s over vertex
 masks (``clique_function``); ``CliqueApproxParams`` reads their closure.
@@ -39,9 +41,8 @@ from .probability import (
     Estimate,
     ExactProbability,
     RobustnessCheck,
-    _coverage_estimate,
-    bernoulli_hits,
     bernoulli_rows,
+    estimate_coverage,
     exact_engine,
     exact_coverage,
     pack_rows,
@@ -50,7 +51,6 @@ from .probability import (
 from .rng import CounterStream
 from .setfamily import (
     SetFamily,
-    antichain_minimize,
     core,
     elements_of,
     popular_core,
@@ -187,14 +187,9 @@ def pq_coverage_exact(s: SetFamily, core_vertices: int, p, q) -> ExactProbabilit
 def pq_coverage_mc(
     s: SetFamily, core_vertices: int, p, q, samples: int, seed: int = 0
 ) -> Estimate:
-    """Sampled joint coverage: ``bernoulli_hits`` over rows of C(n,2)+n columns, edges first.
-
-    A member inside the core covers every row: half-width 0, as in ``coverage_mc``.
-    """
+    """Sampled joint coverage (``estimate_coverage``) over rows of C(n,2)+n columns, edges first."""
     split = edge_count(s.n)
-    masks = antichain_minimize(_pq_masks(s, core_vertices))
-    hits = bernoulli_hits(CounterStream(seed), samples, split + s.n, split, p, q, masks)
-    return _coverage_estimate(hits, masks, samples, seed)
+    return estimate_coverage(_pq_masks(s, core_vertices), split + s.n, split, p, q, samples, seed)
 
 
 def is_pq_clique_sunflower(

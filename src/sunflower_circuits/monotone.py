@@ -383,24 +383,34 @@ def circuit_from_text(text: str, n: int) -> MonotoneCircuit:
     """Parse the line format ``INPUT i`` / ``OR a b`` / ``AND a b`` / ``OUTPUT g``.
 
     Gates receive ids 1, 2, ... in order of appearance; OR/AND operands and
-    the OUTPUT line refer to those ids.
+    the OUTPUT line refer to those ids.  An unknown directive, a wrong
+    number of operands, a non-integer operand or a second OUTPUT line
+    raises ``ValueError`` naming the line's number and text.
     """
+    arity = {"INPUT": 1, "OR": 2, "AND": 2, "OUTPUT": 1}
     gates: list[tuple] = []
     output = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        op = parts[0].upper()
-        if op == "INPUT":
-            gates.append(("input", int(parts[1])))
-        elif op in ("OR", "AND"):
-            gates.append((op.lower(), int(parts[1]), int(parts[2])))
-        elif op == "OUTPUT":
-            output = int(parts[1])
+        op, *args = line.split()
+        op = op.upper()
+        if op not in arity:
+            raise ValueError(f"line {number}: unknown directive {op!r} in {line!r}")
+        try:
+            ids = [int(a) for a in args]
+        except ValueError:
+            ids = []  # no directive takes zero operands
+        if len(ids) != arity[op]:
+            raise ValueError(f"line {number}: {op} takes {arity[op]} integer operand(s), "
+                             f"got {line!r}")
+        if op != "OUTPUT":
+            gates.append((op.lower(), *ids))
+        elif output is None:
+            output = ids[0]
         else:
-            raise ValueError(f"unknown directive {op!r}")
+            raise ValueError(f"line {number}: second OUTPUT line {line!r}")
     if output is None:
         raise ValueError("missing OUTPUT line")
     return MonotoneCircuit(n, tuple(gates), output)

@@ -12,10 +12,10 @@ core B (see ``cliques``) is (edges(A) & ~edges(B)) | ((A & ~B) << C(n,2)).
 Coverage is Pr[some mask lies inside the random set], and
 ``exact_coverage`` owns every exact strategy and refusal:
 
-* q = 1: a bias-1 bit is always present, so every q-part is cleared
-  first and the masks are plain; the q = 1 clique reading is then the
-  plain edge reading, in value, strategy and refusal;
-* reduction: ``antichain_minimize``; no mask left means 0, the zero mask 1;
+* reduction (``reduce_coverage``, shared with the Monte-Carlo twin
+  ``estimate_coverage``): bias-1 bits are cleared, masks with a bias-0 bit
+  dropped, the minimal masks kept; no mask left means 0, the zero mask 1.
+  So the q = 1 clique reading is the plain edge reading;
 * inclusion-exclusion over the subfamilies of at most min(work cap, 20)
   masks adds +-1 into integer counts c[a, b] keyed by the sizes of the
   union's p- and q-parts, evaluated once as sum c[a, b] p^a q^b;
@@ -31,16 +31,14 @@ Coverage is Pr[some mask lies inside the random set], and
 * sampling: one chunked block sampler, ``bernoulli_rows``, row s of a
   ``width``-column draw reading slots s*width + j from the stream's index,
   column j p-biased below the split and q-biased above it;
-  ``sample_p_subset`` is its one-row call.  Plain coverage remaps E onto
-  contiguous bits first.  One hit counter, ``bernoulli_hits``, counts the
-  rows containing some mask: pairwise disjoint masks (petals over their
-  core) slot by slot, reading a slot only while its row is uncovered and
-  its mask not yet rejected, other masks on the packed rows
-  (``count_covered``: ``pack_words``, then ``count_matched``).  One
-  estimator, ``sampled_coverage``, counts the rows of any block sampler
-  containing some mask, with a Wilson interval; ``CoverageBlocks`` answers
-  many ``coverage_mc`` calls at one (p, samples, seed) from one packed
-  block per compacted width.
+  ``sample_p_subset`` is its one-row call.  One hit counter,
+  ``bernoulli_hits``, counts the rows containing some mask: pairwise
+  disjoint masks (petals over their core) slot by slot, reading a slot
+  only while its row is uncovered and its mask not yet rejected, other
+  masks on the packed rows (``count_covered``: ``pack_words``, then
+  ``count_matched``).  ``sampled_coverage`` reads any block sampler;
+  ``CoverageBlocks`` answers many ``coverage_mc`` calls at one (p,
+  samples, seed) from one packed block per compacted width.
 
 Every exact strategy refuses when its work exceeds the cap
 ``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
@@ -265,26 +263,33 @@ def _weight_counts(table: np.ndarray, width: int) -> list[int]:
     return [int(c) for c in counts]
 
 
+def reduce_coverage(masks, split: int, p, q) -> tuple[int, ...]:
+    """The minimal masks left once bias-1 bits are cleared and masks with a bias-0 bit dropped."""
+    pf, qf = bias(p), bias(q)
+    low = (1 << split) - 1
+    certain = (low if pf == 1 else 0) | (~low if qf == 1 else 0)
+    never = (low if pf == 0 else 0) | (~low if qf == 0 else 0)
+    return antichain_minimize(m & ~certain for m in masks if not m & never)
+
+
 def exact_coverage(masks, split: int, p, q) -> Fraction:
     """Pr[some mask lies inside the random set]: bits below ``split`` p-biased, the rest q-biased.
 
-    At q = 1 the q-parts are cleared before reduction, since a bias-1 bit
-    is always present, and the masks are plain.  Masks with a q-part take inclusion-exclusion up to ``ie_limit()``
-    reduced masks; past that they condition on the q-envelope (the union of
-    the q-parts, at most ``ie_limit()`` bits), each outcome U keeping the
-    p-parts of the masks whose q-part lies in U.  Plain masks, m of them
-    over a width w, take inclusion-exclusion when enumeration is past the
-    work cap, enumeration when m exceeds ``ie_limit()``, and otherwise the
-    cheaper by ``EXACT_COST_NS`` = (step, set-up, row): inclusion-exclusion
-    iff step * 2^m <= set-up + row * 2^w.  Either gives the same value.
-    Past both caps the refusal names the strategy nearer its own cap: m
-    against ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``.
+    The masks are reduced first (``reduce_coverage``).  Masks with a q-part
+    take inclusion-exclusion up to ``ie_limit()`` reduced masks; past that
+    they condition on the q-envelope (the union of the q-parts, at most
+    ``ie_limit()`` bits), each outcome U keeping the p-parts of the masks
+    whose q-part lies in U.  Plain masks, m of them over a width w, take
+    inclusion-exclusion when enumeration is past the work cap, enumeration
+    when m exceeds ``ie_limit()``, and otherwise the cheaper by
+    ``EXACT_COST_NS`` = (step, set-up, row): inclusion-exclusion iff
+    step * 2^m <= set-up + row * 2^w.  Either gives the same value.  Past
+    both caps the refusal names the strategy nearer its own cap: m against
+    ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``.
     """
     pf, qf = bias(p), bias(q)
     low = (1 << split) - 1
-    if qf == 1:
-        masks = (m & low for m in masks)
-    reduced = antichain_minimize(masks)
+    reduced = reduce_coverage(masks, split, pf, qf)
     if not reduced:
         return Fraction(0)
     if reduced[0] == 0:
@@ -453,11 +458,6 @@ def sampled_coverage(rows, masks, samples: int, seed: int) -> Estimate:
     return Estimate.from_hits(hits, samples, seed)
 
 
-def _reduced_masks(family: SetFamily, y: int) -> tuple[list[int], int]:
-    """The minimal sets of F \\ Y remapped onto columns 0..w-1 (``compact``), and w."""
-    return compact(antichain_minimize(m & ~y for m in family.members))
-
-
 def _coverage_estimate(hits: int, masks: list[int], samples: int, seed: int) -> Estimate:
     """The estimate of ``hits`` rows; exact (half-width 0) with no mask left or the zero mask."""
     est = Estimate.from_hits(hits, samples, seed)
@@ -466,17 +466,24 @@ def _coverage_estimate(hits: int, masks: list[int], samples: int, seed: int) -> 
     return est
 
 
-def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Estimate:
-    """Empirical coverage frequency with a Wilson interval.
+def estimate_coverage(masks, width: int, split: int, p, q, samples: int, seed: int) -> Estimate:
+    """``exact_coverage``'s Monte-Carlo twin: ``bernoulli_hits`` on ``CounterStream(seed)``.
 
-    The rows range over the elements of E only, compacted onto columns
-    0..|E|-1, and ``bernoulli_hits`` counts them on ``CounterStream(seed)``.
-    With no mask left, or a member inside Y, the rows have no columns and
-    the frequency is exact, so the estimate has half-width 0.
+    Plain masks (width == split) are compacted onto their union.  With no
+    reduced mask left, or the zero mask, the estimate has half-width 0.
     """
-    masks, width = _reduced_masks(family, y)
-    hits = bernoulli_hits(CounterStream(seed), samples, width, width, p, p, masks)
+    masks = reduce_coverage(masks, split, p, q)
+    if width == split:
+        masks, width = compact(masks)
+        split = width
+    hits = bernoulli_hits(CounterStream(seed), samples, width, split, p, q, masks)
     return _coverage_estimate(hits, masks, samples, seed)
+
+
+def coverage_mc(family: SetFamily, y: int, p, samples: int, seed: int = 0) -> Estimate:
+    """Empirical coverage frequency with a Wilson interval: rows over the elements of E only."""
+    return estimate_coverage((m & ~y for m in family.members), family.n, family.n, p, p,
+                             samples, seed)
 
 
 class CoverageBlocks:
@@ -484,9 +491,8 @@ class CoverageBlocks:
 
     Its rows depend only on the compacted width w, so the rows of each w
     are drawn once, on first use, and packed once (``pack_words``); every
-    call counts its compacted masks against them (``count_matched``), with
-    ``coverage_mc``'s reduction and zero-mask rule.  The estimates are
-    ``coverage_mc``'s, bit for bit.
+    call counts ``coverage_mc``'s reduced, compacted masks against them
+    (``count_matched``).  The estimates are ``coverage_mc``'s, bit for bit.
     """
 
     def __init__(self, p, samples: int, seed: int):
@@ -494,7 +500,8 @@ class CoverageBlocks:
         self.words: dict[int, np.ndarray] = {}
 
     def coverage(self, family: SetFamily, y: int) -> Estimate:
-        masks, width = _reduced_masks(family, y)
+        reduced = reduce_coverage((m & ~y for m in family.members), family.n, self.p, self.p)
+        masks, width = compact(reduced)
         words = self.words.get(width)
         if words is None:
             stream = CounterStream(self.seed)

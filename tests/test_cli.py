@@ -155,6 +155,12 @@ class TestRunners:
         names = [c["name"] for c in report["checks"]]
         assert "merged-candidate-rejected" in names
 
+    def test_coverage_exact_collapses_at_bias_one(self, capsys):
+        # 25 disjoint pairs on 50 points: past both exact caps, but certain at p = 1
+        assert main(["coverage", "-P", "n=50", "-P", "family=disjoint:25:2", "-P", "p=1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["value"] == "1/1"
+
     def test_spread_experiment(self):
         report = run(
             ExperimentConfig(
@@ -304,6 +310,11 @@ class TestMain:
         ["coverage", "-P", "n=4", "-P", "family={tmp}", "-P", "p=1/2"],
         ["coverage", "--out", "{tmp}/file/report.json", "-P", "n=4", "-P", "family=star:2",
          "-P", "p=1/2"],
+        # no trial, or empty members: a vacuous report, or a math domain error in the radius
+        ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=2", "-P", "count=0",
+         "-P", "p=1/2", "-P", "eps=1/10"],
+        ["spread-experiment", "--seed", "1", "-P", "n=6", "-P", "l=0", "-P", "p=1/2",
+         "-P", "eps=1/10"],
     ])
     def test_bad_input_exits_two_without_traceback(self, argv, capsys, tmp_path):
         (tmp_path / "file").write_text("a regular file\n", encoding="utf-8")

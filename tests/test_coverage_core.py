@@ -28,6 +28,7 @@ from sunflower_circuits.probability import (
     above_threshold,
     coverage_exact,
     coverage_mc,
+    is_robust_sunflower,
     union_probability,
 )
 from sunflower_circuits.rng import CounterStream
@@ -35,6 +36,7 @@ from sunflower_circuits.setfamily import SetFamily, mask_of
 
 from oracles import (
     brute_coverage,
+    brute_pq_hit,
     conditioned_pq_coverage,
     covered_weight_counts,
     pq_hit_inclusion_exclusion,
@@ -421,3 +423,65 @@ def test_enumeration_at_the_work_cap_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def _disjoint_pairs():
+    """The CLI's ``disjoint:25:2`` on n = 50: past both exact caps at any bias inside (0, 1)."""
+    return SetFamily.from_masks(50, [0b11 << (2 * i) for i in range(25)])
+
+
+class TestCertainAndImpossibleBits:
+    """Both engines clear the bias-1 bits and drop the masks with a bias-0 bit first."""
+
+    def test_pq_monte_carlo_decides_as_exact_at_q_one(self):
+        s = SetFamily.from_sets(3, [(1,), (2, 3)])
+        mc = is_pq_clique_sunflower(s, Fraction(1, 2), 1, Fraction(1, 1000), "mc", 1000, 1)
+        assert mc.decision is True and mc.probability.half_width == 0.0
+        assert is_pq_clique_sunflower(s, Fraction(1, 2), 1, Fraction(1, 1000)).decision is True
+
+    @pytest.mark.parametrize("p,value", [(1, 1.0), (0, 0.0)])
+    def test_coverage_mc_is_exact_at_bias_one_and_zero(self, p, value):
+        est = coverage_mc(_disjoint_pairs(), 0, p, 1000, seed=1)
+        assert (est.value, est.half_width) == (value, 0.0)
+
+    def test_robust_sunflower_mc_decides_at_bias_one(self):
+        chk = is_robust_sunflower(_disjoint_pairs(), 1, Fraction(1, 1000), "mc", 1000, 1)
+        assert chk.decision is True
+
+    @pytest.mark.parametrize("p,value", [(1, 1), (0, 0)])
+    def test_coverage_exact_answers_where_the_bias_collapses_the_family(self, p, value):
+        assert coverage_exact(_disjoint_pairs(), 0, p).value == value
+        with pytest.raises(ExactIntractableError):
+            coverage_exact(_disjoint_pairs(), 0, Fraction(1, 2))
+
+
+@st.composite
+def _biased_cases(draw):
+    """(n, members, B, p, q): up to 6 vertex sets on 2-4 vertices, B the core of
+    some members or 0, and p, q each 0, 1/3, 1/2 or 1."""
+    n = draw(st.integers(2, 4))
+    members = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+    b = draw(st.sampled_from([0, members[0], members[0] & members[-1]]))
+    biases = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    return n, members, b, draw(biases), draw(biases)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_biased_cases(), st.integers(0, 3))
+def test_both_engines_match_the_oracles_at_any_bias(case, seed):
+    # the members read as a clique family over the vertex core B, and as a
+    # set family over Y = B; an estimate is exact (half-width 0) exactly
+    # when its event is certain or impossible
+    n, members, b, p, q = case
+    s = SetFamily.from_masks(n, members)
+    pq_exact, plain_exact = pq_coverage_exact(s, b, p, q).value, coverage_exact(s, b, p).value
+    assert pq_exact == brute_pq_hit(members, b, p, q, n)
+    assert plain_exact == brute_coverage(members, b, p, n)
+    for exact, est, hits in [
+        (pq_exact, pq_coverage_mc(s, b, p, q, 100, seed),
+         pq_sample_hits(members, b, p, q, n, 100, CounterStream(seed))),
+        (plain_exact, coverage_mc(s, b, p, 100, seed),
+         set_sample_hits(members, b, p, 100, CounterStream(seed))),
+    ]:
+        assert est.value == hits / 100
+        assert (est.half_width == 0) == (exact in (0, 1))

@@ -301,6 +301,22 @@ class TestCircuits:
         c = circuit_from_text(text, 4)
         assert circuit_to_text(c) == text
 
+    @pytest.mark.parametrize("text,line", [
+        ("INPUT 1\nOR 1\nOUTPUT 2\n", "line 2: OR takes 2 integer operand(s), got 'OR 1'"),
+        ("INPUT\nOUTPUT 1\n", "line 1: INPUT takes 1 integer operand(s), got 'INPUT'"),
+        ("INPUT 1\n\nOUTPUT\n", "line 3: OUTPUT takes 1 integer operand(s), got 'OUTPUT'"),
+        ("INPUT 1\nINPUT 2\nINPUT 3\nAND 1 2 3\nOUTPUT 4\n",
+         "line 4: AND takes 2 integer operand(s), got 'AND 1 2 3'"),
+        ("INPUT 1\nINPUT x\nOUTPUT 1\n", "line 2: INPUT takes 1 integer operand(s), got 'INPUT x'"),
+        ("INPUT 1\nINPUT 2\nOUTPUT 1\n# last\nOUTPUT 2\n", "line 5: second OUTPUT line 'OUTPUT 2'"),
+        ("INPUT 1\nNOT 1\nOUTPUT 1\n", "line 2: unknown directive 'NOT' in 'NOT 1'"),
+    ], ids=["or-one-operand", "input-bare", "output-bare", "and-three-operands",
+            "non-integer", "second-output", "unknown-directive"])
+    def test_malformed_line_names_its_number_and_text(self, text, line):
+        with pytest.raises(ValueError) as err:
+            circuit_from_text(text, 3)
+        assert str(err.value) == line
+
     def test_forward_reference_rejected(self):
         with pytest.raises(ValueError):
             MonotoneCircuit(3, (("or", 1, 2), ("input", 1)), 1)

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-function, class, method and module-level name it defines is named outside
-its definition."""
+"""Every name a package module imports is used in that module, no package
+module imports another module's private function, and every function,
+class, method and module-level name it defines is named outside its
+definition."""
 
 import ast
 from collections import Counter
@@ -99,3 +100,24 @@ def test_every_package_symbol_is_named_outside_its_definition():
     others = [ast.parse(p.read_text()) for d in ("tests", "bench")
               for p in sorted((ROOT / d).rglob("*.py"))]
     assert dead_symbols(package, others) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The names ``source`` imports from a package module that are private to it:
+    an underscore name that is neither a dunder nor an upper-case constant."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+            and not alias.name.isupper()]
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from . import __version__\nfrom .rng import _PIECE, bias\n"
+              "from .probability import _helper, exact_coverage\nfrom os import _exit\n")
+    assert private_imports(source) == ["line 3: _helper"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_import(path):
+    assert private_imports(path.read_text()) == []
