@@ -14,7 +14,9 @@ class ExactIntractableError(RefusalError):
     """An exact strategy would exceed its cap (``DEFAULT_WORK_CAP_BITS`` or ``ie_limit()``).
 
     ``work`` names what it counts: inclusion-exclusion terms, conditioning
-    outcomes or enumerated rows.  Callers fall back to a Monte-Carlo engine.
+    outcomes or enumerated rows, for one connected component of the reduced
+    masks: the first, in the order of their first masks, that is past both
+    caps.  Callers fall back to a Monte-Carlo engine.
     """
 
     def __init__(self, cost_bits: int, cap_bits: int, work: str):

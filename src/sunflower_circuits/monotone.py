@@ -25,11 +25,11 @@ The exact closure of the plain reading, for n <= ``TABLE_MAX_N`` and noise
 a/b with b^n < 2^63, reads f's truth table, built by the up-closure that
 exact coverage enumerates with (``probability.up_closure``): one weighted
 superset sum (Yates' transform) gives every candidate's noisy acceptance at
-once as an exact integer, and each round adds every violator.  Monte-Carlo,
-the clique reading and larger n or denominators scan the candidates one
-at a time, adding the first violator per round: one ``coverage_exact``
+once as an exact integer.  Monte-Carlo, the clique reading and larger n
+or denominators scan the candidates one at a time: one ``coverage_exact``
 call per candidate, or on Monte-Carlo one count against a packed block of
 rows drawn once per compacted width per round (``probability.CoverageBlocks``).
+An exact round adds every violator, a Monte-Carlo round its first.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ class ClosureParams:
 
 class ClosednessReport(NamedTuple):
     """The first violation in scan order (witness and its probability), and
-    every violation a round adds: all of them on the truth table, the
-    witness alone on the per-candidate scan."""
+    every violation a round adds: all of them on the exact engine, the
+    witness alone on Monte-Carlo."""
 
     closed: bool
     witness: Optional[int]
@@ -201,12 +201,13 @@ def is_closed(
 
     The exact plain reading reads f's truth table (``_table_scan``) when
     n <= ``TABLE_MAX_N`` and the noise is a/b with b^n < 2^63; it reports
-    the same witness and probability as the per-candidate scan, plus every
-    other violation.  Otherwise the candidates are scanned one at a time:
-    on ``exact`` each costs one ``coverage_exact`` call; on ``mc`` each is
-    counted against the scan's ``CoverageBlocks``, one packed block of
-    rows per compacted width, drawn once, so every estimate is
-    ``coverage_mc``'s at (noise_p, samples, seed).
+    the same report as the per-candidate scan.  Otherwise the candidates
+    are scanned one at a time: on ``exact`` each costs one
+    ``coverage_exact`` call, and the scan goes on past the first violation
+    to report every one; on ``mc`` each is counted against the scan's
+    ``CoverageBlocks``, one packed block of rows per compacted width, drawn
+    once, so every estimate is ``coverage_mc``'s at (noise_p, samples,
+    seed), and the scan stops at the first violation.
     """
     exact = exact_engine(engine)
     if exact and type(params) is ClosureParams and f.n <= TABLE_MAX_N:
@@ -214,7 +215,7 @@ def is_closed(
         if p.denominator**f.n < 1 << 63:
             return _table_scan(f, params, p.numerator, p.denominator)
     blocks = None if exact else CoverageBlocks(params.noise_p, samples, seed)
-    fam = None
+    fam, found = None, []  # found: (candidate, probability) per violation
     for a in params.candidates(f.n):
         if f(a):
             continue
@@ -223,8 +224,12 @@ def is_closed(
         y = params.coverage_mask(a)
         prob = coverage_exact(fam, y, params.noise_p) if exact else blocks.coverage(fam, y)
         if above_threshold(prob, params.eps) is True:
-            return ClosednessReport(False, a, prob, (a,))
-    return ClosednessReport(True, None, None)
+            found.append((a, prob))
+            if not exact:
+                break
+    if not found:
+        return ClosednessReport(True, None, None)
+    return ClosednessReport(False, *found[0], tuple(a for a, _ in found))
 
 
 @lru_cache(maxsize=16)
@@ -287,8 +292,8 @@ def closure(
     """The minimal closed monotone function above f.
 
     Fixpoint iteration, one ``is_closed`` round at a time: add the round's
-    violators and rescan from the first candidate.  The truth table adds
-    every violator of a round, the per-candidate scan its first.  Every A
+    violators and rescan from the first candidate.  An exact round adds
+    every violator, a Monte-Carlo round its first.  Every A
     added lies below the unique closure (any closed g >= f accepts it), so
     neither choice changes the fixpoint, and the fixed scan order makes
     runs deterministic.

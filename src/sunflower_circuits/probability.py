@@ -16,6 +16,11 @@ Coverage is Pr[some mask lies inside the random set], and
   ``estimate_coverage``): bias-1 bits are cleared, masks with a bias-0 bit
   dropped, the minimal masks kept; no mask left means 0, the zero mask 1.
   So the q = 1 clique reading is the plain edge reading;
+* components (``_components``, exact only): the reduced masks split into
+  connected components by shared bits, p- and q-bits alike.  Components
+  are independent, so the coverage is 1 - prod (1 - cov_i); a one-mask
+  component (a petal over its core) is p^|p-part| q^|q-part|, and each
+  larger one takes its own strategy below, refusal included;
 * inclusion-exclusion over the subfamilies of at most min(work cap, 20)
   masks adds +-1 into integer counts c[a, b] keyed by the sizes of the
   union's p- and q-parts, evaluated once as sum c[a, b] p^a q^b;
@@ -41,11 +46,13 @@ Coverage is Pr[some mask lies inside the random set], and
   samples, seed) from one packed block per compacted width.
 
 Every exact strategy refuses when its work exceeds the cap
-``DEFAULT_WORK_CAP_BITS``, and every estimate is a Wilson interval at
-``CONFIDENCE``; these limits are module constants, read where they are
-enforced, not per-call parameters.  One check, ``exact_engine``, accepts
-the engine names ``exact`` and ``mc``.  One rule, ``above_threshold``,
-decides the strict test coverage > 1 - eps.
+``DEFAULT_WORK_CAP_BITS``; every component is planned before any is
+solved, and a refusal names the first component, in the order of the
+reduced masks, that is past both caps.  Every estimate is a Wilson
+interval at ``CONFIDENCE``.  These limits are module constants, read
+where they are enforced, not per-call parameters.  One check,
+``exact_engine``, accepts the engine names ``exact`` and ``mc``.  One
+rule, ``above_threshold``, decides the strict test coverage > 1 - eps.
 """
 
 from __future__ import annotations
@@ -265,52 +272,107 @@ def _weight_counts(table: np.ndarray, width: int) -> list[int]:
 
 def reduce_coverage(masks, split: int, p, q) -> tuple[int, ...]:
     """The minimal masks left once bias-1 bits are cleared and masks with a bias-0 bit dropped."""
-    pf, qf = bias(p), bias(q)
+    return _reduce(masks, split, bias(p), bias(q))
+
+
+def _reduce(masks, split: int, pf: Fraction, qf: Fraction) -> tuple[int, ...]:
+    """``reduce_coverage`` at biases already resolved to ``Fraction``s."""
     low = (1 << split) - 1
     certain = (low if pf == 1 else 0) | (~low if qf == 1 else 0)
     never = (low if pf == 0 else 0) | (~low if qf == 0 else 0)
     return antichain_minimize(m & ~certain for m in masks if not m & never)
 
 
+def _components(masks: tuple[int, ...]) -> list[list[int]]:
+    """The masks grouped into connected components: two masks share one when they share a bit.
+
+    One union-find pass over the masks' bits; each component keeps the
+    masks' order, and the components come in the order of their first mask.
+    """
+    parent = list(range(len(masks)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}  # per bit position, the first mask holding it
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            j = owner.setdefault(low.bit_length(), i)
+            if j != i:
+                a, b = root(i), root(j)
+                parent[max(a, b)] = min(a, b)
+            m ^= low
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(masks):
+        groups.setdefault(root(i), []).append(m)
+    return list(groups.values())
+
+
 def exact_coverage(masks, split: int, p, q) -> Fraction:
     """Pr[some mask lies inside the random set]: bits below ``split`` p-biased, the rest q-biased.
 
-    The masks are reduced first (``reduce_coverage``).  Masks with a q-part
-    take inclusion-exclusion up to ``ie_limit()`` reduced masks; past that
-    they condition on the q-envelope (the union of the q-parts, at most
-    ``ie_limit()`` bits), each outcome U keeping the p-parts of the masks
-    whose q-part lies in U.  Plain masks, m of them over a width w, take
-    inclusion-exclusion when enumeration is past the work cap, enumeration
-    when m exceeds ``ie_limit()``, and otherwise the cheaper by
-    ``EXACT_COST_NS`` = (step, set-up, row): inclusion-exclusion iff
-    step * 2^m <= set-up + row * 2^w.  Either gives the same value.  Past
-    both caps the refusal names the strategy nearer its own cap: m against
-    ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``.
+    The masks are reduced first (``reduce_coverage``) and split into
+    connected components (``_components``): components share no bit, so
+    their events are independent and the coverage is 1 - prod (1 - cov_i).
+    A one-mask component is the closed form p^|p-part| q^|q-part|.  A larger
+    one takes its own strategy: with a q-part, inclusion-exclusion up to
+    ``ie_limit()`` masks; past that, conditioning on its q-envelope (the
+    union of the q-parts, at most ``ie_limit()`` bits), each outcome U
+    keeping the p-parts of the masks whose q-part lies in U.  Plain masks,
+    m of them over a width w, take inclusion-exclusion when enumeration is
+    past the work cap, enumeration when m exceeds ``ie_limit()``, and
+    otherwise the cheaper by ``EXACT_COST_NS`` = (step, set-up, row):
+    inclusion-exclusion iff step * 2^m <= set-up + row * 2^w.  Either gives
+    the same value.  Every component is planned before any is solved; a
+    plain component past both caps is refused with the cost nearer its own
+    cap, m against ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``,
+    and the refusal names the first such component in component order.
     """
-    pf, qf = bias(p), bias(q)
-    low = (1 << split) - 1
-    reduced = reduce_coverage(masks, split, pf, qf)
+    return _coverage(masks, split, bias(p), bias(q))
+
+
+def _coverage(masks, split: int, pf: Fraction, qf: Fraction) -> Fraction:
+    """``exact_coverage`` at biases already resolved to ``Fraction``s."""
+    reduced = _reduce(masks, split, pf, qf)
     if not reduced:
         return Fraction(0)
     if reduced[0] == 0:
         return Fraction(1)  # some member already inside Y
-    envelope = 0
-    for m in reduced:
-        envelope |= m >> split
+    parts = _components(reduced)
+    plans = [_plan(part, split) for part in parts]  # any refusal comes before any work
+    low = (1 << split) - 1
+    miss_n = miss_d = 1  # Pr[no component covered], one fraction reduced at the end
+    for part, plan in zip(parts, plans):
+        if plan is None:  # one mask: p^a q^b
+            a, b = (part[0] & low).bit_count(), (part[0] >> split).bit_count()
+            hit_n, hit_d = pf.numerator**a * qf.numerator**b, pf.denominator**a * qf.denominator**b
+        else:
+            hit = _solve(part, plan, split, pf, qf)
+            hit_n, hit_d = hit.numerator, hit.denominator
+        miss_n *= hit_d - hit_n
+        miss_d *= hit_d
+    return Fraction(miss_d - miss_n, miss_d)
+
+
+def _plan(masks: list[int], split: int) -> Optional[str]:
+    """One component's strategy: None for one mask, else "ie", "cond" or "enum"; refuses past both caps."""
+    if len(masks) == 1:
+        return None
     limit = ie_limit()
+    union = 0
+    for m in masks:
+        union |= m
+    envelope = union >> split
     if envelope:
-        if len(reduced) <= limit:
-            return union_probability(reduced, split, pf, qf)
-        width = envelope.bit_count()
-        if width > limit:
-            raise ExactIntractableError(width, limit, "conditioning outcomes")
-        total = Fraction(0)
-        for u in iter_submasks(envelope):
-            parts = [m & low for m in reduced if (m >> split) & ~u == 0]
-            weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
-            total += weight * exact_coverage(parts, split, pf, pf)
-        return total
-    masks, width = compact(reduced)
+        if len(masks) <= limit:
+            return "ie"
+        if envelope.bit_count() > limit:
+            raise ExactIntractableError(envelope.bit_count(), limit, "conditioning outcomes")
+        return "cond"
+    width = union.bit_count()
     ie_ok = len(masks) <= limit
     enum_ok = width <= DEFAULT_WORK_CAP_BITS
     if not ie_ok and not enum_ok:
@@ -319,7 +381,27 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
         raise ExactIntractableError(*min(plans, key=lambda plan: plan[0] - plan[1]))
     step, setup, row = EXACT_COST_NS
     if ie_ok and (not enum_ok or step * 2 ** len(masks) <= setup + row * 2**width):
-        return union_probability(masks, width, pf, pf)
+        return "ie"
+    return "enum"
+
+
+def _solve(masks: list[int], plan: str, split: int, pf: Fraction, qf: Fraction) -> Fraction:
+    """The coverage of one component of more than one mask by its ``_plan``."""
+    if plan == "ie":
+        return union_probability(masks, split, pf, qf)
+    if plan == "cond":
+        low = (1 << split) - 1
+        envelope = 0
+        for m in masks:
+            envelope |= m >> split
+        width = envelope.bit_count()
+        total = Fraction(0)
+        for u in iter_submasks(envelope):
+            parts = [m & low for m in masks if (m >> split) & ~u == 0]
+            weight = qf ** u.bit_count() * (1 - qf) ** (width - u.bit_count())
+            total += weight * _coverage(parts, split, pf, pf)
+        return total
+    masks, width = compact(masks)
     counts = _weight_counts(up_closure(masks, width), width)
     weights = {(w, width - w): c for w, c in enumerate(counts)}
     return _polynomial(weights, pf, 1 - pf)

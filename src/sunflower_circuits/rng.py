@@ -58,9 +58,13 @@ def _block_mix(z: np.ndarray, shifted: np.ndarray) -> None:
 
 
 def bias(p) -> Fraction:
-    """A coordinate's acceptance probability as a rational, checked to lie in [0, 1]."""
-    pf = Fraction(p)
-    if not 0 <= pf <= 1:
+    """A coordinate's acceptance probability as a rational, checked to lie in [0, 1].
+
+    A ``Fraction`` comes back as it is.  The check compares integers (a
+    ``Fraction``'s denominator is positive).
+    """
+    pf = p if isinstance(p, Fraction) else Fraction(p)
+    if not 0 <= pf.numerator <= pf.denominator:
         raise ValueError(f"probability {p} outside [0, 1]")
     return pf
 

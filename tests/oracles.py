@@ -196,23 +196,35 @@ def pq_reduced(vertex_masks, b_mask):
 
 
 def conditioned_pq_coverage(vertex_masks, b_mask, p, q, limit, edge_coverage):
-    """Exact joint (p, q) coverage over the vertex core B, conditioning on U.
+    """Exact joint (p, q) coverage over the vertex core B, conditioning on U per component.
 
-    The clique module's own loop before the coverage core took it over.
-    Members reduce to their inclusion-minimal (missing edges, missing
-    vertices) pairs.  At most ``limit`` of them go to inclusion-exclusion.
-    Past that, U is conditioned on over the union of their missing vertices
-    (None when it has more than ``limit`` vertices): for each U, in the
-    package's submask order, the members whose missing vertices lie in U
-    are covered by ``edge_coverage(edge_masks, b_edges)``, which may refuse.
+    The clique module's own loop before the coverage core took it over,
+    run on each connected component of the reduced members.  Members reduce
+    to their inclusion-minimal (missing edges, missing vertices) pairs; two
+    pairs share a component when they share an edge or a vertex, and the
+    components' miss probabilities multiply.  A component of at most
+    ``limit`` pairs goes to inclusion-exclusion.  Past that, U is
+    conditioned on over the union of its missing vertices (None when it
+    has more than ``limit`` vertices): for each U the pairs whose missing
+    vertices lie in U are covered by ``edge_coverage(edge_masks, 0)``, which
+    may refuse.  A refusal of any component refuses the family.
     """
     p, q = Fraction(p), Fraction(q)
-    b_edges = clique_edge_mask([i + 1 for i in iter_bits(b_mask)])
-    reduced = pq_reduced(vertex_masks, b_mask)
-    if len(reduced) <= limit:
-        return pq_hit_inclusion_exclusion([v for _, v in reduced], [e for e, _ in reduced], p, q)
+    miss = Fraction(1)
+    for part in components(pq_reduced(vertex_masks, b_mask),
+                           lambda x, y: x[0] & y[0] or x[1] & y[1]):
+        hit = _conditioned_component(part, p, q, limit, edge_coverage)
+        if hit is None:
+            return None
+        miss *= 1 - hit
+    return 1 - miss
+
+
+def _conditioned_component(pairs, p, q, limit, edge_coverage):
+    if len(pairs) <= limit:
+        return pq_hit_inclusion_exclusion([v for _, v in pairs], [e for e, _ in pairs], p, q)
     venv = 0
-    for _, v in reduced:
+    for _, v in pairs:
         venv |= v
     width = bin(venv).count("1")
     if width > limit:
@@ -220,14 +232,59 @@ def conditioned_pq_coverage(vertex_masks, b_mask, p, q, limit, edge_coverage):
     total = Fraction(0)
     u = venv
     while True:
-        stripped = [a for a in vertex_masks if a & ~b_mask & ~u == 0]
-        if stripped:
-            edges = [clique_edge_mask([i + 1 for i in iter_bits(a)]) for a in stripped]
+        edges = [e for e, v in pairs if v & ~u == 0]
+        if edges:
             k = bin(u).count("1")
-            total += q**k * (1 - q) ** (width - k) * edge_coverage(edges, b_edges)
+            total += q**k * (1 - q) ** (width - k) * edge_coverage(edges, 0)
         if u == 0:
             return total
         u = (u - 1) & venv
+
+
+def components(items, shares):
+    """``items`` grouped into connected components of the relation ``shares``.
+
+    Each item is compared with every group so far, and the groups it
+    touches are merged: quadratic, and independent of the package's pass.
+    """
+    groups = []
+    for x in items:
+        touching = [g for g in groups if any(shares(x, y) for y in g)]
+        groups = [g for g in groups if all(g is not t for t in touching)]
+        groups.append([y for t in touching for y in t] + [x])
+    return groups
+
+
+def brute_split_coverage(masks, split, p, q):
+    """Pr[some mask inside the random set]: bits below ``split`` p-biased, the rest q-biased.
+
+    ``brute_coverage`` with two biases: every outcome on the masks' union
+    is enumerated with its weight.
+    """
+    p, q = Fraction(p), Fraction(q)
+    union = 0
+    for m in masks:
+        union |= m
+    bits = list(iter_bits(union))
+    total = Fraction(0)
+    for w in range(1 << len(bits)):
+        x = sum(1 << b for i, b in enumerate(bits) if w >> i & 1)
+        if any(m & ~x == 0 for m in masks):
+            weight = Fraction(1)
+            for i, b in enumerate(bits):
+                bias = p if b < split else q
+                weight *= bias if w >> i & 1 else 1 - bias
+            total += weight
+    return total
+
+
+def component_coverage(masks, split, p, q):
+    """1 - prod (1 - cov_i) over the components of the masks (by shared bits), each
+    cov_i the brute-force coverage of that component alone."""
+    miss = Fraction(1)
+    for part in components(masks, lambda x, y: x & y):
+        miss *= 1 - brute_split_coverage(part, split, p, q)
+    return 1 - miss
 
 
 def enumerate_antichains(n):

@@ -433,28 +433,50 @@ class TestMain:
             assert row["name"] == "kclique-probability" and row["engine"] == "mc"
             assert row["value"]["samples"] == 200
 
-    def test_samples_reach_the_extraction_fallback(self, capsys):
-        # 25 disjoint pairs are past both exact strategies, so the check samples
-        argv = ["sunflower-extract", "--samples", "1000", "-P", "n=60", "-P", "family=disjoint:25:2",
+    @staticmethod
+    def _path_file(tmp_path):
+        # the path {i, i+1}, i <= 25, on 26 points: one component past every exact cap
+        return write_family(tmp_path, "path.txt", 26, [(i, i + 1) for i in range(1, 26)])
+
+    def test_samples_reach_the_extraction_fallback(self, tmp_path, capsys):
+        # the path's 25 pairs are past both exact strategies, so the check samples
+        argv = ["sunflower-extract", "--samples", "1000", "-P", "n=26",
+                "-P", f"family={self._path_file(tmp_path)}",
                 "-P", "p=1/2", "-P", "eps=1/10", "-P", "B=0.1"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["samples"] == 1000
         assert report["checks"][0]["probability"]["samples"] == 1000
 
-    def test_clique_extract_reports_its_probability(self, capsys):
-        # 25 members: the vertex envelope 25 is past the exact limit, so the check samples
-        argv = ["clique-extract", "--samples", "1000", "-P", "n=26", "-P", "family=star:25",
-                "-P", "p=1/2", "-P", "q=1/2", "-P", "eps=1/10"]
+    def test_clique_extract_reports_its_probability(self, tmp_path, capsys):
+        # 25 connected members: the vertex envelope 26 is past the exact limit, so the
+        # check samples
+        argv = ["clique-extract", "--samples", "1000", "-P", "n=26",
+                "-P", f"family={self._path_file(tmp_path)}",
+                "-P", "p=3/4", "-P", "q=3/4", "-P", "eps=1/10"]
         assert main(argv) == 0
         row = json.loads(capsys.readouterr().out)["checks"][0]
         assert row["value"] is True
         assert row["probability"]["samples"] == 1000
 
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],
+        ["sunflower-extract", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2",
+         "-P", "eps=1/10", "-P", "B=0.1"],
+        ["clique-extract", "-P", "n=26", "-P", "family=star:25", "-P", "p=1/2", "-P", "q=1/2",
+         "-P", "eps=1/10"],
+    ], ids=["coverage", "sunflower-extract", "clique-extract"])
+    def test_disjoint_petals_report_an_exact_probability(self, argv, capsys):
+        # 25 petals disjoint over their core, each covered with probability 1/4
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)["checks"][0]
+        got = row["value"] if argv[0] == "coverage" else row["probability"]
+        assert got == str(1 - Fraction(3, 4) ** 25)
+
     @staticmethod
     def _pairs_file(tmp_path):
-        # 22 disjoint edges on 44 vertices: the vertex envelope 44 is past every exact cap,
-        # the edge family (22 members over 22 edges) enumerates 2^22 rows
+        # 22 disjoint edges on 44 vertices: past every exact cap as one block, but 22
+        # one-mask components
         return write_family(tmp_path, "pairs.txt", 44, [(2 * i + 1, 2 * i + 2) for i in range(22)])
 
     def test_janson_at_q_one_answers_exactly(self, tmp_path, capsys):
@@ -472,7 +494,7 @@ class TestMain:
         assert row["value"] is True and row["probability"] == "4194303/4194304"
 
     @pytest.mark.parametrize("argv", [
-        ["coverage", "-P", "n=60", "-P", "family=disjoint:25:2", "-P", "p=1/2"],
+        ["coverage", "-P", "n=26", "-P", "family=star:25", "-P", "p=1/2"],  # one component
         ["sunflower-extract", "-P", "n=4", "-P", "family=star:3", "-P", "p=1/2",
          "-P", "eps=1/100", "-P", "B=1"],
         ["hr-verify", "-P", "n=31", "-P", "c=2", "-P", "k=6"],

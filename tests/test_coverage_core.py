@@ -37,6 +37,7 @@ from sunflower_circuits.setfamily import SetFamily, mask_of
 from oracles import (
     brute_coverage,
     brute_pq_hit,
+    component_coverage,
     conditioned_pq_coverage,
     covered_weight_counts,
     pq_hit_inclusion_exclusion,
@@ -65,8 +66,9 @@ class TestConditioningBranch:
         assert got == want
 
     def test_small_cap_also_conditions(self, monkeypatch):
-        # the limit is min(work cap, 20): 7 members condition at cap 6
-        s = SetFamily.from_sets(5, [(1,)] + list(combinations(range(2, 6), 2)))
+        # the limit is min(work cap, 20): 7 members condition at cap 6; they are one
+        # component (the 6-cycle and one chord share vertices), its envelope 6 vertices
+        s = SetFamily.from_sets(6, [(i, i % 6 + 1) for i in range(1, 7)] + [(1, 4)])
         p, q = Fraction(1, 3), Fraction(1, 2)
         edges = [clique_edges(a) for a in s.members]
         want = pq_hit_inclusion_exclusion(list(s.members), edges, p, q)
@@ -164,11 +166,26 @@ class TestValidationAndCaps:
         with pytest.raises(ExactIntractableError, match=r"^exact coverage needs ~2\^26 "
                            r"enumerated rows, cap is 2\^24$"):
             coverage_exact(pairs, 0, Fraction(1, 2))
-        # 25 q-biased singletons: past inclusion-exclusion, and 25 vertices to condition on
+        # the q-biased path of 24 pairs: past inclusion-exclusion, 25 vertices to condition on
         with pytest.raises(ExactIntractableError, match=r"^exact coverage needs ~2\^25 "
                            r"conditioning outcomes, cap is 2\^20$"):
-            probability.exact_coverage([1 << i for i in range(25)], 0, Fraction(1, 2),
+            probability.exact_coverage([0b11 << i for i in range(24)], 0, Fraction(1, 2),
                                        Fraction(1, 2))
+
+    def test_singleton_components_answer_past_both_caps(self):
+        # 25 q-biased singletons are 25 one-mask components: no strategy runs
+        got = probability.exact_coverage([1 << i for i in range(25)], 0, Fraction(1, 2),
+                                         Fraction(1, 3))
+        assert got == 1 - Fraction(2, 3) ** 25
+
+    def test_refusal_names_the_first_component_past_both_caps(self):
+        # component order is the order of the reduced masks' first members: the plain path
+        # of 25 pairs (2^26 rows) comes before the plain path of 30 pairs (2^31 rows)
+        first = [0b11 << i for i in range(25)]
+        second = [0b11 << (40 + i) for i in range(30)]
+        for masks in (first + second, second + first):
+            with pytest.raises(ExactIntractableError, match=r"~2\^26 enumerated rows"):
+                probability.exact_coverage(masks, 80, Fraction(1, 2), Fraction(1, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,12 +197,18 @@ class TestValidationAndCaps:
     )
     def test_every_refusal_names_a_cost_past_its_cap(self, split, size, count, q_parts, seed):
         # more than 20 distinct masks of one size (an antichain) over more than 24 points are
-        # past both plain strategies; with one q-biased bit each, past the conditioning
+        # past both plain strategies; with one q-biased bit each, past the conditioning.  Each
+        # mask shares a point with the one before, so the masks are one component
         rng = random.Random(seed)
-        masks = set()
+        masks, last = set(), rng.randrange(split)
         while len(masks) < count:
-            mask = sum(1 << e for e in rng.sample(range(split), size))
-            masks.add(mask | (1 << (split + len(masks))) if q_parts else mask)
+            points = [last] + rng.sample([e for e in range(split) if e != last], size - 1)
+            mask = sum(1 << e for e in points)
+            if mask not in masks:
+                last = rng.choice(points)
+                masks.add(mask)
+        if q_parts:
+            masks = {m | 1 << (split + i) for i, m in enumerate(sorted(masks))}
         union = 0
         for m in masks:
             union |= m
@@ -316,9 +339,10 @@ def _conditioning_families():
     st.integers(1, 3),
 )
 def test_pq_conditioning_matches_oracle_loop(data, pq, slack):
-    # a cap ``slack`` below the reduced family's size sends it past inclusion-exclusion
-    # into the conditioning; some outcomes, or the envelope, then refuse.  At q = 1 the
-    # vertex bits are certain and the oracle is the plain edge coverage of {K_A} over K_B
+    # a cap ``slack`` below the reduced family's size sends its larger components past
+    # inclusion-exclusion into the conditioning; some outcomes, or an envelope, then
+    # refuse.  At q = 1 the vertex bits are certain and the oracle is the plain edge
+    # coverage of {K_A} over K_B
     n, singles, rest, b = data
     s = SetFamily.from_masks(n, singles | rest)
     p, q = pq
@@ -426,8 +450,13 @@ def test_enumeration_at_the_work_cap_stays_small():
 
 
 def _disjoint_pairs():
-    """The CLI's ``disjoint:25:2`` on n = 50: past both exact caps at any bias inside (0, 1)."""
+    """The CLI's ``disjoint:25:2`` on n = 50: 25 one-mask components."""
     return SetFamily.from_masks(50, [0b11 << (2 * i) for i in range(25)])
+
+
+def _path():
+    """The path {i, i+1}, i < 25, on 26 points: one component past both exact caps inside (0, 1)."""
+    return SetFamily.from_masks(26, [0b11 << i for i in range(25)])
 
 
 class TestCertainAndImpossibleBits:
@@ -450,9 +479,13 @@ class TestCertainAndImpossibleBits:
 
     @pytest.mark.parametrize("p,value", [(1, 1), (0, 0)])
     def test_coverage_exact_answers_where_the_bias_collapses_the_family(self, p, value):
-        assert coverage_exact(_disjoint_pairs(), 0, p).value == value
-        with pytest.raises(ExactIntractableError):
-            coverage_exact(_disjoint_pairs(), 0, Fraction(1, 2))
+        assert coverage_exact(_path(), 0, p).value == value
+        with pytest.raises(ExactIntractableError, match=r"~2\^26 enumerated rows"):
+            coverage_exact(_path(), 0, Fraction(1, 2))
+
+    @pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 2)])
+    def test_disjoint_pairs_are_a_closed_form_inside_the_unit_interval(self, p):
+        assert coverage_exact(_disjoint_pairs(), 0, p).value == 1 - (1 - p * p) ** 25
 
 
 @st.composite
@@ -485,3 +518,36 @@ def test_both_engines_match_the_oracles_at_any_bias(case, seed):
     ]:
         assert est.value == hits / 100
         assert (est.half_width == 0) == (exact in (0, 1))
+
+
+_BIASES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def _disjoint_unions(draw):
+    """(masks, split): 1-4 small random families of up to 5 masks, each on its own 4
+    p-biased bits (and, with q-parts, its own 2 q-biased bits), relabelled by a random
+    permutation of the p-bits and one of the q-bits, the masks shuffled."""
+    q_width = draw(st.sampled_from([0, 2]))
+    k = draw(st.integers(1, 4))
+    split = 4 * k
+    p_bits = draw(st.permutations(range(split)))
+    q_bits = draw(st.permutations(range(split, split + q_width * k)))
+    masks = []
+    for i in range(k):
+        for m in draw(st.lists(st.integers(1, (1 << (4 + q_width)) - 1), min_size=1, max_size=5)):
+            bits = [p_bits[4 * i + j] for j in range(4) if m >> j & 1]
+            bits += [q_bits[q_width * i + j] for j in range(q_width) if m >> (4 + j) & 1]
+            masks.append(sum(1 << b for b in bits))
+    return draw(st.permutations(masks)), split
+
+
+@settings(max_examples=150, deadline=None)
+@given(_disjoint_unions(), _BIASES, _BIASES, st.sampled_from([None, (1, 0, 0)]))
+def test_components_match_the_per_part_reference(case, p, q, cost):
+    # each family may split further; free enumeration sends every plain component of
+    # more than one mask through the table instead of inclusion-exclusion
+    masks, split = case
+    with patch.object(probability, "EXACT_COST_NS", cost or probability.EXACT_COST_NS):
+        got = probability.exact_coverage(masks, split, p, q)
+    assert got == component_coverage(masks, split, p, q)

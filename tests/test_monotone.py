@@ -612,7 +612,7 @@ class TestTruthTableClosure:
         if n <= 6:  # the reversed scan pays 2^n Fractions per candidate and round
             assert set(cl.minterms) == reversed_scan_closure(n, f.minterms, eps, c, p)
         report = is_closed(f, params)
-        assert report[:3] == on_scan_path(is_closed, f, params)[:3]
+        assert report == on_scan_path(is_closed, f, params)
         if not report.closed:
             assert report.probability == coverage_exact(f.minterm_family(), report.witness, p)
 
@@ -631,9 +631,19 @@ class TestTruthTableClosure:
             assert report.violators == want
             assert report.witness == (want[0] if want else None)
             scan = on_scan_path(is_closed, f, params)
-            assert scan.violators == want[:1]
+            assert scan.violators == want
             seen += len(want) > 1
         assert seen > 0  # some round added more than one violator
+
+    def test_clique_closure_adds_every_violator_of_a_round(self, monkeypatch):
+        # the four edges {5,6}, {1,7}, {6,7}, {7,8} on 8 vertices close to every edge; one
+        # violator per round would take 24 violating rounds and a closed one
+        rounds, real = [], monotone.is_closed
+        monkeypatch.setattr(monotone, "is_closed", lambda *a: rounds.append(a) or real(*a))
+        got = closure(clique_function(8, (48, 65, 96, 192)), CliqueApproxParams(eps=0.1, c=3))
+        assert sorted(got.minterms) == sorted(a | b for a in (1 << i for i in range(8))
+                                              for b in (1 << j for j in range(8)) if a < b)
+        assert len(rounds) < 25
 
     def test_scan_order_is_the_candidate_order(self):
         for n, c in [(1, 0), (5, 2), (7, 7), (9, 4)]:

@@ -92,10 +92,16 @@ class TestCoverageExact:
 
     def test_work_cap(self):
         n = 60
-        masks = [mask_of([i, i + 1], n) for i in range(1, 55, 2)]
+        masks = [mask_of([i, i + 1], n) for i in range(1, 55)]
         f = SetFamily.from_masks(n, masks)
         with pytest.raises(ExactIntractableError):
-            coverage_exact(f, 0, Fraction(1, 2))  # 27 members, width 54: past both strategies
+            coverage_exact(f, 0, Fraction(1, 2))  # a path: 54 members, width 55, one component
+
+    def test_disjoint_members_past_both_caps_multiply(self):
+        # 27 disjoint pairs (width 54) are 27 one-mask components
+        n = 60
+        f = SetFamily.from_masks(n, [mask_of([i, i + 1], n) for i in range(1, 55, 2)])
+        assert coverage_exact(f, 0, Fraction(1, 2)).value == 1 - Fraction(3, 4) ** 27
 
     def test_shadow_close_to_rational(self):
         got = coverage_exact(fam(5, (1, 2), (3, 4, 5)), 0, Fraction(1, 3))
@@ -262,10 +268,16 @@ def test_p_outside_unit_interval_refused(p):
 
 
 def test_pbiased_acceptance_refuses_past_the_work_cap():
-    # 21 disjoint pairs: too many masks for inclusion-exclusion, width 42 past enumeration
-    f = monotone.MonotoneFunction.from_masks(42, (0b11 << (2 * i) for i in range(21)))
+    # the path of 41 pairs: too many masks for inclusion-exclusion, width 42 past enumeration
+    f = monotone.MonotoneFunction.from_masks(42, (0b11 << i for i in range(41)))
     with pytest.raises(ExactIntractableError):
         PBiasedDistribution(42, Fraction(1, 2)).acceptance(f)
+
+
+def test_pbiased_acceptance_of_disjoint_pairs_past_both_caps():
+    # 21 disjoint pairs: 21 one-mask components, each accepted with probability 1/4
+    f = monotone.MonotoneFunction.from_masks(42, (0b11 << (2 * i) for i in range(21)))
+    assert PBiasedDistribution(42, Fraction(1, 2)).acceptance(f) == 1 - Fraction(3, 4) ** 21
 
 
 def test_exact_probability_validates_range():

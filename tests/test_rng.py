@@ -18,7 +18,7 @@ from sunflower_circuits.probability import (
     count_covered,
     coverage_mc,
 )
-from sunflower_circuits.rng import _PIECE, CounterStream, mix64, threshold_for
+from sunflower_circuits.rng import _PIECE, CounterStream, bias, mix64, threshold_for
 from sunflower_circuits.setfamily import SetFamily, antichain_minimize
 
 from oracles import bernoulli_block, clique_edge_mask, iter_bits, pq_sample_hits, set_sample_hits
@@ -294,3 +294,21 @@ def test_hit_counter_reads_only_disjoint_masks_by_slot(monkeypatch, masks, disjo
     stream = CounterStream(4)
     assert bernoulli_hits(stream, 500, 4, 4, _THIRD, _THIRD, masks) == expected
     assert stream.index == 2000
+
+
+class TestBias:
+    def test_fraction_in_range_comes_back_as_it_is(self):
+        for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            assert bias(p) is p
+
+    @pytest.mark.parametrize("p,text", [(Fraction(3, 2), "3/2"), (Fraction(-1, 2), "-1/2"),
+                                        (1.5, "1.5"), (-0.25, "-0.25"), ("3/2", "3/2")])
+    def test_out_of_range_raises_naming_the_value(self, p, text):
+        with pytest.raises(ValueError, match=rf"^probability {text} outside \[0, 1\]$"):
+            bias(p)
+
+    @pytest.mark.parametrize("p,want", [(0.25, Fraction(1, 4)), (1.0, Fraction(1)), (0, Fraction(0)),
+                                        ("1/3", Fraction(1, 3)), ("0.5", Fraction(1, 2))])
+    def test_floats_strings_and_integers_become_fractions(self, p, want):
+        got = bias(p)
+        assert type(got) is Fraction and got == want
