@@ -6,11 +6,18 @@ polynomial with one monomial per codeword over the q*n variables x[i,j]
 row of the residue c(j).  Residue 0 maps to row q, other residues to
 themselves, mirroring the ground-set convention used elsewhere.
 
+A monomial is an int bitmask over the grid, as ``SetFamily`` stores a set:
+x[i,j] is bit (q-i)*n + (n-j) (``variable_bit``), so row i fills one n-bit
+chunk with column 1 on top.  Product is ``|``, common variables are ``&``
+and the degree is ``bit_count()``; among monomials of one degree,
+descending int order is the lexicographic order of their sorted (row,
+column) pairs.
+
 The decomposition machinery validates sum-of-two-factor representations
-(variable-disjoint, homogeneous, degree between d/3 and 2d/3-1, positive
-coefficients) and audits the single-monomial property that forces any
-valid decomposition of a high-distance code polynomial to have one summand
-per codeword.
+(variable-disjoint, homogeneous, both degrees in the structural lemma's
+window [d/3, 2d/3], positive coefficients) and audits the single-monomial
+property that forces any valid decomposition of a high-distance code
+polynomial to have one summand per codeword.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ from .errors import (
 from .harnik_raz import is_prime, polynomial_values
 
 AGREEMENT_CAP = 1 << 14
+AGREEMENT_BLOCK_CELLS = 1 << 18  # counters per row block of the pairwise scan
 DEFAULT_MONOMIAL_CAP = 1 << 20
 
-Monomial = frozenset  # of (row, column) pairs
+Monomial = int  # bitmask over the q*n grid variables, see variable_bit
 
 
 @dataclass(frozen=True)
@@ -78,20 +86,30 @@ def max_pairwise_agreement(code: Code) -> int:
     """Max number of equal coordinates over distinct codeword pairs.
 
     Agreement counts every coordinate with equal values, zeros included;
-    distance = n - agreement.
+    distance = n - agreement.  The scan takes the words in row blocks of at
+    most ``AGREEMENT_BLOCK_CELLS`` counters, one per (block word, later
+    word) pair, and adds the equal coordinates column by column; it stops
+    once a pair agrees everywhere.
     """
     m = len(code.codewords)
     if m < 2:
         raise ValueError("need at least two codewords")
     if m > AGREEMENT_CAP:
         raise TooLargeError(f"{m} codewords exceed the pairwise-scan cap {AGREEMENT_CAP}")
-    arr = np.array(code.codewords, dtype=np.int16)
+    columns = np.array(code.codewords, dtype=np.min_scalar_type(code.q - 1)).T.copy()
     best = 0
-    for i in range(m - 1):
-        agree = (arr[i + 1 :] == arr[i]).sum(axis=1)
-        best = max(best, int(agree.max()))
-        if best == code.n:
-            break
+    start = 0
+    while start < m - 1 and best < code.n:
+        width = m - 1 - start  # the words after the block's first
+        stop = start + max(1, min(width, AGREEMENT_BLOCK_CELLS // width))
+        counts = np.zeros((stop - start, width), dtype=np.min_scalar_type(code.n))
+        equal = np.empty(counts.shape, dtype=bool)
+        for column in columns:
+            np.equal(column[start:stop, None], column[None, start + 1 :], out=equal)
+            np.add(counts, equal.view(np.uint8), out=counts)
+        # block word start+r meets later word start+1+k only where k >= r
+        best = max(best, int(np.triu(counts).max()))
+        start = stop
     return best
 
 
@@ -99,8 +117,14 @@ def row_of_residue(r: int, q: int) -> int:
     return q if r == 0 else r
 
 
+def variable_bit(row: int, col: int, q: int, n: int) -> Monomial:
+    """The one-variable monomial x[row, col] of the q*n grid."""
+    return 1 << ((q - row) * n + (n - col))
+
+
 def codeword_monomial(word: tuple[int, ...], q: int) -> Monomial:
-    return frozenset((row_of_residue(v, q), j + 1) for j, v in enumerate(word))
+    n = len(word)
+    return sum(variable_bit(row_of_residue(v, q), j, q, n) for j, v in enumerate(word, start=1))
 
 
 @dataclass(frozen=True)
@@ -112,12 +136,15 @@ class MonomialSet:
     monomials: tuple[Monomial, ...]
 
     def __post_init__(self):
+        n = self.n
         for m in self.monomials:
-            cols = [j for _, j in m]
-            if len(m) != self.n or len(set(cols)) != self.n:
-                raise ValueError("each monomial must pick exactly one row per column")
-            if any(not (1 <= i <= self.q and 1 <= j <= self.n) for i, j in m):
+            if m < 0 or m >> (self.q * n):
                 raise ValueError("variable index outside the grid")
+            # m and the sum of its q row chunks agree modulo 2^n - 1.  n powers
+            # of two below 2^n sum to no multiple of 2^n - 1 but 2^n - 1 itself,
+            # and to that only when distinct: one bit in every column
+            if m.bit_count() != n or (n and m % ((1 << n) - 1)):
+                raise ValueError("each monomial must pick exactly one row per column")
         if len(set(self.monomials)) != len(self.monomials):
             raise ValueError("monomials must be distinct")
 
@@ -126,16 +153,19 @@ class MonomialSet:
 
 
 def build_polynomial(code: Code) -> MonomialSet:
-    """One degree-n monomial per codeword (distinct words give distinct monomials)."""
+    """One degree-n monomial per codeword (distinct words give distinct monomials).
+
+    The monomials come in descending int order, which is the order of their
+    sorted (row, column) pairs.
+    """
     if len(code) > DEFAULT_MONOMIAL_CAP:
         raise TooLargeError(f"{len(code)} monomials exceed the cap {DEFAULT_MONOMIAL_CAP}")
-    monos = tuple(
-        sorted(
-            (codeword_monomial(w, code.q) for w in code.codewords),
-            key=lambda m: sorted(m),
-        )
-    )
-    return MonomialSet(code.q, code.n, monos)
+    q, n = code.q, code.n
+    bits = [
+        [variable_bit(row_of_residue(v, q), j, q, n) for v in range(q)] for j in range(1, n + 1)
+    ]
+    monos = sorted((sum(map(list.__getitem__, bits, w)) for w in code.codewords), reverse=True)
+    return MonomialSet(q, n, tuple(monos))
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +225,15 @@ def circuit_to_monomials(
     flags: list[GateFlags] = []
     for idx, gate in enumerate(circuit.gates, start=1):
         if gate[0] == "var":
-            poly = {frozenset({(gate[1], gate[2])}): Fraction(1)}
+            poly = {variable_bit(gate[1], gate[2], circuit.q, circuit.n): Fraction(1)}
         elif gate[0] == "const":
-            poly = {frozenset(): Fraction(gate[1])}
+            poly = {0: Fraction(gate[1])}
         elif gate[0] == "add":
             poly = dict(polys[gate[1] - 1])
             for m, c in polys[gate[2] - 1].items():
                 poly[m] = poly.get(m, Fraction(0)) + c
         else:
-            # set union collapses any repeated variable; the multilinearity
+            # bitwise or collapses any repeated variable; the multilinearity
             # flag below marks the gates where that collapse happened
             poly = {}
             for m1, c1 in polys[gate[1] - 1].items():
@@ -219,7 +249,7 @@ def circuit_to_monomials(
                 for m1 in polys[gate[1] - 1]
                 for m2 in polys[gate[2] - 1]
             )
-        degrees = {len(m) for m in poly}
+        degrees = {m.bit_count() for m in poly}
         flags.append(GateFlags(idx, multilinear, len(degrees) <= 1))
         polys.append(poly)
     return polys[circuit.output - 1], flags
@@ -236,14 +266,14 @@ class CoeffPoly:
     terms: tuple[tuple[Monomial, Fraction], ...]
 
     @property
-    def support(self) -> frozenset:
-        out = set()
+    def support(self) -> Monomial:
+        out = 0
         for m, _ in self.terms:
             out |= m
-        return frozenset(out)
+        return out
 
     def degree_set(self) -> set[int]:
-        return {len(m) for m, _ in self.terms}
+        return {m.bit_count() for m, _ in self.terms}
 
 
 @dataclass(frozen=True)
@@ -260,10 +290,10 @@ def verify_decomposition(
     """Check the structural invariants and the exact expansion to ``poly``.
 
     Per pair: nonempty factors with positive coefficients, homogeneous,
-    both degrees within [n/3, 2n/3-1] (compared exactly in thirds), and
-    the two factors variable disjoint; multilinearity is inherent in the
-    set encoding of monomials.  Then sum(g_i * h_i) must equal the target
-    with every coefficient exactly 1, over exact rationals.
+    both degrees within [n/3, 2n/3] (compared exactly in thirds), and the
+    two factors variable disjoint; multilinearity is inherent in the
+    bitmask encoding of monomials.  Then sum(g_i * h_i) must equal the
+    target with every coefficient exactly 1, over exact rationals.
     """
     expansion: dict[Monomial, Fraction] = {}
     for idx, (g, h) in enumerate(d.pairs):
@@ -276,18 +306,17 @@ def verify_decomposition(
             if len(degs) != 1:
                 return False, f"pair {idx}: factor {name} not homogeneous"
             deg = degs.pop()
-            # degree window: n/3 <= deg <= 2n/3 - 1, compared exactly
-            if 3 * deg < n or 3 * (deg + 1) > 2 * n:
+            if not _in_window(deg, n):
                 return False, f"pair {idx}: factor {name} degree {deg} outside window"
         if g.support & h.support:
             return False, f"pair {idx}: factors share a variable"
         for mg, cg in g.terms:
             for mh, ch in h.terms:
-                key = mg | mh
-                expansion[key] = expansion.get(key, Fraction(0)) + cg * ch
-    target = {m: Fraction(1) for m in poly.monomials}
-    expansion = {m: c for m, c in expansion.items() if c != 0}
-    if expansion != target:
+                key, c = mg | mh, cg * ch
+                prev = expansion.get(key)
+                expansion[key] = c if prev is None else prev + c
+    # every coefficient is positive, so no sum cancels to 0
+    if expansion != dict.fromkeys(poly.monomials, Fraction(1)):
         return False, "expansion does not match the target polynomial"
     return True, None
 
@@ -311,32 +340,36 @@ def single_monomial_audit(
                 gamma = second.terms[0][0]
                 m1 = alpha | gamma
                 m2 = beta | gamma
-                overlap = len(m1 & m2)
+                overlap = (m1 & m2).bit_count()
                 return False, (m1, m2, overlap)
     return True, None
+
+
+def _in_window(deg: int, n: int) -> bool:
+    """The structural lemma's window n/3 <= deg <= 2n/3, compared exactly."""
+    return n <= 3 * deg <= 2 * n
 
 
 def canonical_decomposition(poly: MonomialSet, n: int) -> Decomposition:
     """Split every monomial at the middle column: one single-monomial pair each.
 
-    The midpoint degrees floor(n/2) and ceil(n/2) sit inside the
-    [n/3, 2n/3-1] window exactly when n >= 6 and n != 7; smaller n admit no
-    valid split at all (the window is empty or misses n).
+    The left factor keeps columns 1..floor(n/2), one AND with a fixed
+    column mask.  Both midpoint degrees lie in the window [n/3, 2n/3] for
+    every n except 1, whose window holds no integer.
     """
     lo = n // 2
-    if 3 * lo < n or 3 * (lo + 1) > 2 * n or 3 * (n - lo) < n or 3 * (n - lo + 1) > 2 * n:
+    if not (_in_window(lo, n) and _in_window(n - lo, n)):
         raise ValueError(f"no admissible factor degrees for n={n}")
-    pairs = []
-    for m in poly.monomials:
-        left = frozenset((i, j) for i, j in m if j <= lo)
-        right = m - left
-        pairs.append(
-            (
-                CoeffPoly(((left, Fraction(1)),)),
-                CoeffPoly(((right, Fraction(1)),)),
-            )
+    width = poly.n
+    chunk = ((1 << lo) - 1) << (width - lo)  # columns 1..lo of one row
+    left_mask = sum(chunk << (r * width) for r in range(poly.q))
+    one = Fraction(1)
+    return Decomposition(
+        tuple(
+            (CoeffPoly(((m & left_mask, one),)), CoeffPoly(((m & ~left_mask, one),)))
+            for m in poly.monomials
         )
-    return Decomposition(tuple(pairs))
+    )
 
 
 def size_lower_bound_report(code: Code, d: Decomposition) -> tuple[int, int, bool]:

@@ -329,6 +329,30 @@ def brute_agreement(w1, w2):
     return sum(1 for a, b in zip(w1, w2) if a == b)
 
 
+def agreement_row_scan(codewords):
+    """Max agreement over distinct pairs: each word against all later ones, row by row."""
+    import numpy as np
+
+    arr = np.array(codewords, dtype=np.int64)
+    return max(int((arr[i + 1 :] == arr[i]).sum(axis=1).max()) for i in range(len(arr) - 1))
+
+
+def pair_monomial(word, q):
+    """The codeword's monomial as a frozenset of (row, column) pairs, residue 0 in row q."""
+    return frozenset((v if v else q, j) for j, v in enumerate(word, start=1))
+
+
+def pair_polynomial_order(codewords, q):
+    """The (row, column)-pair monomials, ordered by their sorted pairs."""
+    return sorted((pair_monomial(w, q) for w in codewords), key=sorted)
+
+
+def mask_pairs(mask, q, n):
+    """The (row, column) pairs of a grid bitmask: bit (q-row)*n + (n-column)."""
+    assert 0 <= mask < 1 << (q * n)
+    return frozenset((q - b // n, n - b % n) for b in iter_bits(mask))
+
+
 def bernoulli_block(stream, start, count, p):
     """Boolean array over slots [start, start+count) of ``stream``, one per draw.
 

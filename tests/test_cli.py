@@ -155,6 +155,30 @@ class TestRunners:
         names = [c["name"] for c in report["checks"]]
         assert "merged-candidate-rejected" in names
 
+    def test_code_poly_report_is_pinned(self, capsys):
+        # the whole checks list of the reference RS(11, 9, 3) run; the merged
+        # candidate's overlap depends on which two monomials come first
+        assert main(["code-poly", "-P", "q=11", "-P", "n=9", "-P", "dim=3",
+                     "-P", "audit=true"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            {"bound": 1331, "name": "monomial-count", "status": "pass", "value": 1331},
+            {"bound": 2, "name": "max-agreement", "status": "pass", "value": 2},
+            {"bound": True, "name": "canonical-decomposition-valid", "reason": None,
+             "status": "pass", "value": True},
+            {"bound": 1331, "name": "decomposition-size", "status": "pass", "value": 1331},
+            {"bound": True, "name": "canonical-audit", "status": "pass", "value": True},
+            {"bound": True, "name": "merged-candidate-rejected", "overlap": 7,
+             "status": "pass", "value": True},
+        ]
+
+    def test_code_poly_verifies_at_n_5(self, capsys):
+        # the structural lemma's window [5/3, 10/3] admits the split (2, 3)
+        assert main(["code-poly", "-P", "q=5", "-P", "n=5", "-P", "dim=2", "-P", "audit=1"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["canonical-decomposition-valid"]["status"] == "pass"
+        assert checks["decomposition-size"]["value"] == 25
+        assert checks["merged-candidate-rejected"]["status"] == "pass"
+
     def test_coverage_exact_collapses_at_bias_one(self, capsys):
         # 25 disjoint pairs on 50 points: past both exact caps, but certain at p = 1
         assert main(["coverage", "-P", "n=50", "-P", "family=disjoint:25:2", "-P", "p=1"]) == 0

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunflower_circuits import codes
 from sunflower_circuits.codes import (
@@ -20,6 +22,7 @@ from sunflower_circuits.codes import (
     row_of_residue,
     single_monomial_audit,
     size_lower_bound_report,
+    variable_bit,
     verify_decomposition,
 )
 from sunflower_circuits.errors import (
@@ -28,7 +31,46 @@ from sunflower_circuits.errors import (
     TooLargeError,
 )
 
-from oracles import brute_agreement, eval_polynomial, index_digits, poly_value
+from oracles import (
+    agreement_row_scan,
+    brute_agreement,
+    eval_polynomial,
+    index_digits,
+    mask_pairs,
+    pair_monomial,
+    pair_polynomial_order,
+    poly_value,
+)
+
+
+def bits_descending(m):
+    """The one-variable monomials of m, highest bit first: its sorted (row, column) order."""
+    return [1 << b for b in reversed(range(m.bit_length())) if m >> b & 1]
+
+
+def single_pair(left, right):
+    return (CoeffPoly(((left, Fraction(1)),)), CoeffPoly(((right, Fraction(1)),)))
+
+
+@st.composite
+def random_codes(draw, min_words=2, max_words=60, near_pair=False):
+    """Distinct random words over q in {2, 3, 5, 7, 11}; with ``near_pair``, two
+    of them differ in one coordinate only."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    m = draw(st.integers(min_words, max_words))
+    n_min = 1
+    while q**n_min < m:
+        n_min += 1
+    n = draw(st.integers(n_min, n_min + 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    words = [index_digits(i, q, n) for i in rng.sample(range(q**n), m - near_pair)]
+    if near_pair:
+        twin = list(rng.choice(words))
+        col = rng.randrange(n)
+        twin[col] = (twin[col] + rng.randrange(1, q)) % q
+        if tuple(twin) not in words:
+            words.insert(rng.randrange(len(words) + 1), tuple(twin))
+    return Code(q, n, tuple(words))
 
 
 class TestReedSolomon:
@@ -126,12 +168,36 @@ class TestAgreement:
         with pytest.raises(TooLargeError):
             max_pairwise_agreement(code)
 
+    @given(random_codes())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_row_scan(self, code):
+        assert max_pairwise_agreement(code) == agreement_row_scan(code.codewords)
+
+    @given(random_codes(min_words=600, max_words=900))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_row_scan_across_blocks(self, code):
+        # more than 2^18 / 600 words in a block's counters: at least two blocks
+        assert max_pairwise_agreement(code) == agreement_row_scan(code.codewords)
+
+    @given(random_codes(max_words=700, near_pair=True))
+    @settings(max_examples=30, deadline=None)
+    def test_pair_differing_in_one_coordinate(self, code):
+        assert max_pairwise_agreement(code) == code.n - 1 == agreement_row_scan(code.codewords)
+
+    @given(random_codes(max_words=40, near_pair=True), st.sampled_from((1, 7, 64)))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_blocks(self, code, cells):
+        with mock.patch.object(codes, "AGREEMENT_BLOCK_CELLS", cells):
+            assert max_pairwise_agreement(code) == agreement_row_scan(code.codewords)
+            assert max_pairwise_agreement(reed_solomon_code(5, 5, 2)) == 1
+
 
 class TestPolynomial:
     def test_single_codeword(self):
         code = Code(3, 2, ((1, 0),))
         poly = build_polynomial(code)
-        assert poly.monomials == (frozenset({(1, 1), (3, 2)}),)
+        assert poly.monomials == (variable_bit(1, 1, 3, 2) | variable_bit(3, 2, 3, 2),)
+        assert mask_pairs(poly.monomials[0], 3, 2) == frozenset({(1, 1), (3, 2)})
 
     def test_monomial_count_equals_code_size(self):
         code = reed_solomon_code(7, 5, 2)
@@ -144,7 +210,7 @@ class TestPolynomial:
         idx = list(range(len(code)))
         for _ in range(300):
             i, j = rng.sample(idx, 2)
-            inter = len(monos[i] & monos[j])
+            inter = (monos[i] & monos[j]).bit_count()
             agree = brute_agreement(code.codewords[i], code.codewords[j])
             assert inter == agree
 
@@ -152,7 +218,7 @@ class TestPolynomial:
         code = reed_solomon_code(5, 4, 2)
         monos = [codeword_monomial(w, 5) for w in code.codewords]
         for (w1, m1), (w2, m2) in combinations(zip(code.codewords, monos), 2):
-            assert len(m1 & m2) == brute_agreement(w1, w2)
+            assert (m1 & m2).bit_count() == brute_agreement(w1, w2)
 
     def test_row_mapping(self):
         assert row_of_residue(0, 7) == 7
@@ -162,13 +228,15 @@ class TestPolynomial:
         code = reed_solomon_code(5, 4, 2)
         poly = build_polynomial(code)
         ones = {(i, j): 1 for i in range(1, 6) for j in range(1, 5)}
-        assert eval_polynomial(((m, 1) for m in poly.monomials), ones) == len(code)
+        terms = ((mask_pairs(m, 5, 4), 1) for m in poly.monomials)
+        assert eval_polynomial(terms, ones) == len(code)
 
     def test_eval_zero_assignment(self):
         code = reed_solomon_code(5, 4, 2)
         poly = build_polynomial(code)
         zeros = {(i, j): 0 for i in range(1, 6) for j in range(1, 5)}
-        assert eval_polynomial(((m, 1) for m in poly.monomials), zeros) == 0
+        terms = ((mask_pairs(m, 5, 4), 1) for m in poly.monomials)
+        assert eval_polynomial(terms, zeros) == 0
 
     def test_eval_codeword_indicator(self):
         code = reed_solomon_code(5, 4, 2)
@@ -177,24 +245,76 @@ class TestPolynomial:
         assign = {(i, j): 0 for i in range(1, 6) for j in range(1, 5)}
         for j, v in enumerate(word):
             assign[(row_of_residue(v, 5), j + 1)] = 1
-        assert eval_polynomial(((m, 1) for m in poly.monomials), assign) == 1
+        terms = ((mask_pairs(m, 5, 4), 1) for m in poly.monomials)
+        assert eval_polynomial(terms, assign) == 1
+
+    @given(random_codes(max_words=120))
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_the_sorted_pair_order(self, code):
+        poly = build_polynomial(code)
+        assert [mask_pairs(m, code.q, code.n) for m in poly.monomials] == pair_polynomial_order(
+            code.codewords, code.q
+        )
+        for w in code.codewords[:10]:
+            assert mask_pairs(codeword_monomial(w, code.q), code.q, code.n) == pair_monomial(w, code.q)
+
+    @given(random_codes(min_words=600, max_words=900))
+    @settings(max_examples=5, deadline=None)
+    def test_order_is_the_sorted_pair_order_on_large_codes(self, code):
+        poly = build_polynomial(code)
+        assert [mask_pairs(m, code.q, code.n) for m in poly.monomials] == pair_polynomial_order(
+            code.codewords, code.q
+        )
+
+    def test_reference_order(self):
+        code = reed_solomon_code(11, 9, 3)
+        poly = build_polynomial(code)
+        assert [mask_pairs(m, 11, 9) for m in poly.monomials] == pair_polynomial_order(
+            code.codewords, 11
+        )
+
+    @given(st.integers(1, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_validation_matches_the_column_count(self, q, n, data):
+        m = data.draw(st.integers(0, (1 << (q * n + 2)) - 1))
+        one_per_column = m < 1 << (q * n) and sorted(
+            col for _, col in mask_pairs(m, q, n)
+        ) == list(range(1, n + 1))
+        try:
+            MonomialSet(q, n, (m,))
+        except ValueError:
+            assert not one_per_column
+        else:
+            assert one_per_column
+
+    def test_validation_messages(self):
+        bit = lambda row, col: variable_bit(row, col, 3, 2)  # noqa: E731
+        with pytest.raises(ValueError, match="outside the grid"):
+            MonomialSet(3, 2, (bit(1, 1) | 1 << 6,))
+        with pytest.raises(ValueError, match="outside the grid"):
+            MonomialSet(3, 2, (-1,))
+        with pytest.raises(ValueError, match="one row per column"):
+            MonomialSet(3, 2, (bit(1, 1),))  # column 2 missing
+        with pytest.raises(ValueError, match="distinct"):
+            MonomialSet(3, 2, (bit(1, 1) | bit(2, 2),) * 2)
 
     def test_monomial_shape_validation(self):
-        with pytest.raises(ValueError):
-            MonomialSet(3, 2, (frozenset({(1, 1), (2, 1)}),))  # two rows, column 1
+        with pytest.raises(ValueError, match="one row per column"):
+            # two rows in column 1
+            MonomialSet(3, 2, (variable_bit(1, 1, 3, 2) | variable_bit(2, 1, 3, 2),))
 
 
 class TestArithCircuit:
     def test_var_gate(self):
         circ = ArithCircuit(3, 2, (("var", 1, 1),), 1)
         poly, flags = circuit_to_monomials(circ)
-        assert poly == {frozenset({(1, 1)}): 1}
+        assert poly == {variable_bit(1, 1, 3, 2): 1}
         assert all(f.multilinear and f.homogeneous for f in flags)
 
     def test_mul_of_disjoint_vars(self):
         circ = ArithCircuit(3, 2, (("var", 1, 1), ("var", 2, 2), ("mul", 1, 2)), 3)
         poly, flags = circuit_to_monomials(circ)
-        assert poly == {frozenset({(1, 1), (2, 2)}): 1}
+        assert poly == {variable_bit(1, 1, 3, 2) | variable_bit(2, 2, 3, 2): 1}
 
     def test_add_matches_direct_evaluation(self):
         rng = random.Random(2)
@@ -225,7 +345,8 @@ class TestArithCircuit:
                 (assign[(1, 1)] * assign[(2, 2)] + assign[(3, 1)] * assign[(2, 2)])
                 * Fraction(3, 2)
             )
-            assert eval_polynomial(poly.items(), assign) == direct
+            terms = ((mask_pairs(m, 3, 2), c) for m, c in poly.items())
+            assert eval_polynomial(terms, assign) == direct
 
     def test_squaring_flagged_not_multilinear(self):
         circ = ArithCircuit(3, 2, (("var", 1, 1), ("mul", 1, 1)), 2)
@@ -271,25 +392,67 @@ class TestDecomposition:
 
     def test_shared_variable_rejected(self):
         m = self.poly.monomials[0]
-        ordered = sorted(m)
-        left = frozenset(ordered[:4])
+        ordered = bits_descending(m)
+        left = sum(ordered[:4])
         # keep the right factor at degree 5 but swap in a left variable
-        right = (m - left - {ordered[4]}) | {ordered[0]}
-        bad = Decomposition(
-            ((CoeffPoly(((left, Fraction(1)),)), CoeffPoly(((right, Fraction(1)),))),)
-        )
+        right = (m & ~left & ~ordered[4]) | ordered[0]
+        bad = Decomposition((single_pair(left, right),))
         ok, why = verify_decomposition(bad, self.poly, 9)
         assert not ok and "share" in why
+        assert why == "pair 0: factors share a variable"
 
     def test_degree_window_rejected(self):
         m = self.poly.monomials[0]
-        left = frozenset(sorted(m)[:2])  # degree 2 < 9/3
-        right = m - left
-        bad = Decomposition(
-            ((CoeffPoly(((left, Fraction(1)),)), CoeffPoly(((right, Fraction(1)),))),)
-        )
+        left = sum(bits_descending(m)[:2])  # degree 2 < 9/3
+        right = m & ~left
+        bad = Decomposition((single_pair(left, right),))
         ok, why = verify_decomposition(bad, self.poly, 9)
         assert not ok and "window" in why
+        assert why == "pair 0: factor g degree 2 outside window"
+
+    def test_empty_factor_rejected(self):
+        d = canonical_decomposition(self.poly, 9)
+        g, _ = d.pairs[1]
+        bad = Decomposition((d.pairs[0], (g, CoeffPoly(()))) + d.pairs[2:])
+        assert verify_decomposition(bad, self.poly, 9) == (False, "pair 1: empty factor h")
+
+    @pytest.mark.parametrize("coefficient", [Fraction(0), Fraction(-1, 2)])
+    def test_non_positive_coefficient_rejected(self, coefficient):
+        d = canonical_decomposition(self.poly, 9)
+        (g, h) = d.pairs[2]
+        bad_g = CoeffPoly(((g.terms[0][0], coefficient),))
+        bad = Decomposition(d.pairs[:2] + ((bad_g, h),) + d.pairs[3:])
+        assert verify_decomposition(bad, self.poly, 9) == (
+            False,
+            "pair 2: non-positive coefficient in g",
+        )
+
+    def test_non_homogeneous_factor_rejected(self):
+        d = canonical_decomposition(self.poly, 9)
+        (g, h) = d.pairs[1]
+        m = g.terms[0][0]
+        low = bits_descending(m)[-1]
+        mixed = CoeffPoly(g.terms + ((m & ~low, Fraction(1)),))  # degrees 4 and 3
+        bad = Decomposition((d.pairs[0], (mixed, h)) + d.pairs[2:])
+        assert verify_decomposition(bad, self.poly, 9) == (
+            False,
+            "pair 1: factor g not homogeneous",
+        )
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_window_is_the_structural_lemma(self, n):
+        # every split (a, n - a) of every monomial verifies iff n/3 <= a <= 2n/3
+        poly = build_polynomial(reed_solomon_code(11, n, 1))
+        for a in range(n + 1):
+            lefts = [sum(bits_descending(m)[:a]) for m in poly.monomials]
+            d = Decomposition(
+                tuple(single_pair(left, m & ~left) for left, m in zip(lefts, poly.monomials))
+            )
+            ok, why = verify_decomposition(d, poly, n)
+            want = Fraction(n, 3) <= a <= Fraction(2 * n, 3)
+            assert ok == want, (n, a, why)
+            if not ok:
+                assert "outside window" in why
 
     def test_wrong_expansion_rejected(self):
         d = canonical_decomposition(self.poly, 9)
@@ -307,7 +470,7 @@ class TestDecomposition:
         assert not ok
         m1, m2, overlap = counter
         assert 3 * overlap >= 9  # overlap at least n/3 variables
-        assert len(m1 & m2) == overlap
+        assert (m1 & m2).bit_count() == overlap
 
     def test_merged_candidate_dichotomy(self):
         # the chimera monomial either sits in the polynomial (impossible for
@@ -332,10 +495,18 @@ class TestDecomposition:
         assert ok2 and counter is None
 
     def test_no_admissible_split_for_small_n(self):
+        # n = 1: the window [1/3, 2/3] holds no integer degree
+        poly = build_polynomial(reed_solomon_code(5, 1, 1))
+        with pytest.raises(ValueError, match="no admissible factor degrees for n=1"):
+            canonical_decomposition(poly, 1)
+
+    def test_lemma_window_admits_the_midpoint_at_n_4(self):
         code = reed_solomon_code(5, 4, 2)
         poly = build_polynomial(code)
-        with pytest.raises(ValueError):
-            canonical_decomposition(poly, 4)
+        d = canonical_decomposition(poly, 4)
+        assert all(g.degree_set() == h.degree_set() == {2} for g, h in d.pairs)
+        assert verify_decomposition(d, poly, 4) == (True, None)
+        assert single_monomial_audit(d, 1) == (True, None)
 
     def test_single_codeword_report(self):
         code = Code(7, 6, ((0, 1, 2, 3, 4, 5),))
