@@ -284,6 +284,11 @@ class Decomposition:
         return len(self.pairs)
 
 
+def _check_degree(poly: MonomialSet, n: int) -> None:
+    if n != poly.n:
+        raise ValueError(f"degree n={n} differs from the polynomial's n={poly.n}")
+
+
 def verify_decomposition(
     d: Decomposition, poly: MonomialSet, n: int
 ) -> tuple[bool, Optional[str]]:
@@ -293,8 +298,10 @@ def verify_decomposition(
     both degrees within [n/3, 2n/3] (compared exactly in thirds), and the
     two factors variable disjoint; multilinearity is inherent in the
     bitmask encoding of monomials.  Then sum(g_i * h_i) must equal the
-    target with every coefficient exactly 1, over exact rationals.
+    target with every coefficient exactly 1, over exact rationals.  An n
+    other than ``poly.n`` raises ``ValueError``.
     """
+    _check_degree(poly, n)
     expansion: dict[Monomial, Fraction] = {}
     for idx, (g, h) in enumerate(d.pairs):
         for name, factor in (("g", g), ("h", h)):
@@ -355,8 +362,10 @@ def canonical_decomposition(poly: MonomialSet, n: int) -> Decomposition:
 
     The left factor keeps columns 1..floor(n/2), one AND with a fixed
     column mask.  Both midpoint degrees lie in the window [n/3, 2n/3] for
-    every n except 1, whose window holds no integer.
+    every n except 1, whose window holds no integer.  An n other than
+    ``poly.n`` raises ``ValueError``.
     """
+    _check_degree(poly, n)
     lo = n // 2
     if not (_in_window(lo, n) and _in_window(n - lo, n)):
         raise ValueError(f"no admissible factor degrees for n={n}")

@@ -21,8 +21,15 @@ is f(K_A) and ``&`` is the wedge.  ``ClosureParams`` supplies the closure's
 reading (the masks scanned, their image on the coverage ground set); the
 plain reading is its default, ``cliques.CliqueApproxParams`` the clique one.
 
-The exact closure of the plain reading, for n <= ``TABLE_MAX_N`` and noise
-a/b with b^n < 2^63, reads f's truth table, built by the up-closure that
+The exact closedness test of the plain reading first tries a union-bound
+certificate: with |minterms| * p <= 1 - eps at noise p, f is closed.  A
+candidate A that f rejects contains no minterm, so each minterm is covered
+with probability at most p, and the acceptance is at most |minterms| * p,
+never strictly above 1 - eps.  The Monte-Carlo engine decides from
+estimates and the clique reading has minterms covered with certainty (a
+one-vertex minterm has no edge), so neither uses it.  Past the
+certificate, for n <= ``TABLE_MAX_N`` and noise a/b with b^n < 2^63, the
+test reads f's truth table, built by the up-closure that
 exact coverage enumerates with (``probability.up_closure``): one weighted
 superset sum (Yates' transform) gives every candidate's noisy acceptance at
 once as an exact integer.  Monte-Carlo, the clique reading and larger n
@@ -199,7 +206,12 @@ def is_closed(
     1 - eps.  The plain scan includes the empty set, so a closure can
     reach the constant 1.
 
-    The exact plain reading reads f's truth table (``_table_scan``) when
+    The exact plain reading first tries the union-bound certificate: f is
+    closed when |minterms| * p <= 1 - eps at noise p.  A candidate with
+    f(x_A) = 0 contains no minterm, so each minterm keeps a bit outside A
+    and is covered with probability at most p; the union bound then keeps
+    the acceptance at or below 1 - eps, and a violation needs strictly more.
+    Past the certificate it reads f's truth table (``_table_scan``) when
     n <= ``TABLE_MAX_N`` and the noise is a/b with b^n < 2^63; it reports
     the same report as the per-candidate scan.  Otherwise the candidates
     are scanned one at a time: on ``exact`` each costs one
@@ -210,9 +222,11 @@ def is_closed(
     seed), and the scan stops at the first violation.
     """
     exact = exact_engine(engine)
-    if exact and type(params) is ClosureParams and f.n <= TABLE_MAX_N:
+    if exact and type(params) is ClosureParams:
         p = bias(params.noise_p)
-        if p.denominator**f.n < 1 << 63:
+        if len(f.minterms) * p <= 1 - Fraction(params.eps):  # the union-bound certificate
+            return ClosednessReport(True, None, None)
+        if f.n <= TABLE_MAX_N and p.denominator**f.n < 1 << 63:
             return _table_scan(f, params, p.numerator, p.denominator)
     blocks = None if exact else CoverageBlocks(params.noise_p, samples, seed)
     fam, found = None, []  # found: (candidate, probability) per violation

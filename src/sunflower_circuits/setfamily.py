@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyFamilyError, TooLargeError
@@ -107,21 +109,43 @@ class SetFamily:
 def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
     """Keep inclusion-minimal masks, canonically ordered.
 
-    Each mask is tested against the masks kept so far, or, when it has
-    fewer submasks than that, each of its submasks is looked up among them.
+    Masks come in canonical order, so only a kept mask of smaller size can
+    lie inside m.  The kept masks are grouped by size, in ascending size;
+    for each smaller size s, m's C(|m|, s) subsets of that size are looked
+    up when there are fewer of them than kept masks of size s, and
+    otherwise each of those kept masks is tested.  The first hit stops the
+    search, and no mask costs more than min(2^|m|, kept) tests.  The empty
+    mask lies inside every other mask, so when present it is the answer.
     """
-    distinct = sorted(set(masks), key=canonical_key)
+    distinct = set(masks)
+    if 0 in distinct:
+        return (0,)
     out: list[int] = []
-    kept: set[int] = set()
-    for m in distinct:
-        if 1 << m.bit_count() < len(out):
-            dominated = any(s in kept for s in iter_submasks(m))
-        else:
-            dominated = any(k & m == k for k in out)
-        if not dominated:
+    by_size: dict[int, set[int]] = {}  # size -> kept masks, sizes ascending
+    for m in sorted(sorted(distinct), key=int.bit_count):  # canonical order: sorts are stable
+        if not _has_kept_submask(m, by_size):
             out.append(m)
-            kept.add(m)
+            by_size.setdefault(m.bit_count(), set()).add(m)
     return tuple(out)
+
+
+def _has_kept_submask(m: int, by_size: dict[int, set[int]]) -> bool:
+    k = m.bit_count()
+    bits = None
+    for s, kept in by_size.items():
+        if s >= k:  # a kept mask of m's size inside m would be m itself
+            return False
+        if comb(k, s) < len(kept):
+            if bits is None:  # m's one-bit masks
+                bits, rest = [], m
+                while rest:
+                    bits.append(rest & -rest)
+                    rest &= rest - 1
+            if not kept.isdisjoint(map(sum, combinations(bits, s))):
+                return True
+        elif any(x & m == x for x in kept):
+            return True
+    return False
 
 
 def core(family: SetFamily) -> int:

@@ -287,6 +287,13 @@ def component_coverage(masks, split, p, q):
     return 1 - miss
 
 
+def minimal_masks(masks):
+    """The distinct masks no other mask lies inside, in canonical order (size, then value)."""
+    distinct = set(masks)
+    minimal = [m for m in distinct if not any(o != m and o & m == o for o in distinct)]
+    return tuple(sorted(minimal, key=lambda m: (bin(m).count("1"), m)))
+
+
 def enumerate_antichains(n):
     """All antichains of subsets of [n], i.e. all monotone functions."""
     masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))

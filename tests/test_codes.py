@@ -390,6 +390,17 @@ class TestDecomposition:
         d = canonical_decomposition(self.poly, 9)
         assert size_lower_bound_report(self.code, d) == (1331, 1331, True)
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_degree_other_than_the_polynomials_is_refused(self, n):
+        # RS(5,3,2) has n = 3; 8 made the canonical split shift by a negative count
+        poly = build_polynomial(reed_solomon_code(5, 3, 2))
+        want = f"degree n={n} differs from the polynomial's n=3"
+        with pytest.raises(ValueError, match=want):
+            canonical_decomposition(poly, n)
+        with pytest.raises(ValueError, match=want):
+            verify_decomposition(canonical_decomposition(poly, 3), poly, n)
+        assert verify_decomposition(canonical_decomposition(poly, 3), poly, 3) == (True, None)
+
     def test_shared_variable_rejected(self):
         m = self.poly.monomials[0]
         ordered = bits_descending(m)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -652,13 +653,19 @@ class TestTruthTableClosure:
             assert weight.tolist() == [m.bit_count() for m in iter_masks_up_to(n, c)]
 
     def test_strategy_covers_the_exact_plain_reading_only(self, monkeypatch):
+        # three disjoint pairs lie above the union-bound certificate at each noise below
+        # (3 * 1/3 = 1 > 3/4, 3 * 0.3 > 3/4), so each closure reaches the path it names
         calls, real = [], monotone._table_scan
         monkeypatch.setattr(monotone, "_table_scan", lambda *a: calls.append(a) or real(*a))
-        f = mf(6, (1, 2), (3, 4))
+        scans, real_coverage = [], monotone.coverage_exact
+        monkeypatch.setattr(monotone, "coverage_exact",
+                            lambda *a: scans.append(a) or real_coverage(*a))
+        f = mf(6, (1, 2), (3, 4), (5, 6))
         closure(f, ClosureParams(eps=Fraction(1, 4), c=2, noise_p=Fraction(1, 3)))
-        assert len(calls) > 0
+        assert len(calls) > 0 and scans == []
         calls.clear()
-        closure(f, ClosureParams(eps=0.25, c=2, noise_p=0.1))  # b = 2^55: b^6 >= 2^63
+        closure(f, ClosureParams(eps=0.25, c=2, noise_p=0.3))  # b = 2^54: b^6 >= 2^63
+        assert len(scans) > 0
         closure(f, ClosureParams(eps=0.25, c=2), "mc", samples=500, seed=1)
         closure(clique_function(6, [0b111]), CliqueApproxParams(eps=0.25, c=3))
         on_scan_path(closure, f, ClosureParams(eps=0.25, c=2))
@@ -685,6 +692,100 @@ class TestTruthTableClosure:
             neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
             want = on_scan_path(approximate_circuit, circuit, params, pos, neg)
             assert approximate_circuit(circuit, params, pos, neg) == want
+
+
+@st.composite
+def certified_cases(draw):
+    """A function whose minterm count k keeps k * p <= 1 - eps, with n <= 8, c <= 3, p in
+    {1/3, 1/2, 2/3} and eps often at the equality 1 - k * p."""
+    n = draw(st.integers(1, 8))
+    c = draw(st.integers(0, 3))
+    p = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]))
+    k = draw(st.integers(0, math.ceil(1 / p) - 1))  # k * p < 1 leaves room for eps > 0
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    f = MonotoneFunction.from_masks(n, masks)  # absorption may only lower the count
+    top = min(1 - k * p, Fraction(49, 50))  # eps < 1 for the constant 0
+    eps = draw(st.one_of(st.just(top), st.fractions(Fraction(1, 50), top, max_denominator=50)))
+    return f, ClosureParams(eps=eps, c=c, noise_p=p)
+
+
+class TestUnionBoundCertificate:
+    """|minterms| * p <= 1 - eps closes f without a truth table or a coverage call."""
+
+    @staticmethod
+    def forbid_paths(monkeypatch):
+        def fail(*a):
+            raise AssertionError("the certificate should have answered")
+        monkeypatch.setattr(monotone, "_table_scan", fail)
+        monkeypatch.setattr(monotone, "coverage_exact", fail)
+
+    @settings(max_examples=150, deadline=None)
+    @given(certified_cases())
+    def test_certified_functions_are_their_own_closure(self, case):
+        f, params = case
+        assert len(f.minterms) * params.noise_p <= 1 - params.eps
+        assert brute_closure(f.n, f.minterms, params.eps, params.c, params.noise_p) == set(f.minterms)
+        with pytest.MonkeyPatch.context() as mp:
+            self.forbid_paths(mp)
+            assert is_closed(f, params) == (True, None, None, ())
+            assert on_scan_path(is_closed, f, params) == (True, None, None, ())
+            assert closure(f, params) == f
+
+    def test_equality_closes(self, monkeypatch):
+        # 3 * 1/4 = 1 - 1/4: the test is strict, so the bound's equality case is closed
+        f = mf(6, (1, 2), (3, 4), (5, 6))
+        params = ClosureParams(eps=Fraction(1, 4), c=3, noise_p=Fraction(1, 4))
+        assert brute_closure(6, f.minterms, params.eps, 3, params.noise_p) == set(f.minterms)
+        self.forbid_paths(monkeypatch)
+        assert is_closed(f, params) == (True, None, None, ())
+
+    def test_one_minterm_over_the_bound_still_scans(self, monkeypatch):
+        # 1 * 1/2 > 1 - 3/4: the table answers, and the empty set is a violator
+        calls, real = [], monotone._table_scan
+        monkeypatch.setattr(monotone, "_table_scan", lambda *a: calls.append(a) or real(*a))
+        report = is_closed(mf(3, (1,)), ClosureParams(eps=0.75, c=1))
+        assert len(calls) == 1
+        assert report.witness == 0 and report.probability.value == Fraction(1, 2)
+
+    def test_clique_reading_keeps_its_violators(self):
+        # a one-vertex minterm has no edge, so every candidate is covered with certainty;
+        # 1 * 1/2 <= 1 - 1/4 would wrongly certify it on the plain reading's bound
+        f = MonotoneFunction(4, (0b1,))
+        params = CliqueApproxParams(eps=0.25, c=3)
+        report = is_closed(f, params)
+        want = tuple(a for a in params.candidates(4) if not a & 1)
+        assert not report.closed
+        assert report.violators == want and report.witness == want[0]
+        assert report.probability.value == 1
+
+    def test_hr11_gates_are_the_brute_force_closures(self, monkeypatch):
+        # every gate's raw function and approximator of the HR(11,2,3) OR-of-ANDs circuit at
+        # c = 4 against brute_closure plus trim; each closure there is certified
+        hr = build_hr_family(HRParams(11, 2, 3))
+        circuit = or_of_ands(11, hr.family.members)
+        params = ClosureParams(eps=0.1, c=4)
+        closures = {}  # raw minterms -> brute-force closure
+
+        def brute_ap(raw):
+            if raw.minterms not in closures:
+                closures[raw.minterms] = brute_closure(11, raw.minterms, 0.1, 4, Fraction(1, 2))
+            return trim(MonotoneFunction.from_masks(11, closures[raw.minterms]), params.trim)
+
+        seen, real = [], monotone.closure
+        monkeypatch.setattr(monotone, "closure", lambda f, *a: seen.append(f) or real(f, *a))
+        self.forbid_paths(monkeypatch)
+        got, _ = approximate_circuit(circuit, params, PositiveTestDistribution(hr),
+                                     PBiasedDistribution(11, Fraction(1, 2)))
+        approx, raws = [], []
+        for gate in circuit.gates:
+            if gate[0] == "input":
+                approx.append(MonotoneFunction.indicator(11, 1 << (gate[1] - 1)))
+                continue
+            fa, fb = approx[gate[1] - 1], approx[gate[2] - 1]
+            raws.append(fa | fb if gate[0] == "or" else fa & fb)
+            approx.append(brute_ap(raws[-1]))
+        assert seen == raws
+        assert got == approx[circuit.output - 1]
 
 
 def test_noise_outside_unit_interval_refused():

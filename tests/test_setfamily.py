@@ -7,6 +7,7 @@ from sunflower_circuits import setfamily
 from sunflower_circuits.errors import EmptyFamilyError, TooLargeError
 from sunflower_circuits.setfamily import (
     SetFamily,
+    antichain_minimize,
     SpreadReport,
     check_spread,
     core,
@@ -18,7 +19,7 @@ from sunflower_circuits.setfamily import (
     mask_of,
 )
 
-from oracles import brute_spread, brute_spread_witness
+from oracles import brute_spread, brute_spread_witness, minimal_masks
 
 
 def fam(n, *sets):
@@ -193,3 +194,35 @@ def test_ground_set_bounds():
 def test_elements_round_trip():
     m = mask_of([2, 5, 7], 8)
     assert elements_of(m) == (2, 5, 7)
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks of mixed sizes on up to 70 points, with repeats and often the empty mask:
+    sparse masks make many kept masks of one size, so both antichain tests are reached."""
+    n = draw(st.sampled_from([1, 3, 6, 10, 16, 70]))
+    sparse = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+    mask = st.one_of(sparse.map(lambda s: sum(1 << i for i in s)), st.integers(0, (1 << n) - 1))
+    pool = draw(st.lists(mask, min_size=5, max_size=80))
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return pool + repeats + [0] if draw(st.integers(0, 9)) == 0 else pool + repeats
+
+
+class TestAntichainMinimize:
+    @settings(max_examples=300, deadline=None)
+    @given(mask_lists())
+    def test_matches_the_definition(self, masks):
+        assert antichain_minimize(masks) == minimal_masks(masks)
+        assert antichain_minimize(iter(masks)) == minimal_masks(masks)
+
+    def test_subset_lookup_and_kept_scan_agree(self):
+        # eight kept singletons outnumber the 1-subsets of a 2- or 3-set, so those are
+        # looked up; the one kept 2-set is fewer than a 3-set's 2-subsets, so it is tested
+        singles = [1 << i for i in range(8)]
+        masks = singles + [0b11 << 8, 0b111 << 8, 0b1101 << 8, 1 << 12 | 1]
+        assert antichain_minimize(masks) == tuple(singles) + (0b11 << 8, 0b1101 << 8)
+        assert antichain_minimize(masks) == minimal_masks(masks)
+
+    def test_empty_mask_absorbs_everything(self):
+        assert antichain_minimize([0b101, 0, 0b11, 0, 0b1]) == (0,)
+        assert antichain_minimize([]) == ()
