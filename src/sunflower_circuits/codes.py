@@ -261,9 +261,9 @@ def circuit_to_monomials(
 
 @dataclass(frozen=True)
 class CoeffPoly:
-    """A polynomial with explicit positive rational coefficients."""
+    """A polynomial with explicit positive coefficients: ``int`` or ``Fraction``."""
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int | Fraction], ...]
 
     @property
     def support(self) -> Monomial:
@@ -298,11 +298,12 @@ def verify_decomposition(
     both degrees within [n/3, 2n/3] (compared exactly in thirds), and the
     two factors variable disjoint; multilinearity is inherent in the
     bitmask encoding of monomials.  Then sum(g_i * h_i) must equal the
-    target with every coefficient exactly 1, over exact rationals.  An n
-    other than ``poly.n`` raises ``ValueError``.
+    target with every coefficient exactly 1: integer coefficients multiply
+    and add as ``int``, and a ``Fraction`` one keeps its products exact.
+    An n other than ``poly.n`` raises ``ValueError``.
     """
     _check_degree(poly, n)
-    expansion: dict[Monomial, Fraction] = {}
+    expansion: dict[Monomial, int | Fraction] = {}
     for idx, (g, h) in enumerate(d.pairs):
         for name, factor in (("g", g), ("h", h)):
             if not factor.terms:
@@ -323,33 +324,42 @@ def verify_decomposition(
                 prev = expansion.get(key)
                 expansion[key] = c if prev is None else prev + c
     # every coefficient is positive, so no sum cancels to 0
-    if expansion != dict.fromkeys(poly.monomials, Fraction(1)):
+    if expansion != dict.fromkeys(poly.monomials, 1):
         return False, "expansion does not match the target polynomial"
     return True, None
 
 
 def single_monomial_audit(
     d: Decomposition, agreement_bound: int
-) -> tuple[bool, Optional[tuple[Monomial, Monomial, int]]]:
+) -> tuple[Optional[bool], Optional[tuple[Monomial, Monomial, int]]]:
     """Check that every factor carries a single monomial.
 
-    A factor with two monomials alpha != beta, times any monomial gamma of
-    its partner, yields product monomials alpha|gamma and beta|gamma whose
-    supports overlap in at least |gamma| >= n/3 > agreement_bound
-    variables; the counterexample pair and overlap size are returned so the
-    caller can exhibit the contradiction constructively.
+    A factor with two monomials alpha != beta, times a monomial gamma of its
+    partner, yields product monomials alpha|gamma and beta|gamma.  In a
+    valid decomposition of a code polynomial both are codeword monomials,
+    so their overlap (at least |gamma| >= n/3) is at most the code's
+    agreement.  Each factor with two or more monomials gives one witness:
+    its first two monomials and the first monomial of its partner.
+
+    Returns (True, None) when every factor has one monomial; (False,
+    (m1, m2, overlap)) for the first witness whose overlap exceeds
+    ``agreement_bound``, a contradiction shown constructively; and, when
+    some factor has two monomials but no witness exceeds the bound, the
+    lemma does not apply: (None, the first witness).
     """
+    first_witness = None
     for g, h in d.pairs:
         for first, second in ((g, h), (h, g)):
             if len(first.terms) >= 2:
-                alpha = first.terms[0][0]
-                beta = first.terms[1][0]
                 gamma = second.terms[0][0]
-                m1 = alpha | gamma
-                m2 = beta | gamma
-                overlap = (m1 & m2).bit_count()
-                return False, (m1, m2, overlap)
-    return True, None
+                m1, m2 = first.terms[0][0] | gamma, first.terms[1][0] | gamma
+                witness = (m1, m2, (m1 & m2).bit_count())
+                if witness[2] > agreement_bound:
+                    return False, witness
+                first_witness = first_witness or witness
+    if first_witness is None:
+        return True, None
+    return None, first_witness
 
 
 def _in_window(deg: int, n: int) -> bool:
@@ -372,10 +382,9 @@ def canonical_decomposition(poly: MonomialSet, n: int) -> Decomposition:
     width = poly.n
     chunk = ((1 << lo) - 1) << (width - lo)  # columns 1..lo of one row
     left_mask = sum(chunk << (r * width) for r in range(poly.q))
-    one = Fraction(1)
     return Decomposition(
         tuple(
-            (CoeffPoly(((m & left_mask, one),)), CoeffPoly(((m & ~left_mask, one),)))
+            (CoeffPoly(((m & left_mask, 1),)), CoeffPoly(((m & ~left_mask, 1),)))
             for m in poly.monomials
         )
     )

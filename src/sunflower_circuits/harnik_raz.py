@@ -33,9 +33,11 @@ from .errors import EnumerationTooLargeError
 from .probability import (
     Estimate,
     bernoulli_hits,
+    count_matched,
     coverage_exact,
     exact_engine,
     pack_rows,
+    pack_words,
     sampled_coverage,
     unpack_rows,
 )
@@ -180,23 +182,28 @@ def positive_rows(hr: HRFamily, samples: int, stream: CounterStream) -> Iterator
 class PositiveTestDistribution:
     """Distribution of value-set masks of a uniform random polynomial.
 
-    ``acceptance(f)`` is the exact share of polynomials whose value set f
-    accepts, summed over the distinct images of the image table.
+    The image table is packed once, one row of uint64 words per polynomial
+    (``pack_words``, through boolean rows of at most 2^21 entries a chunk),
+    and ``acceptance(f)`` is the exact share of those rows, repeats
+    included, that contain some minterm of f (``count_matched``).
     ``rows(samples, stream)`` is the block sampler ``positive_rows``.
     """
 
     def __init__(self, hr: HRFamily):
         self.hr = hr
-        self.counts = Counter(hr.images)
+        n, images = hr.params.n, hr.images
+        step = max(1, _CHUNK_ENTRIES // n)
+        self.words = np.concatenate(
+            [pack_words(unpack_rows(images[i : i + step], n)) for i in range(0, len(images), step)])
 
     def exact_items(self):
+        counts = Counter(self.hr.images)
         total = self.hr.params.n_polynomials
-        for m in sorted(self.counts):
-            yield m, Fraction(self.counts[m], total)
+        for m in sorted(counts):
+            yield m, Fraction(counts[m], total)
 
     def acceptance(self, f) -> Fraction:
-        hits = sum(c for m, c in self.counts.items() if f(m))
-        return Fraction(hits, self.hr.params.n_polynomials)
+        return Fraction(count_matched(self.words, f.minterms), self.hr.params.n_polynomials)
 
     def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
         return positive_rows(self.hr, samples, stream)

@@ -3,6 +3,9 @@
 A monotone function is represented by its set of minterms (minimal accepted
 inputs), stored as a canonical antichain of bit masks.  The empty antichain
 is the constant 0; the single minterm "empty set" is the constant 1.
+``MonotoneFunction.from_masks`` minimizes its masks in one antichain pass
+and checks only their bit range; direct construction checks both the
+range and that the minterms already form the canonical antichain.
 
 The approximator algebra replaces OR by trim(cl(f or g)) and AND by
 trim(cl(f and g)), where cl is the closure operator: the minimal monotone
@@ -31,11 +34,14 @@ one-vertex minterm has no edge), so neither uses it.  Past the
 certificate, for n <= ``TABLE_MAX_N`` and noise a/b with b^n < 2^63, the
 test reads f's truth table, built by the up-closure that
 exact coverage enumerates with (``probability.up_closure``): one weighted
-superset sum (Yates' transform) gives every candidate's noisy acceptance at
-once as an exact integer.  Monte-Carlo, the clique reading and larger n
-or denominators scan the candidates one at a time: one ``coverage_exact``
-call per candidate, or on Monte-Carlo one count against a packed block of
-rows drawn once per compacted width per round (``probability.CoverageBlocks``).
+superset sum (Yates' transform, ``_noisy_acceptance``) gives every
+candidate's noisy acceptance at once as an exact integer; its first five
+coordinates run on transposed blocks of the table, so that each pairs
+long contiguous runs instead of runs of 1 to 16 entries.  Monte-Carlo,
+the clique reading and larger n or denominators scan the candidates one
+at a time: one ``coverage_exact`` call per candidate, or on Monte-Carlo
+one count against a packed block of rows drawn once per compacted width
+per round (``probability.CoverageBlocks``).
 An exact round adds every violator, a Monte-Carlo round its first.
 """
 
@@ -71,14 +77,23 @@ class MonotoneFunction:
     minterms: tuple[int, ...]
 
     def __post_init__(self):
-        if any(m >> self.n for m in self.minterms):
-            raise ValueError(f"minterm has bits outside [{self.n}]")
+        _check_range(self.n, self.minterms)
         if antichain_minimize(self.minterms) != self.minterms:
             raise ValueError("minterms must form a canonical antichain")
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "MonotoneFunction":
-        return cls(n, antichain_minimize(masks))
+        """The function whose minterms are the minimal ``masks``: one antichain pass.
+
+        ``antichain_minimize`` returns a canonical antichain, so only the
+        bit range is checked; ``__post_init__``'s second pass is skipped.
+        """
+        minterms = antichain_minimize(masks)
+        _check_range(n, minterms)
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "minterms", minterms)
+        return f
 
     @classmethod
     def constant0(cls, n: int) -> "MonotoneFunction":
@@ -122,6 +137,11 @@ class MonotoneFunction:
 
     def minterm_family(self) -> SetFamily:
         return SetFamily.from_masks(self.n, self.minterms)
+
+
+def _check_range(n: int, minterms: tuple[int, ...]) -> None:
+    if any(m >> n for m in minterms):
+        raise ValueError(f"minterm has bits outside [{n}]")
 
 
 def iter_masks_of_weight(n: int, w: int) -> Iterator[int]:
@@ -261,10 +281,8 @@ def _scan_order(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
 def _table_scan(f: MonotoneFunction, params: ClosureParams, a: int, b: int) -> ClosednessReport:
     """``is_closed`` on the plain reading at noise a/b, from f's truth table.
 
-    Per coordinate the step T0 <- (b-a) T0 + a T1, T1 <- a T1 (the second
-    half scaled too, so that no temporary is needed) turns the truth table
-    into T[A] = a^|A| b^(n-|A|) Pr[f(N or x_A) = 1], an integer at most b^n,
-    held in int32 when b^n < 2^31.  A candidate violates iff
+    ``_noisy_acceptance`` turns the truth table into T[A] = a^|A| b^(n-|A|)
+    Pr[f(N or x_A) = 1], and a candidate violates iff
     T[A] > floor((1-eps) a^|A| b^(n-|A|)).
     """
     n = f.n
@@ -273,15 +291,7 @@ def _table_scan(f: MonotoneFunction, params: ClosureParams, a: int, b: int) -> C
     open_ = table[masks] == 0
     if not open_.any():
         return ClosednessReport(True, None, None)
-    t = table.astype(np.int32 if b**n < 1 << 31 else np.int64)
-    for i in range(n):
-        halves = t.reshape(-1, 2, 1 << i)
-        lo, hi = halves[:, 0, :], halves[:, 1, :]
-        if a != 1:
-            hi *= a
-        if b - a != 1:
-            lo *= b - a
-        lo += hi
+    t = _noisy_acceptance(table, n, a, b)
     threshold = 1 - Fraction(params.eps)
     scale = [a**w * b ** (n - w) for w in range(min(params.c, n) + 1)]
     limit = np.array([math.floor(threshold * s) for s in scale], dtype=np.int64)
@@ -294,6 +304,47 @@ def _table_scan(f: MonotoneFunction, params: ClosureParams, a: int, b: int) -> C
     witness = int(masks[first])
     prob = ExactProbability(Fraction(int(values[first]), scale[witness.bit_count()]))
     return ClosednessReport(False, witness, prob, tuple(masks[hits].tolist()))
+
+
+_LOW_BITS = 5  # coordinates of the transform run on transposed blocks
+_LOW_ROWS = 1 << 12  # table rows of 2^_LOW_BITS entries per transposed block
+
+
+def _noisy_acceptance(table: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+    """The weighted superset sums T[A] = a^|A| b^(n-|A|) Pr[f(N or x_A) = 1] of a truth table.
+
+    Per coordinate the step T0 <- (b-a) T0 + a T1, T1 <- a T1 (the second
+    half scaled too, so that no temporary is needed) is Yates' transform
+    at noise a/b.  T[A] is an integer at most b^n, held in int32 when
+    b^n < 2^31 and in int64 otherwise.  Coordinate i pairs runs of 2^i
+    entries, so the first k = min(5, n) coordinates run on the transpose
+    of ``_LOW_ROWS`` table rows of 2^k entries at a time: there coordinate
+    i pairs runs of 2^i times the block's row count.  The steps of
+    different coordinates commute, so the integers are those of the plain
+    per-coordinate loop.
+    """
+    k = min(_LOW_BITS, n)
+    rows = table.reshape(-1, 1 << k)
+    t = np.empty(rows.shape, dtype=np.int32 if b**n < 1 << 31 else np.int64)
+    for lo in range(0, len(rows), _LOW_ROWS):
+        block = np.array(rows[lo : lo + _LOW_ROWS].T, dtype=t.dtype, order="C")
+        for i in range(k):  # coordinate i of the block is bit i of its row index
+            _yates_step(block.reshape(-1, 2, block.shape[1] << i), a, b)
+        t[lo : lo + _LOW_ROWS] = block.T
+    t = t.reshape(-1)
+    for i in range(k, n):
+        _yates_step(t.reshape(-1, 2, 1 << i), a, b)
+    return t
+
+
+def _yates_step(halves: np.ndarray, a: int, b: int) -> None:
+    """T0 <- (b-a) T0 + a T1, T1 <- a T1 on the pairs (halves[:, 0], halves[:, 1]), in place."""
+    lo, hi = halves[:, 0, :], halves[:, 1, :]
+    if a != 1:
+        hi *= a
+    if b - a != 1:
+        lo *= b - a
+    lo += hi
 
 
 def closure(

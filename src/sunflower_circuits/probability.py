@@ -652,9 +652,9 @@ class PBiasedDistribution:
     """p-biased distribution on subsets of [n], read exactly or sampled.
 
     ``acceptance(f)`` is Pr[f(W) = 1] for a monotone f, the coverage of
-    its minterms through ``coverage_exact`` (which refuses past the work
-    cap); ``rows(samples, stream)`` is ``bernoulli_rows`` over n columns.
-    p outside [0, 1] is refused at construction.
+    its minterms read straight from ``exact_coverage`` (which refuses past
+    the work cap); ``rows(samples, stream)`` is ``bernoulli_rows`` over n
+    columns.  p outside [0, 1] is refused at construction.
     """
 
     def __init__(self, n: int, p):
@@ -662,7 +662,7 @@ class PBiasedDistribution:
         self.p = bias(p)
 
     def acceptance(self, f) -> Fraction:
-        return coverage_exact(f.minterm_family(), 0, self.p).value
+        return exact_coverage(f.minterms, self.n, self.p, self.p)
 
     def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
         return bernoulli_rows(stream, samples, self.n, self.n, self.p, self.p)

@@ -592,6 +592,36 @@ def brute_closure(n, minterms, eps, c, p):
         accepted |= {x for x in range(1 << n) if eval_antichain(added, x)}
 
 
+def coordinate_superset_sums(table, n, a, b):
+    """Yates' transform of a 0/1 table at noise a/b, one coordinate at a time, in order.
+
+    Per coordinate i the halves of every 2^(i+1) block are T0 <- (b-a) T0 +
+    a T1 and T1 <- a T1, so T[A] = a^|A| b^(n-|A|) Pr[f(N or x_A) = 1] as
+    an integer: int32 while b^n < 2^31, int64 otherwise.
+    """
+    import numpy as np
+
+    t = np.asarray(table).astype(np.int32 if b**n < 1 << 31 else np.int64)
+    for i in range(n):
+        halves = t.reshape(-1, 2, 1 << i)
+        lo, hi = halves[:, 0, :].copy(), halves[:, 1, :].copy()
+        halves[:, 0, :] = (b - a) * lo + a * hi
+        halves[:, 1, :] = a * hi
+    return t
+
+
+def image_acceptance(images, minterms, total):
+    """Share of ``total`` polynomials whose value-set mask contains some minterm.
+
+    One count per distinct image, weighted by how often it occurs.
+    """
+    counts = {}
+    for m in images:
+        counts[m] = counts.get(m, 0) + 1
+    hits = sum(c for m, c in counts.items() if any(t & m == t for t in minterms))
+    return Fraction(hits, total)
+
+
 def graph_accepts(vertex_masks, edges):
     """1 if the graph with edge mask ``edges`` contains the clique K_A of some member A."""
     cliques = (clique_edge_mask([i + 1 for i in iter_bits(a)]) for a in vertex_masks)

@@ -171,6 +171,17 @@ class TestRunners:
              "status": "pass", "value": True},
         ]
 
+    @pytest.mark.parametrize("agreement,rejected", [(2, True), (6, True), (7, False), (8, False)])
+    def test_code_poly_audit_reads_the_measured_agreement(self, capsys, monkeypatch,
+                                                          agreement, rejected):
+        # the merged candidate's witness overlaps in 7 variables; it contradicts
+        # the code only when the measured agreement is below that
+        monkeypatch.setattr(cli, "max_pairwise_agreement", lambda code: agreement)
+        main(["code-poly", "-P", "q=11", "-P", "n=9", "-P", "dim=3", "-P", "audit=true"])
+        row = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert row == {"bound": True, "name": "merged-candidate-rejected", "overlap": 7,
+                       "status": "pass" if rejected else "fail", "value": rejected}
+
     def test_code_poly_verifies_at_n_5(self, capsys):
         # the structural lemma's window [5/3, 10/3] admits the split (2, 3)
         assert main(["code-poly", "-P", "q=5", "-P", "n=5", "-P", "dim=2", "-P", "audit=1"]) == 0

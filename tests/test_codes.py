@@ -483,6 +483,49 @@ class TestDecomposition:
         assert 3 * overlap >= 9  # overlap at least n/3 variables
         assert (m1 & m2).bit_count() == overlap
 
+    def test_audit_reads_its_agreement_bound(self):
+        # the merged candidate's witness overlaps in 7 variables: a contradiction
+        # only for a code whose pairs agree on fewer
+        d = canonical_decomposition(self.poly, 9)
+        (g1, h1), (g2, _) = d.pairs[0], d.pairs[1]
+        merged = Decomposition(
+            ((CoeffPoly(tuple(g1.terms) + tuple(g2.terms)), h1),) + d.pairs[2:]
+        )
+        rejected, witness = single_monomial_audit(merged, 6)
+        assert rejected is False and witness[2] == 7
+        for bound in (7, 8):
+            assert single_monomial_audit(merged, bound) == (None, witness)
+        assert single_monomial_audit(d, 9) == (True, None)
+
+    def test_audit_returns_the_first_witness_over_the_bound(self):
+        # pair 0's h holds two right halves sharing no variable (witness overlap 4 = |g|);
+        # pair 1's g holds two left halves sharing 2 variables (overlap 2 + |h| = 7)
+        d = canonical_decomposition(self.poly, 9)
+        lefts = [g.terms[0][0] for g, _ in d.pairs]
+        rights = [h.terms[0][0] for _, h in d.pairs]
+        far = next(j for j in range(1, len(rights)) if not rights[0] & rights[j])
+        close = next(j for j in range(2, len(lefts)) if (lefts[1] & lefts[j]).bit_count() == 2)
+        low = (CoeffPoly(((lefts[0], 1),)), CoeffPoly(((rights[0], 1), (rights[far], 1))))
+        high = (CoeffPoly(((lefts[1], 1), (lefts[close], 1))), CoeffPoly(((rights[1], 1),)))
+        low_witness = (rights[0] | lefts[0], rights[far] | lefts[0], 4)
+        high_witness = (lefts[1] | rights[1], lefts[close] | rights[1], 7)
+        both = Decomposition((low, high))
+        assert single_monomial_audit(both, 3) == (False, low_witness)
+        assert single_monomial_audit(both, 4) == (False, high_witness)  # the scan goes on
+        assert single_monomial_audit(both, 6) == (False, high_witness)
+        assert single_monomial_audit(both, 7) == (None, low_witness)  # the lemma does not apply
+
+    def test_canonical_coefficients_are_integers(self):
+        d = canonical_decomposition(self.poly, 9)
+        assert all(type(c) is int and c == 1 for pair in d.pairs for f in pair for _, c in f.terms)
+        # a Fraction coefficient is still accepted and read exactly
+        (g, h), rest = d.pairs[0], d.pairs[1:]
+        halves = ((CoeffPoly(((g.terms[0][0], Fraction(1, 2)),)), CoeffPoly(((h.terms[0][0], 2),))),)
+        assert verify_decomposition(Decomposition(halves + rest), self.poly, 9) == (True, None)
+        thirds = ((CoeffPoly(((g.terms[0][0], Fraction(1, 3)),)), CoeffPoly(((h.terms[0][0], 2),))),)
+        ok, why = verify_decomposition(Decomposition(thirds + rest), self.poly, 9)
+        assert not ok and "expansion" in why
+
     def test_merged_candidate_dichotomy(self):
         # the chimera monomial either sits in the polynomial (impossible for
         # high-distance codes) or the expansion breaks; assert the dichotomy

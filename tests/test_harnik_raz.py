@@ -27,7 +27,14 @@ from sunflower_circuits.probability import mc_event_probability, sample_p_subset
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import elements_of, mask_of
 
-from oracles import hr_value_set, index_digits, p_subset_draw, poly_value, positive_draw
+from oracles import (
+    hr_value_set,
+    image_acceptance,
+    index_digits,
+    p_subset_draw,
+    poly_value,
+    positive_draw,
+)
 
 
 class TestParams:
@@ -388,6 +395,16 @@ class TestSamplers:
         acc = sum(w for m, w in items if hr.eval(m))
         assert acc == Fraction(hr.n_qualifying, 49)
 
+    def test_acceptance_packs_every_image_once(self):
+        # one uint64 word per 64 columns, one row per polynomial, repeats kept
+        for params, words in ((HRParams(11, 2, 3), 1), (HRParams(67, 1, 2), 2)):
+            hr = build_hr_family(params)
+            dist = PositiveTestDistribution(hr)
+            assert dist.words.shape == (params.n_polynomials, words)
+            assert dist.words.dtype == np.uint64
+            for i, m in enumerate(hr.images):
+                assert sum(int(w) << (64 * j) for j, w in enumerate(dist.words[i])) == m
+
     def test_acceptance_counts_accepted_polynomials(self):
         hr = build_hr_family(HRParams(7, 2, 3))
         dist = PositiveTestDistribution(hr)
@@ -395,3 +412,32 @@ class TestSamplers:
             hr.n_qualifying, 49)
         assert dist.acceptance(MonotoneFunction.constant1(7)) == 1
         assert dist.acceptance(MonotoneFunction.constant0(7)) == 0
+
+
+_ACCEPTANCE_FAMILIES = {p: build_hr_family(HRParams(*p)) for p in ((11, 2, 3), (13, 2, 4), (67, 1, 2))}
+_ACCEPTANCE_DISTS = {p: PositiveTestDistribution(hr) for p, hr in _ACCEPTANCE_FAMILIES.items()}
+
+
+@st.composite
+def image_functions(draw):
+    """An HR family and a function on its ground set: 0 to many minterms, some inside images."""
+    key = draw(st.sampled_from(sorted(_ACCEPTANCE_FAMILIES)))
+    hr = _ACCEPTANCE_FAMILIES[key]
+    n = hr.params.n
+    inside = st.tuples(st.sampled_from(hr.images), st.integers(0, (1 << n) - 1)).map(
+        lambda pair: pair[0] & pair[1])  # a subset of an image
+    anywhere = st.integers(0, (1 << n) - 1)
+    small = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda bits: sum({1 << b for b in bits}))
+    masks = draw(st.lists(st.one_of(inside, anywhere, small), max_size=40))
+    return key, MonotoneFunction.from_masks(n, masks)
+
+
+@given(case=image_functions())
+@settings(max_examples=150, deadline=None)
+def test_acceptance_is_the_per_image_count(case):
+    key, f = case
+    hr = _ACCEPTANCE_FAMILIES[key]
+    got = _ACCEPTANCE_DISTS[key].acceptance(f)
+    assert type(got) is Fraction
+    assert got == image_acceptance(hr.images, f.minterms, hr.params.n_polynomials)

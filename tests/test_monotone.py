@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,12 +27,13 @@ from sunflower_circuits.monotone import (
 )
 from sunflower_circuits.harnik_raz import HRParams, PositiveTestDistribution, build_hr_family
 from sunflower_circuits.probability import PBiasedDistribution, coverage_exact, mc_event_probability
-from sunflower_circuits.setfamily import elements_of, mask_of
+from sunflower_circuits.setfamily import antichain_minimize, elements_of, mask_of
 
 from oracles import (
     brute_closure,
     brute_polynomial_probability,
     brute_probability,
+    coordinate_superset_sums,
     enumerate_antichains,
     mc_closedness_scan,
     p_subset_draw,
@@ -801,6 +803,68 @@ def test_minterm_outside_ground_set_refused(engine):
         closure(MonotoneFunction(3, (8,)), ClosureParams(eps=0.1, c=2), engine, 200, 0)
     with pytest.raises(ValueError, match="outside"):
         MonotoneFunction.from_masks(3, [0b1, 0b1000])
+
+
+class TestOneAntichainPass:
+    def test_from_masks_minimizes_once(self, monkeypatch):
+        calls = []
+
+        def counted(masks):
+            calls.append(1)
+            return antichain_minimize(masks)
+
+        monkeypatch.setattr(monotone, "antichain_minimize", counted)
+        f = MonotoneFunction.from_masks(5, [0b111, 0b11, 0b11, 0b10100, 0b111])
+        assert calls == [1]
+        assert f.minterms == (0b11, 0b10100) and f.n == 5
+        calls.clear()
+        assert f == MonotoneFunction(5, (0b11, 0b10100))  # direct construction still checks
+        assert calls == [1]
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_from_masks_is_the_checked_construction(self, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+            f = MonotoneFunction.from_masks(n, masks)
+            g = MonotoneFunction(n, antichain_minimize(masks))
+            assert f == g and hash(f) == hash(g)
+            assert f.minterms == g.minterms and type(f.minterms) is tuple
+
+    def test_both_constructors_refuse_bad_input(self):
+        with pytest.raises(ValueError, match="outside"):
+            MonotoneFunction(3, (8,))
+        with pytest.raises(ValueError, match="outside"):
+            MonotoneFunction.from_masks(3, [0b11, 0b1000])
+        with pytest.raises(ValueError, match="outside"):
+            MonotoneFunction.from_masks(3, [-1])
+        for minterms in ((0b11, 0b1), (0b1, 0b11), (0b10, 0b1), (0b1, 0b1), (0, 0b1)):
+            with pytest.raises(ValueError, match="canonical antichain"):
+                MonotoneFunction(3, minterms)
+
+
+@pytest.mark.parametrize("n", range(0, 19))
+@pytest.mark.parametrize("noise", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)])
+def test_transform_is_the_per_coordinate_loop(n, noise):
+    # the low coordinates run on transposed blocks; the integers and dtype must not move
+    a, b = noise.numerator, noise.denominator
+    rng = np.random.default_rng(n * 10 + b)
+    for density in (0.0, 0.2, 1.0):
+        table = (rng.random(1 << n) < density).astype(np.uint8)
+        want = coordinate_superset_sums(table, n, a, b)
+        got = monotone._noisy_acceptance(table, n, a, b)
+        assert got.dtype == want.dtype == (np.int32 if b**n < 1 << 31 else np.int64)
+        assert got.shape == (1 << n,) and np.array_equal(got, want)
+
+
+def test_transform_blocks_are_independent(monkeypatch):
+    # several transposed blocks, and blocks of one row, give the same integers
+    rng = np.random.default_rng(3)
+    table = (rng.random(1 << 12) < 0.4).astype(np.uint8)
+    want = coordinate_superset_sums(table, 12, 2, 5)
+    for rows in (1, 2, 16, 1 << 12):
+        monkeypatch.setattr(monotone, "_LOW_ROWS", rows)
+        assert np.array_equal(monotone._noisy_acceptance(table, 12, 2, 5), want)
 
 
 def test_antichain_enumeration_count_matches_dedekind():
