@@ -249,23 +249,30 @@ def janson_certificate(s: SetFamily, p, q) -> JansonCertificate:
     the joint probabilities q^(2l-j) p^(2C(l,2)-C(j,2)); the pairs are
     counted per j, so at most l-1 terms are evaluated.  Pairs with
     disjoint members share no edges or vertices and drop out, and only a
-    member paired with itself shares all l vertices.
+    member paired with itself shares all l vertices.  Every term is an
+    integer numerator over the common denominator D = q_d^(2l) p_d^(2C(l,2))
+    (p = p_n/p_d, q = q_n/q_d), so mu = M/D and delta_bar = Delta/D are
+    summed in integers, and the exponent mu^2/(mu+delta_bar) is the
+    rational M^2/(D (M + Delta)), rounded to float once.
     """
     if not s.members:
         raise EmptyFamilyError("empty clique family")
-    if not (0 < Fraction(q) <= 1 and 0 < Fraction(p) <= 1):
+    pf, qf = Fraction(p), Fraction(q)
+    if not (0 < qf <= 1 and 0 < pf <= 1):
         raise ValueError("need p, q in (0, 1]")
     size = uniform_size(s)
-    pf, qf = Fraction(p), Fraction(q)
     edges = math.comb(size, 2)
-    mu = len(s.members) * qf**size * pf**edges
+    pn, pd, qn, qd = pf.numerator, pf.denominator, qf.numerator, qf.denominator
+    den = qd ** (2 * size) * pd ** (2 * edges)
+    mu_n = len(s.members) * (qn * qd) ** size * (pn * pd) ** edges
     shared = Counter((a & a2).bit_count() for a in s.members for a2 in s.members)
-    delta = sum(
-        (shared[j] * qf ** (2 * size - j) * pf ** (2 * edges - math.comb(j, 2))
-         for j in range(1, size)),
-        Fraction(0),
+    delta_n = sum(
+        shared[j] * qn ** (2 * size - j) * qd**j
+        * pn ** (2 * edges - math.comb(j, 2)) * pd ** math.comb(j, 2)
+        for j in range(1, size)
     )
-    exponent = float(mu * mu / (mu + delta))
+    mu, delta = Fraction(mu_n, den), Fraction(delta_n, den)
+    exponent = mu_n * mu_n / (den * (mu_n + delta_n))  # int / int rounds once, as float(Fraction)
     return JansonCertificate(float(mu), float(delta), exponent, math.exp(-exponent), mu, delta)
 
 

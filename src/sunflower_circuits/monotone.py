@@ -32,8 +32,8 @@ never strictly above 1 - eps.  The Monte-Carlo engine decides from
 estimates and the clique reading has minterms covered with certainty (a
 one-vertex minterm has no edge), so neither uses it.  Past the
 certificate, for n <= ``TABLE_MAX_N`` and noise a/b with b^n < 2^63, the
-test reads f's truth table, built by the up-closure that
-exact coverage enumerates with (``probability.up_closure``): one weighted
+test reads f's truth table: the bit table that exact coverage enumerates
+with, unpacked to one byte per row (``probability.up_closure``).  One weighted
 superset sum (Yates' transform, ``_noisy_acceptance``) gives every
 candidate's noisy acceptance at once as an exact integer; its first five
 coordinates run on transposed blocks of the table, so that each pairs
@@ -66,7 +66,7 @@ from .probability import (
     up_closure,
 )
 from .rng import CounterStream, bias
-from .setfamily import SetFamily, antichain_minimize
+from .setfamily import SetFamily, antichain_extend, antichain_minimize
 
 TABLE_MAX_N = 23  # largest n whose exact closure reads a truth table; int64 there is 64 MiB
 
@@ -88,7 +88,11 @@ class MonotoneFunction:
         ``antichain_minimize`` returns a canonical antichain, so only the
         bit range is checked; ``__post_init__``'s second pass is skipped.
         """
-        minterms = antichain_minimize(masks)
+        return cls._canonical(n, antichain_minimize(masks))
+
+    @classmethod
+    def _canonical(cls, n: int, minterms: tuple[int, ...]) -> "MonotoneFunction":
+        """The function of ``minterms``, a canonical antichain: only the bit range is checked."""
         _check_range(n, minterms)
         f = object.__new__(cls)
         object.__setattr__(f, "n", n)
@@ -358,17 +362,20 @@ def closure(
 
     Fixpoint iteration, one ``is_closed`` round at a time: add the round's
     violators and rescan from the first candidate.  An exact round adds
-    every violator, a Monte-Carlo round its first.  Every A
-    added lies below the unique closure (any closed g >= f accepts it), so
-    neither choice changes the fixpoint, and the fixed scan order makes
-    runs deterministic.
+    every violator, a Monte-Carlo round its first.  Every A added lies below
+    the unique closure (any closed g >= f accepts it), so neither choice
+    changes the fixpoint, and the fixed scan order makes runs deterministic.
+    The current function rejects every violator, so no violator contains a
+    minterm: ``antichain_extend`` minimizes only the violators, and drops
+    the minterms that contain one.
     """
     current = f
     while True:
         report = is_closed(current, params, engine, samples, seed)
         if report.closed:
             return current
-        current = MonotoneFunction.from_masks(f.n, current.minterms + report.violators)
+        minterms = antichain_extend(current.minterms, report.violators)
+        current = MonotoneFunction._canonical(f.n, minterms)
 
 
 def trim(f: MonotoneFunction, max_size) -> MonotoneFunction:

@@ -28,11 +28,13 @@ Coverage is Pr[some mask lies inside the random set], and
   q-envelope, the union of the q-parts: the p-parts of the masks whose
   q-part lies in U are solved as plain masks, weighted q^|U| (1-q)^(w-|U|);
 * enumeration (plain masks) of the 2^|E| restrictions of W to the union
-  E of the masks: ``up_closure`` marks the covered ones in a uint8 table,
-  counted per Hamming weight w and evaluated the same way with q = 1-p,
-  b = |E|-w.  Plain masks take whichever of inclusion-exclusion (2^m
-  steps) and enumeration (a set-up plus 2^|E| rows) costs less by the
-  measured costs ``EXACT_COST_NS``;
+  E of the masks: ``_covered_weights`` marks the covered ones in a bit
+  table (``_up_bits``: one Python int up to ``_INT_MAX_WIDTH`` bits of
+  row index, uint64 words past it), counted per Hamming weight w with
+  popcounts and evaluated the same way with q = 1-p, b = |E|-w.  Plain
+  masks take whichever of inclusion-exclusion (2^m steps) and enumeration
+  (a set-up plus 2^|E| rows) costs less by the measured costs
+  ``EXACT_COST_NS``;
 * sampling: one chunked block sampler, ``bernoulli_rows``, row s of a
   ``width``-column draw reading slots s*width + j from the stream's index,
   column j p-biased below the split and q-biased above it;
@@ -60,6 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Iterator, Optional
 
@@ -73,8 +76,9 @@ DEFAULT_WORK_CAP_BITS = 24  # log2 of the largest exact enumeration
 CONFIDENCE = 0.99  # level of every Monte-Carlo estimate's Wilson interval
 _IE_LIMIT = 20  # max family size for the inclusion-exclusion strategy
 # measured costs (ns) of one inclusion-exclusion step, the enumeration's
-# set-up and one enumerated row: plain masks take the cheaper strategy
-EXACT_COST_NS = (900, 100_000, 10)
+# set-up and one enumerated row of a word table (an int table's row costs up
+# to 2 ns at widths 14-16): plain masks take the cheaper strategy
+EXACT_COST_NS = (500, 25_000, 0.4)
 _CHUNK_SLOTS = 1 << 21  # counter slots per chunk ``bernoulli_rows`` yields (drawn by ``_PIECE``)
 _MAX_U64 = (1 << 64) - 1
 
@@ -220,54 +224,113 @@ def _polynomial(counts: dict[tuple[int, int], int], p: Fraction, q: Fraction) ->
     return Fraction(total, pd**top_a * qd**top_b)
 
 
-_LOW_BYTES = (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+_INT_MAX_WIDTH = 16  # widest up-closure held as one Python int; wider ones are uint64 words
+# per coordinate i < 6 inside a word, the positions whose bit i is clear
+_IN_WORD = tuple(np.uint64(v) for v in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
+# per weight j = 0..6, the positions of a word whose popcount is j
+_WORD_WEIGHTS = tuple(np.uint64(v) for v in (
+    0x0000000000000001, 0x0000000100010116, 0x0001011601161668, 0x0116166816686880,
+    0x1668688068808000, 0x6880800080000000, 0x8000000000000000))
+_LOW_WORD_BITS = 5  # word coordinates paired on transposed blocks
+_WORD_ROWS = 1 << 10  # rows of 2^_LOW_WORD_BITS words per transposed block
+
+
+@lru_cache(maxsize=None)
+def _int_shift_masks(width: int) -> tuple[int, ...]:
+    """Per coordinate i < width, the int of 2^width bits with bit x set iff bit i of x is clear."""
+    full = (1 << (1 << width)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(width))
+
+
+@lru_cache(maxsize=None)
+def _int_weight_masks(width: int) -> tuple[int, ...]:
+    """Per weight w <= width, the int over 2^width bits with bit x set iff popcount(x) = w."""
+    weight = np.bitwise_count(np.arange(1 << width, dtype=np.uint32))
+    return tuple(int.from_bytes(np.packbits(weight == w, bitorder="little").tobytes(), "little")
+                 for w in range(width + 1))
+
+
+def _up_bits(masks, width: int):
+    """The up-closure of ``masks`` over {0,1}^width: a bit table, bit x set iff row x has a mask.
+
+    Up to ``_INT_MAX_WIDTH`` the table is one Python int, and coordinate i
+    is one step t |= (t & M_i) << 2^i, M_i the rows whose bit i is clear
+    (``_int_shift_masks``, built on first use per width).  Wider tables are
+    little-endian uint64 words, row x at bit x % 64 of word x // 64:
+    coordinates 0-5 shift inside each word the same way (``_IN_WORD``), the
+    later ones pair words.  The first ``_LOW_WORD_BITS`` word coordinates,
+    whose pairs are runs of 1 to 16 words, run together with the in-word
+    ones on transposed blocks of ``_WORD_ROWS`` rows of 2^5 words, where
+    each pairs long contiguous runs; the coordinates commute, so the order
+    changes no bit.
+    """
+    marked = bytearray(max(1, (1 << width) >> 3))
+    at = np.array(list(masks), dtype=np.int64)
+    np.bitwise_or.at(np.frombuffer(marked, dtype=np.uint8), at >> 3,
+                     np.left_shift(np.uint8(1), (at & 7).astype(np.uint8)))
+    if width <= _INT_MAX_WIDTH:
+        t = int.from_bytes(marked, "little")
+        for i, low in enumerate(_int_shift_masks(width)):
+            t |= (t & low) << (1 << i)
+        return t
+    words = np.frombuffer(marked, dtype="<u8")
+    k = min(_LOW_WORD_BITS, width - 6)
+    rows = words.reshape(-1, 1 << k)
+    for lo in range(0, len(rows), _WORD_ROWS):
+        block = np.array(rows[lo : lo + _WORD_ROWS].T, order="C")  # row j: low word coordinates j
+        spare = np.empty_like(block)
+        for i, low in enumerate(_IN_WORD):
+            np.bitwise_and(block, low, out=spare)
+            spare <<= np.uint64(1 << i)
+            block |= spare
+        for i in range(k):
+            halves = block.reshape(-1, 2, block.shape[1] << i)
+            halves[:, 1] |= halves[:, 0]
+        rows[lo : lo + _WORD_ROWS] = block.T
+    for i in range(k, width - 6):
+        halves = words.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    return words
 
 
 def up_closure(masks, width: int) -> np.ndarray:
-    """The uint8 table over {0,1}^width of the rows containing some mask.
+    """The uint8 table over {0,1}^width of the rows containing some mask: ``_up_bits`` unpacked."""
+    bits = _up_bits(masks, width)
+    if isinstance(bits, int):
+        bits = np.frombuffer(bits.to_bytes(max(1, (1 << width) >> 3), "little"), dtype=np.uint8)
+    return np.unpackbits(bits.view(np.uint8), count=1 << width, bitorder="little")
 
-    One pass per coordinate ORs each row into the row with that bit added.
-    From width 3 on, coordinates 0-2 run as byte shifts inside the words of
-    a uint64 view, in chunks, and the later ones pair words of that view;
-    a half under 8 elements long is paired column by column.
+
+def _covered_weights(masks, width: int) -> list[int]:
+    """Per Hamming weight w <= width, the number of rows of {0,1}^width containing some mask.
+
+    The rows are ``_up_bits``.  An int table counts (t & W_w).bit_count(),
+    W_w the rows of weight w (``_int_weight_masks``, built on first use per
+    width).  On words, the weight of row x is popcount(x // 64) +
+    popcount(x % 64): per in-word weight j, ``bitwise_count`` of each word
+    masked to the positions of weight j (``_WORD_WEIGHTS``).  The words are
+    read as rows of 2^8 columns; the counts of the rows of each word-row
+    popcount h are summed, and each sum lands at weight h + j plus its
+    column's popcount.
     """
-    table = np.zeros(1 << width, dtype=np.uint8)
-    table[list(masks)] = 1
-    view, packed = table, 0
-    if width >= 3:
-        view, packed = table.view("<u8"), 3
-        buf = np.empty(min(view.size, 1 << 16), dtype=np.uint64)
-        for lo in range(0, view.size, buf.size):
-            chunk = view[lo : lo + buf.size]
-            for i, low in enumerate(_LOW_BYTES):
-                np.bitwise_and(chunk, np.uint64(low), out=buf)
-                buf <<= np.uint64(8 << i)
-                chunk |= buf
-    for i in range(width - packed):
-        halves = view.reshape(-1, 2, 1 << i)
-        for j in range(1 << i) if i < 3 else [slice(None)]:
-            halves[:, 1, j] |= halves[:, 0, j]
-    return table
-
-
-def _weight_counts(table: np.ndarray, width: int) -> list[int]:
-    """Per Hamming weight, the number of rows set in ``table``.
-
-    The rows are read as a matrix with the low 16 bits as columns: the rows
-    of each high-bit popcount j are summed, and the histogram of the sums
-    over their columns' popcounts, shifted by j, is added in.
-    """
-    low = min(width, 16)
-    rows = table.reshape(-1, 1 << low)
-    column = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    bits = _up_bits(masks, width)
+    if isinstance(bits, int):
+        return [(bits & w).bit_count() for w in _int_weight_masks(width)]
+    low = min(width - 6, 8)
+    rows = bits.reshape(-1, 1 << low)
+    ones = np.empty((len(_WORD_WEIGHTS),) + rows.shape, dtype=np.uint8)
+    spare = np.empty(rows.shape, dtype=np.uint64)
+    for j, positions in enumerate(_WORD_WEIGHTS):
+        np.bitwise_and(rows, positions, out=spare)
+        np.bitwise_count(spare, out=ones[j])
     high = np.bitwise_count(np.arange(len(rows), dtype=np.uint32))
-    counts = np.zeros(width + 1)  # float64 holds every count up to 2^53 exactly
-    for j in range(width - low + 1):
-        total = np.zeros(1 << low, dtype=np.int32)
-        for h in np.flatnonzero(high == j):
-            total += rows[h]
-        counts[j : j + low + 1] += np.bincount(column, total, low + 1)
-    return [int(c) for c in counts]
+    sums = np.stack([ones[:, high == h].sum(axis=1) for h in range(width - 6 - low + 1)])
+    column = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    weight = np.add.outer(np.add.outer(np.arange(len(sums)), np.arange(len(ones))), column)
+    # float64 holds every count up to 2^53 exactly
+    return [int(c) for c in np.bincount(weight.ravel(), sums.ravel(), width + 1)]
 
 
 def reduce_coverage(masks, split: int, p, q) -> tuple[int, ...]:
@@ -330,12 +393,17 @@ def exact_coverage(masks, split: int, p, q) -> Fraction:
     plain component past both caps is refused with the cost nearer its own
     cap, m against ``ie_limit()`` or w against ``DEFAULT_WORK_CAP_BITS``,
     and the refusal names the first such component in component order.
+    No mask, or a single one, needs no reduction: the answer is 0, or that
+    mask's closed form (0 with a bias-0 bit, 1 for the zero mask).
     """
     return _coverage(masks, split, bias(p), bias(q))
 
 
 def _coverage(masks, split: int, pf: Fraction, qf: Fraction) -> Fraction:
     """``exact_coverage`` at biases already resolved to ``Fraction``s."""
+    masks = tuple(masks)
+    if len(masks) <= 1:  # no reduction needed: 0, or one mask's closed form
+        return Fraction(*_petal(masks[0], split, pf, qf)) if masks else Fraction(0)
     reduced = _reduce(masks, split, pf, qf)
     if not reduced:
         return Fraction(0)
@@ -343,18 +411,25 @@ def _coverage(masks, split: int, pf: Fraction, qf: Fraction) -> Fraction:
         return Fraction(1)  # some member already inside Y
     parts = _components(reduced)
     plans = [_plan(part, split) for part in parts]  # any refusal comes before any work
-    low = (1 << split) - 1
     miss_n = miss_d = 1  # Pr[no component covered], one fraction reduced at the end
     for part, plan in zip(parts, plans):
-        if plan is None:  # one mask: p^a q^b
-            a, b = (part[0] & low).bit_count(), (part[0] >> split).bit_count()
-            hit_n, hit_d = pf.numerator**a * qf.numerator**b, pf.denominator**a * qf.denominator**b
+        if plan is None:
+            hit_n, hit_d = _petal(part[0], split, pf, qf)
         else:
             hit = _solve(part, plan, split, pf, qf)
             hit_n, hit_d = hit.numerator, hit.denominator
         miss_n *= hit_d - hit_n
         miss_d *= hit_d
     return Fraction(miss_d - miss_n, miss_d)
+
+
+def _petal(mask: int, split: int, pf: Fraction, qf: Fraction) -> tuple[int, int]:
+    """One mask's coverage p^a q^b as (numerator, denominator), a and b its p- and q-part sizes.
+
+    A bias-0 bit makes it 0 and the zero mask 1.
+    """
+    a, b = (mask & ((1 << split) - 1)).bit_count(), (mask >> split).bit_count()
+    return pf.numerator**a * qf.numerator**b, pf.denominator**a * qf.denominator**b
 
 
 def _plan(masks: list[int], split: int) -> Optional[str]:
@@ -402,7 +477,7 @@ def _solve(masks: list[int], plan: str, split: int, pf: Fraction, qf: Fraction) 
             total += weight * _coverage(parts, split, pf, pf)
         return total
     masks, width = compact(masks)
-    counts = _weight_counts(up_closure(masks, width), width)
+    counts = _covered_weights(masks, width)
     weights = {(w, width - w): c for w, c in enumerate(counts)}
     return _polynomial(weights, pf, 1 - pf)
 

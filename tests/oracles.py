@@ -278,6 +278,29 @@ def brute_split_coverage(masks, split, p, q):
     return total
 
 
+def janson_fractions(vertex_masks, p, q):
+    """(mu, delta_bar, exponent, bound) of the Janson certificate, in ``Fraction`` arithmetic.
+
+    mu = |S| q^l p^C(l,2); delta_bar sums q^(2l-j) p^(2C(l,2)-C(j,2)) over
+    the ordered pairs of members sharing j in [1, l-1] vertices, pair by
+    pair; the exponent is float(mu^2 / (mu + delta_bar)).
+    """
+    import math
+
+    p, q = Fraction(p), Fraction(q)
+    size = vertex_masks[0].bit_count()
+    edges = math.comb(size, 2)
+    mu = len(vertex_masks) * q**size * p**edges
+    delta = Fraction(0)
+    for a in vertex_masks:
+        for b in vertex_masks:
+            j = (a & b).bit_count()
+            if 1 <= j < size:
+                delta += q ** (2 * size - j) * p ** (2 * edges - math.comb(j, 2))
+    exponent = float(mu * mu / (mu + delta))
+    return mu, delta, exponent, math.exp(-exponent)
+
+
 def component_coverage(masks, split, p, q):
     """1 - prod (1 - cov_i) over the components of the masks (by shared bits), each
     cov_i the brute-force coverage of that component alone."""

@@ -46,6 +46,7 @@ from oracles import (
     brute_pq_hit,
     brute_probability,
     graph_accepts,
+    janson_fractions,
     kclique_hits_loop,
 )
 
@@ -266,6 +267,9 @@ class TestSPoly:
         assert float(s_poly_exact(2, 1)) == 3.0
 
 
+_BIAS = st.fractions(0, 1, max_denominator=60).filter(bool)  # in (0, 1]
+
+
 class TestJanson:
     def test_two_edges_example(self):
         s = SetFamily.from_sets(3, [(1, 2), (1, 3)])
@@ -293,6 +297,21 @@ class TestJanson:
         s = SetFamily.from_sets(3, [(1, 2)])
         with pytest.raises(ValueError, match=r"need p, q in \(0, 1\]"):
             janson_certificate(s, Fraction(1, 2), Fraction(10**20 + 1, 10**20))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=_BIAS, q=_BIAS)
+    def test_certificate_is_the_fraction_formulas(self, data, p, q):
+        # every field, exact and float, equals the one-Fraction-per-term reference
+        n = data.draw(st.integers(1, 9))
+        size = data.draw(st.integers(1, n))
+        members = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size),
+                                     min_size=1, max_size=8))
+        s = SetFamily.from_masks(n, [sum(1 << v for v in m) for m in members])
+        cert = janson_certificate(s, p, q)
+        mu, delta, exponent, bound = janson_fractions(s.members, p, q)
+        assert (cert.mu_exact, cert.delta_bar_exact) == (mu, delta)
+        assert (cert.mu, cert.delta_bar) == (float(mu), float(delta))
+        assert (cert.exponent, cert.bound) == (exponent, bound)
 
     def test_validity_on_random_families(self):
         rng = random.Random(7)

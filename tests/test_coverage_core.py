@@ -37,6 +37,7 @@ from sunflower_circuits.setfamily import SetFamily, mask_of
 from oracles import (
     brute_coverage,
     brute_pq_hit,
+    brute_split_coverage,
     component_coverage,
     conditioned_pq_coverage,
     covered_weight_counts,
@@ -388,14 +389,26 @@ def test_pq_coverage_at_q_one_is_the_edge_coverage(case, p):
     assert got == want
 
 
+_INT_MAX = probability._INT_MAX_WIDTH  # the widest table held as one int
+
+
 @st.composite
 def _masks_of_width(draw):
-    """(width, masks): widths shorter than a word, up to 8 words, up to the
-    16 low bits the counts take as columns, and past them; masks anywhere
-    in [0, 2^width), possibly none."""
-    width = draw(st.one_of(st.integers(0, 2), st.integers(3, 6), st.integers(7, 16),
-                           st.integers(17, 18)))
+    """(width, masks): widths shorter than a byte or a word, and on both sides
+    of the crossover from one int to uint64 words; masks anywhere in
+    [0, 2^width), possibly none."""
+    width = draw(st.one_of(st.integers(0, 2), st.integers(3, 8),
+                           st.integers(_INT_MAX - 1, _INT_MAX + 2)))
     return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
+
+
+def _mask_loop_table(masks, width, lo=0, hi=None):
+    """Rows lo..hi-1 of {0,1}^width: whether each contains some mask."""
+    rows = np.arange(lo, (1 << width) if hi is None else hi, dtype=np.uint32)
+    covered = np.zeros(len(rows), dtype=bool)
+    for m in masks:
+        covered |= (rows & np.uint32(m)) == m
+    return covered
 
 
 @settings(max_examples=120, deadline=None)
@@ -403,15 +416,26 @@ def _masks_of_width(draw):
 def test_up_closure_and_weight_counts_match_the_mask_loop(data):
     width, masks = data
     table = probability.up_closure(masks, width)
-    rows = np.arange(1 << width)
-    covered = np.zeros(1 << width, dtype=bool)
-    for m in masks:
-        covered |= (rows & m) == m
-    assert table.dtype == np.uint8 and np.array_equal(table, covered)
-    assert probability._weight_counts(table, width) == covered_weight_counts(masks, width)
+    assert table.dtype == np.uint8 and np.array_equal(table, _mask_loop_table(masks, width))
+    assert probability._covered_weights(masks, width) == covered_weight_counts(masks, width)
 
 
-@pytest.mark.parametrize("cost,unused", [((0, 1, 1), "up_closure"),
+@pytest.mark.parametrize("width", [22, 23, 24])
+def test_the_widest_tables_match_the_mask_loop(width):
+    # random 2- to 4-sets, a mask on the top coordinate and one on every
+    # coordinate: the counts at the work cap, the table up to TABLE_MAX_N
+    rng = random.Random(width)
+    masks = [sum(1 << e for e in rng.sample(range(width), rng.randint(2, 4))) for _ in range(12)]
+    masks += [1 << (width - 1), (1 << width) - 1]
+    assert probability._covered_weights(masks, width) == covered_weight_counts(masks, width)
+    if width <= 23:
+        table = probability.up_closure(masks, width)
+        for lo in range(0, 1 << width, 1 << 20):
+            hi = lo + (1 << 20)
+            assert np.array_equal(table[lo:hi], _mask_loop_table(masks, width, lo, hi))
+
+
+@pytest.mark.parametrize("cost,unused", [((0, 1, 1), "_covered_weights"),
                                          ((1, 0, 0), "union_probability")])
 @settings(max_examples=60, deadline=None)
 @given(data=_families(7), p=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(4, 5)]))
@@ -431,7 +455,7 @@ def test_either_plain_strategy_matches_brute_force(cost, unused, data, p):
 
 
 def test_enumeration_at_the_work_cap_stays_small():
-    # 60 random 3-sets spanning 24 elements: the uint8 table is 16 MiB, and an
+    # 60 random 3-sets spanning 24 elements: the bit table is 2 MiB, and an
     # int64 (or uint32 index) array over 2^24 rows would add 128 (or 64) MiB
     rng = random.Random(0)
     masks = set()
@@ -461,6 +485,22 @@ def _path():
 
 class TestCertainAndImpossibleBits:
     """Both engines clear the bias-1 bits and drop the masks with a bias-0 bit first."""
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    @pytest.mark.parametrize("split", [0, 3, 6])
+    def test_no_mask_or_one_is_the_closed_form(self, p, q, split):
+        # answered before the reduction: 0, 1 for the zero mask, 0 with a bias-0 bit,
+        # else p^a q^b; the range check of p and q still comes first
+        for masks in ([], [0], [0b1], [0b100000], [0b101], [0b111000], [0b110011]):
+            want = brute_split_coverage(masks, split, p, q)
+            assert probability.exact_coverage(masks, split, p, q) == want
+            assert probability.exact_coverage(iter(masks), split, p, q) == want
+        for bad in (Fraction(-1, 3), Fraction(4, 3)):
+            with pytest.raises(ValueError):
+                probability.exact_coverage([], split, bad, q)
+            with pytest.raises(ValueError):
+                probability.exact_coverage([0b1], split, p, bad)
 
     def test_pq_monte_carlo_decides_as_exact_at_q_one(self):
         s = SetFamily.from_sets(3, [(1,), (2, 3)])

@@ -27,7 +27,12 @@ from sunflower_circuits.monotone import (
 )
 from sunflower_circuits.harnik_raz import HRParams, PositiveTestDistribution, build_hr_family
 from sunflower_circuits.probability import PBiasedDistribution, coverage_exact, mc_event_probability
-from sunflower_circuits.setfamily import antichain_minimize, elements_of, mask_of
+from sunflower_circuits.setfamily import (
+    antichain_extend,
+    antichain_minimize,
+    elements_of,
+    mask_of,
+)
 
 from oracles import (
     brute_closure,
@@ -830,6 +835,18 @@ class TestOneAntichainPass:
             g = MonotoneFunction(n, antichain_minimize(masks))
             assert f == g and hash(f) == hash(g)
             assert f.minterms == g.minterms and type(f.minterms) is tuple
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9))
+    def test_a_closure_round_extends_the_antichain(self, data, n):
+        # a round adds masks the function rejects: minimizing them alone and dropping
+        # the minterms they lie inside is from_masks on the concatenation
+        f = MonotoneFunction.from_masks(n, data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                                              max_size=8)))
+        masks = [m for m in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+                 if not f(m)]
+        want = MonotoneFunction.from_masks(n, f.minterms + tuple(masks)).minterms
+        assert antichain_extend(f.minterms, masks) == want
 
     def test_both_constructors_refuse_bad_input(self):
         with pytest.raises(ValueError, match="outside"):
