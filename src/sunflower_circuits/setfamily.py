@@ -109,29 +109,23 @@ class SetFamily:
 def antichain_minimize(masks: Iterable[int]) -> tuple[int, ...]:
     """Keep inclusion-minimal masks, canonically ordered.
 
-    The masks are taken one size class at a time, in ascending size.  Two
-    distinct masks of one size never contain each other, so the smallest
-    class is kept whole, and each mask m of a later class is tested only
-    against the kept masks of smaller sizes: for each smaller size s, m's
-    C(|m|, s) subsets of that size are looked up when there are fewer of
-    them than kept masks of size s, and otherwise each of those kept masks
-    is tested.  The first hit stops the search, and no mask costs more than
-    min(2^|m|, kept) tests.  The empty mask lies inside every other mask,
-    so when present it is the answer.
+    Masks come in canonical order, so only a kept mask of smaller size can
+    lie inside m.  The kept masks are grouped by size, in ascending size;
+    for each smaller size s, m's C(|m|, s) subsets of that size are looked
+    up when there are fewer of them than kept masks of size s, and
+    otherwise each of those kept masks is tested.  The first hit stops the
+    search, and no mask costs more than min(2^|m|, kept) tests.  The empty
+    mask lies inside every other mask, so when present it is the answer.
     """
     distinct = set(masks)
     if 0 in distinct:
         return (0,)
-    classes: dict[int, list[int]] = {}  # size -> masks in ascending value
-    for m in sorted(distinct):
-        classes.setdefault(m.bit_count(), []).append(m)
     out: list[int] = []
     by_size: dict[int, set[int]] = {}  # size -> kept masks, sizes ascending
-    for size in sorted(classes):
-        kept = [m for m in classes[size] if not _has_kept_submask(m, by_size)]
-        if kept:
-            out += kept
-            by_size[size] = set(kept)
+    for m in sorted(sorted(distinct), key=int.bit_count):  # canonical order: sorts are stable
+        if not _has_kept_submask(m, by_size):
+            out.append(m)
+            by_size.setdefault(m.bit_count(), set()).add(m)
     return tuple(out)
 
 

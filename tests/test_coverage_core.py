@@ -394,10 +394,11 @@ _INT_MAX = probability._INT_MAX_WIDTH  # the widest table held as one int
 
 @st.composite
 def _masks_of_width(draw):
-    """(width, masks): widths shorter than a byte or a word, and on both sides
-    of the crossover from one int to uint64 words; masks anywhere in
-    [0, 2^width), possibly none."""
-    width = draw(st.one_of(st.integers(0, 2), st.integers(3, 8),
+    """(width, masks): widths shorter than a byte or a word, the int tables
+    of the extraction loops' families, and on both sides of the crossover
+    from one int to uint64 words; masks anywhere in [0, 2^width), possibly
+    none."""
+    width = draw(st.one_of(st.integers(0, 2), st.integers(3, 8), st.integers(9, _INT_MAX - 2),
                            st.integers(_INT_MAX - 1, _INT_MAX + 2)))
     return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=8))
 
