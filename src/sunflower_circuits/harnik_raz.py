@@ -10,7 +10,10 @@ Polynomials are indexed 0 .. n^c - 1: coefficient j of polynomial i
 ``polynomial_values``, gives the values of every polynomial in that order
 (``codes`` builds its Reed-Solomon codewords with it), and
 ``build_hr_family`` keeps the value set of each one, by index, as the
-family's image table, which every exact count and the positive sampler read.
+family's image table, which the positive sampler reads.  The exact positive
+readings (``PositiveTestDistribution.acceptance`` and the exact minterm
+spread) read its transpose, ``HRFamily.holders``: per element, the
+polynomials whose value set holds it, as the bits of one int.
 
 The positive test distribution draws a uniformly random polynomial and
 returns the indicator vector of S_P -- including non-qualifying P, whose
@@ -25,6 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -33,11 +37,9 @@ from .errors import EnumerationTooLargeError
 from .probability import (
     Estimate,
     bernoulli_hits,
-    count_matched,
     coverage_exact,
     exact_engine,
     pack_rows,
-    pack_words,
     sampled_coverage,
     unpack_rows,
 )
@@ -118,6 +120,41 @@ class HRFamily:
     def eval(self, x: int) -> int:
         return 1 if any(m & x == m for m in self.family.members) else 0
 
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        """Per element (bit e), the int whose bit i is set iff image i holds e.
+
+        Built on first use, once per family: the image table is unpacked to
+        boolean rows in chunks of at most 2^21 entries, each packed along
+        the polynomial axis.  Repeated images keep their own bits.
+        """
+        n, images = self.params.n, self.images
+        step = max(8, _CHUNK_ENTRIES // n // 8 * 8)  # whole bytes per chunk
+        packed = np.concatenate([np.packbits(unpack_rows(images[i : i + step], n), axis=0,
+                                             bitorder="little")
+                                 for i in range(0, len(images), step)])
+        return tuple(int.from_bytes(column.tobytes(), "little") for column in packed.T)
+
+    def count_holding(self, masks) -> int:
+        """The number of polynomials whose value set contains some mask.
+
+        Per mask, the AND of its elements' ``holders``, ORed over masks; an
+        element outside [n] lies in no value set.
+        """
+        holders, n = self.holders, self.params.n
+        everyone = (1 << len(self.images)) - 1
+        hit = 0
+        for m in masks:
+            if m >> n:
+                continue
+            both = everyone
+            while m and both:
+                low = m & -m
+                both &= holders[low.bit_length() - 1]
+                m ^= low
+            hit |= both
+        return hit.bit_count()
+
 
 def build_hr_family(params: HRParams) -> HRFamily:
     """Evaluate every polynomial once; keep its value set and the qualifying ones."""
@@ -182,19 +219,15 @@ def positive_rows(hr: HRFamily, samples: int, stream: CounterStream) -> Iterator
 class PositiveTestDistribution:
     """Distribution of value-set masks of a uniform random polynomial.
 
-    The image table is packed once, one row of uint64 words per polynomial
-    (``pack_words``, through boolean rows of at most 2^21 entries a chunk),
-    and ``acceptance(f)`` is the exact share of those rows, repeats
-    included, that contain some minterm of f (``count_matched``).
-    ``rows(samples, stream)`` is the block sampler ``positive_rows``.
+    ``acceptance(f)`` is the exact share of the polynomials, repeats
+    included, whose value set contains some minterm of f: the popcount of
+    the OR over minterms of the AND of their elements' ``HRFamily.holders``
+    (``HRFamily.count_holding``).  ``rows(samples, stream)`` is the block
+    sampler ``positive_rows``.
     """
 
     def __init__(self, hr: HRFamily):
         self.hr = hr
-        n, images = hr.params.n, hr.images
-        step = max(1, _CHUNK_ENTRIES // n)
-        self.words = np.concatenate(
-            [pack_words(unpack_rows(images[i : i + step], n)) for i in range(0, len(images), step)])
 
     def exact_items(self):
         counts = Counter(self.hr.images)
@@ -203,7 +236,7 @@ class PositiveTestDistribution:
             yield m, Fraction(counts[m], total)
 
     def acceptance(self, f) -> Fraction:
-        return Fraction(count_matched(self.words, f.minterms), self.hr.params.n_polynomials)
+        return Fraction(self.hr.count_holding(f.minterms), self.hr.params.n_polynomials)
 
     def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
         return positive_rows(self.hr, samples, stream)
@@ -255,6 +288,8 @@ def verify_minterm_spread(
 ):
     """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c.
 
+    Exact mode counts the polynomials holding every element of A, the AND
+    of their ``HRFamily.holders`` (``HRFamily.count_holding``).
     Monte-Carlo mode counts the ``positive_rows`` drawn from
     ``CounterStream(seed)``, as ``verify_positive_acceptance`` does, whose
     value set contains A.
@@ -266,8 +301,7 @@ def verify_minterm_spread(
         raise ValueError("|A| must be at most c")
     bound = Fraction(params.k, params.n) ** size
     if exact:
-        hits = sum(1 for m in hr.images if m & a_mask == a_mask)
-        return Fraction(hits, params.n_polynomials), bound
+        return Fraction(hr.count_holding([a_mask]), params.n_polynomials), bound
     rows = positive_rows(hr, samples, CounterStream(seed))
     return sampled_coverage(rows, [a_mask], samples, seed), float(bound)
 

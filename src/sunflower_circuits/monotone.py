@@ -42,7 +42,9 @@ the clique reading and larger n or denominators scan the candidates one
 at a time: one ``coverage_exact`` call per candidate, or on Monte-Carlo
 one count against a packed block of rows drawn once per compacted width
 per round (``probability.CoverageBlocks``).
-An exact round adds every violator, a Monte-Carlo round its first.
+An exact round adds every violator, a Monte-Carlo round its first; a round
+of many violators is merged into the antichain on the up-closure table of
+its violators.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ from .rng import CounterStream, bias
 from .setfamily import SetFamily, antichain_extend, antichain_minimize
 
 TABLE_MAX_N = 23  # largest n whose exact closure reads a truth table; int64 there is 64 MiB
+# a closure round of at least max(32, 2^n >> 12) violators extends on the table (measured)
+_TABLE_EXTEND_MIN, _TABLE_EXTEND_SHIFT = 32, 12
 
 
 @dataclass(frozen=True)
@@ -235,20 +239,22 @@ def is_closed(
     f(x_A) = 0 contains no minterm, so each minterm keeps a bit outside A
     and is covered with probability at most p; the union bound then keeps
     the acceptance at or below 1 - eps, and a violation needs strictly more.
-    Past the certificate it reads f's truth table (``_table_scan``) when
-    n <= ``TABLE_MAX_N`` and the noise is a/b with b^n < 2^63; it reports
-    the same report as the per-candidate scan.  Otherwise the candidates
-    are scanned one at a time: on ``exact`` each costs one
-    ``coverage_exact`` call, and the scan goes on past the first violation
-    to report every one; on ``mc`` each is counted against the scan's
-    ``CoverageBlocks``, one packed block of rows per compacted width, drawn
-    once, so every estimate is ``coverage_mc``'s at (noise_p, samples,
-    seed), and the scan stops at the first violation.
+    The largest certified count, floor((1 - eps) / p), is worked out once
+    per ``params`` (``_certificate``).  Past the certificate it reads f's
+    truth table (``_table_scan``) when n <= ``TABLE_MAX_N`` and the noise
+    is a/b with b^n < 2^63; it reports the same report as the
+    per-candidate scan.  Otherwise the candidates are scanned one at a
+    time: on ``exact`` each costs one ``coverage_exact`` call, and the scan
+    goes on past the first violation to report every one; on ``mc`` each
+    is counted against the scan's ``CoverageBlocks``, one packed block of
+    rows per compacted width, drawn once, so every estimate is
+    ``coverage_mc``'s at (noise_p, samples, seed), and the scan stops at
+    the first violation.
     """
     exact = exact_engine(engine)
     if exact and type(params) is ClosureParams:
-        p = bias(params.noise_p)
-        if len(f.minterms) * p <= 1 - Fraction(params.eps):  # the union-bound certificate
+        p, certified = _certificate(params)
+        if len(f.minterms) <= certified:  # the union-bound certificate
             return ClosednessReport(True, None, None)
         if f.n <= TABLE_MAX_N and p.denominator**f.n < 1 << 63:
             return _table_scan(f, params, p.numerator, p.denominator)
@@ -268,6 +274,13 @@ def is_closed(
     if not found:
         return ClosednessReport(True, None, None)
     return ClosednessReport(False, *found[0], tuple(a for a, _ in found))
+
+
+@lru_cache(maxsize=16)
+def _certificate(params: ClosureParams) -> tuple[Fraction, float]:
+    """The noise p of ``params`` and the most minterms k with k * p <= 1 - eps (any k at p = 0)."""
+    p = bias(params.noise_p)
+    return p, math.floor((1 - Fraction(params.eps)) / p) if p else math.inf
 
 
 @lru_cache(maxsize=16)
@@ -367,21 +380,54 @@ def closure(
     changes the fixpoint, and the fixed scan order makes runs deterministic.
     The current function rejects every violator, so no violator contains a
     minterm: ``antichain_extend`` minimizes only the violators, and drops
-    the minterms that contain one.
+    the minterms that contain one.  A round of at least
+    max(``_TABLE_EXTEND_MIN``, 2^n >> ``_TABLE_EXTEND_SHIFT``) violators
+    (a measured crossover) reads the same answer from the up-closure table
+    of its violators (``_table_extend``); a Monte-Carlo round adds one
+    violator, so it never does.
     """
     current = f
     while True:
         report = is_closed(current, params, engine, samples, seed)
         if report.closed:
             return current
-        minterms = antichain_extend(current.minterms, report.violators)
+        if len(report.violators) >= max(_TABLE_EXTEND_MIN, (1 << f.n) >> _TABLE_EXTEND_SHIFT):
+            minterms = _table_extend(current.minterms, report.violators, f.n)
+        else:
+            minterms = antichain_extend(current.minterms, report.violators)
         current = MonotoneFunction._canonical(f.n, minterms)
 
 
+def _table_extend(antichain: tuple[int, ...], violators, n: int) -> tuple[int, ...]:
+    """``antichain_extend(antichain, violators)`` read from U = ``up_closure(violators, n)``.
+
+    The violators are distinct and none contains a member of ``antichain``,
+    as a closure round reports them.  A violator is minimal iff U is 0 at
+    each of its one-bit-smaller subsets, and a member stays iff U is 0 at
+    it; the two canonical runs are merged as ``antichain_extend`` merges
+    them.  The empty mask lies inside every other mask, so when present it
+    is the answer.
+    """
+    if 0 in violators:
+        return (0,)
+    table = up_closure(violators, n)
+    v = np.array(violators, dtype=np.int64)
+    minimal = np.ones(len(v), dtype=bool)
+    for i in range(n):
+        below = v & ~(1 << i)
+        minimal &= (below == v) | (table[below] == 0)
+    kept = np.array(antichain, dtype=np.int64)
+    merged = kept[table[kept] == 0].tolist() + v[minimal].tolist()
+    return tuple(sorted(sorted(merged), key=int.bit_count))  # sorts are stable
+
+
 def trim(f: MonotoneFunction, max_size) -> MonotoneFunction:
-    """Drop all minterms with more than ``max_size`` elements."""
-    return MonotoneFunction.from_masks(
-        f.n, (m for m in f.minterms if m.bit_count() <= max_size)
+    """Drop all minterms with more than ``max_size`` elements.
+
+    What is left of a canonical antichain is one, so it is not minimized again.
+    """
+    return MonotoneFunction._canonical(
+        f.n, tuple(m for m in f.minterms if m.bit_count() <= max_size)
     )
 
 
@@ -536,7 +582,14 @@ class ErrorLedger:
 
 
 def _difference(dist, f, g, exact: bool, samples: int, seed: int, stream: int):
-    """Pr[f] - Pr[g] on ``dist``: exact, or counted on its ``samples`` rows on stream ``stream``."""
+    """Pr[f] - Pr[g] on ``dist``: exact, or counted on its ``samples`` rows on stream ``stream``.
+
+    Equal minterms read 0 without a reading: ``Fraction(0)``, or on ``mc``
+    the value of 0 hits in ``samples`` (so fewer than 100 are still
+    refused), with no row drawn.
+    """
+    if f.minterms == g.minterms:
+        return Fraction(0) if exact else Estimate.from_hits(0, samples, seed).value
     if exact:
         return dist.acceptance(f) - dist.acceptance(g)
     rows = dist.rows(samples, CounterStream(seed, stream))
@@ -569,6 +622,10 @@ def approximate_circuit(
     and Pr[either] - Pr[raw] on ``neg_dist``: exact ``acceptance``s, or on
     ``mc`` the shares of ``samples`` rows of the distribution's ``rows`` on
     stream 2*gate (positive) or 2*gate + 1 (negative) that each accepts.
+    A side equal to either reads 0 without a reading (``_difference``).  A
+    closure that adds nothing (a certified one, say) gives ap = trim(raw)
+    <= raw, so either is raw there and is not built.  Each reading has its
+    own stream, so a skipped one moves no other.
     """
     exact = exact_engine(engine)
     approx: list[MonotoneFunction] = []
@@ -580,9 +637,10 @@ def approximate_circuit(
             continue
         fa, fb = approx[gate[1] - 1], approx[gate[2] - 1]
         raw = fa | fb if gate[0] == "or" else fa & fb
-        ap = trim(closure(raw, params, engine, samples, seed), params.trim)
+        closed = closure(raw, params, engine, samples, seed)
+        ap = trim(closed, params.trim)
         approx.append(ap)
-        either = raw | ap
+        either = raw if closed is raw else raw | ap  # ap = trim(raw) <= raw
         pos = _difference(pos_dist, either, ap, exact, samples, seed, 2 * idx)
         neg = _difference(neg_dist, either, raw, exact, samples, seed, 2 * idx + 1)
         entries.append(GateError(idx, gate[0], pos, neg))

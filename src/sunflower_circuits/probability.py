@@ -539,9 +539,14 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def count_matched(words: np.ndarray, masks) -> int:
-    """Number of ``pack_words`` rows containing some mask, matched per 64-column word."""
+    """Number of ``pack_words`` rows containing some mask, matched per 64-column word.
+
+    A mask with a bit past the last word lies in no row.
+    """
     covered = np.zeros(len(words), dtype=bool)
     for r in masks:
+        if r >> (64 * words.shape[1]):
+            continue
         hit = True  # the zero mask lies in every row
         for k in range(words.shape[1]):
             part = np.uint64(r >> (64 * k) & _MAX_U64)

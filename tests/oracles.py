@@ -11,7 +11,9 @@ time, as references for its block samplers and hit counters (with
 the package's estimate and threshold rule); and the reference
 extractions at the end are the recursive forms of the package's three
 extraction loops, over the package's own link, spread check, Janson
-certificate and verification.
+certificate and verification.  ``reading_ledger`` reads the package's
+test distributions (``acceptance`` and block ``rows``) as the circuit
+ledger did before a side could be skipped: all four readings per gate.
 """
 
 from fractions import Fraction
@@ -643,6 +645,44 @@ def image_acceptance(images, minterms, total):
         counts[m] = counts.get(m, 0) + 1
     hits = sum(c for m, c in counts.items() if any(t & m == t for t in minterms))
     return Fraction(hits, total)
+
+
+def rows_containing(rows, masks):
+    """Number of boolean rows holding every bit of some mask; a bit past a row's end is 0."""
+    return sum(1 for row in rows
+               if any(all(j < len(row) and row[j] for j in iter_bits(m)) for m in masks))
+
+
+def reading_ledger(circuit, per_gate, pos_dist, neg_dist, samples=0, stream=None):
+    """The circuit ledger with all four readings per gate, as (gate, kind, pos, neg) rows.
+
+    ``per_gate`` holds per gate ``None`` (an input, 0 on both sides) or its
+    (raw, ap); either = raw | ap.  Exact (``stream`` None): Pr[either] -
+    Pr[ap] on ``pos_dist`` and Pr[either] - Pr[raw] on ``neg_dist``, each
+    term one ``acceptance``.  Monte-Carlo: the ``samples`` rows of the
+    distribution's ``rows`` on ``stream(2*gate)`` (positive) or
+    ``stream(2*gate + 1)`` (negative), read as masks, and (hits of either -
+    hits of the other side) / samples.
+    """
+    out = []
+    for idx, (gate, fs) in enumerate(zip(circuit.gates, per_gate), start=1):
+        if fs is None:
+            out.append((idx, "input", Fraction(0), Fraction(0)))
+            continue
+        raw, ap = fs
+        either = raw | ap
+        readings = []
+        for dist, other, k in ((pos_dist, ap, 2 * idx), (neg_dist, raw, 2 * idx + 1)):
+            if stream is None:
+                readings.append(dist.acceptance(either) - dist.acceptance(other))
+                continue
+            xs = [sum(1 << j for j, bit in enumerate(row) if bit)
+                  for block in dist.rows(samples, stream(k)) for row in block]
+            hits = sum(eval_antichain(either.minterms, x) - eval_antichain(other.minterms, x)
+                       for x in xs)
+            readings.append(hits / samples)
+        out.append((idx, gate[0], *readings))
+    return out
 
 
 def graph_accepts(vertex_masks, edges):

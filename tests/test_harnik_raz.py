@@ -396,14 +396,20 @@ class TestSamplers:
         assert acc == Fraction(hr.n_qualifying, 49)
 
     def test_acceptance_packs_every_image_once(self):
-        # one uint64 word per 64 columns, one row per polynomial, repeats kept
-        for params, words in ((HRParams(11, 2, 3), 1), (HRParams(67, 1, 2), 2)):
+        # per element e, bit i of holders[e] is set iff image i holds e, repeats kept;
+        # built on first use, once per family, and shared by every distribution over it
+        for params in (HRParams(11, 2, 3), HRParams(67, 1, 2), HRParams(13, 2, 4)):
             hr = build_hr_family(params)
+            assert "holders" not in vars(hr)
             dist = PositiveTestDistribution(hr)
-            assert dist.words.shape == (params.n_polynomials, words)
-            assert dist.words.dtype == np.uint64
-            for i, m in enumerate(hr.images):
-                assert sum(int(w) << (64 * j) for j, w in enumerate(dist.words[i])) == m
+            assert "holders" not in vars(hr)
+            dist.acceptance(MonotoneFunction.constant1(params.n))
+            holders = hr.holders
+            assert PositiveTestDistribution(hr).hr.holders is holders
+            assert type(holders) is tuple and len(holders) == params.n
+            for e in range(params.n):
+                assert holders[e] == sum(1 << i for i, m in enumerate(hr.images) if m >> e & 1)
+            assert sum(h.bit_count() for h in holders) == sum(m.bit_count() for m in hr.images)
 
     def test_acceptance_counts_accepted_polynomials(self):
         hr = build_hr_family(HRParams(7, 2, 3))
@@ -431,6 +437,46 @@ def image_functions(draw):
         lambda bits: sum({1 << b for b in bits}))
     masks = draw(st.lists(st.one_of(inside, anywhere, small), max_size=40))
     return key, MonotoneFunction.from_masks(n, masks)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_minterm_spread_is_the_per_image_count(data):
+    # the AND of the elements' holders against one containment test per image; a set
+    # with elements outside [n] lies in no image
+    key = data.draw(st.sampled_from(sorted(_ACCEPTANCE_FAMILIES)))
+    hr = _ACCEPTANCE_FAMILIES[key]
+    n, c = hr.params.n, hr.params.c
+    elements = st.one_of(st.integers(0, n - 1), st.integers(n, 2 * n + 70))
+    a_mask = sum({1 << e for e in data.draw(st.lists(elements, max_size=c))})
+    value, bound = verify_minterm_spread(hr, a_mask)
+    hits = sum(1 for m in hr.images if m & a_mask == a_mask)
+    assert type(value) is Fraction
+    assert value == Fraction(hits, hr.params.n_polynomials)
+    assert bound == Fraction(hr.params.k, n) ** a_mask.bit_count()
+    if a_mask >> n:
+        assert value == 0
+
+
+class TestOutsideTheGroundSet:
+    """A minterm with an element outside [n] lies in no value set, on every reading."""
+
+    @pytest.mark.parametrize("extra", [11, 63, 64, 70, 200])
+    def test_an_outside_element_lies_in_no_image(self, extra):
+        hr = _ACCEPTANCE_FAMILIES[(11, 2, 3)]
+        dist = _ACCEPTANCE_DISTS[(11, 2, 3)]
+        for minterms in ([1 << 1 | 1 << extra], [1 << extra], [1 << 1 | 1 << extra, 1 << 2]):
+            f = MonotoneFunction.from_masks(extra + 1, minterms)
+            want = image_acceptance(hr.images, f.minterms, 121)
+            assert dist.acceptance(f) == want
+        assert dist.acceptance(MonotoneFunction.from_masks(72, [0b10 | 1 << 71])) == 0
+
+    @pytest.mark.parametrize("extra", [11, 64, 71])
+    def test_minterm_spread_of_an_outside_element_is_zero(self, extra):
+        hr = _ACCEPTANCE_FAMILIES[(11, 2, 3)]
+        assert verify_minterm_spread(hr, 0b10 | 1 << extra)[0] == 0
+        est, _ = verify_minterm_spread(hr, 0b10 | 1 << extra, "mc", 500, 3)
+        assert est.value == 0
 
 
 @given(case=image_functions())

@@ -27,6 +27,7 @@ from sunflower_circuits.monotone import (
 )
 from sunflower_circuits.harnik_raz import HRParams, PositiveTestDistribution, build_hr_family
 from sunflower_circuits.probability import PBiasedDistribution, coverage_exact, mc_event_probability
+from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import (
     antichain_extend,
     antichain_minimize,
@@ -43,6 +44,7 @@ from oracles import (
     mc_closedness_scan,
     p_subset_draw,
     positive_draw,
+    reading_ledger,
     reversed_scan_closure,
 )
 
@@ -531,6 +533,93 @@ class TestLedgerAgainstOracles:
         assert min(nonzero) > 0  # both sides were charged somewhere
 
 
+def _ledger_rows(ledger):
+    return [(e.gate, e.kind, e.positive_error, e.negative_error) for e in ledger.entries]
+
+
+def _shortcut_cases(c=4):
+    """The HR(11,2,3) OR-of-ANDs circuit and random OR-of-ANDs circuits on HR(7,2,3) and
+    HR(11,2,3), each with its positive distribution and two closure settings: eps 1/10 at
+    scan width ``c`` (every exact closure certified at c = 4), and eps 0.45 at c = 2, where
+    closures add minterms."""
+    rng = random.Random(29)
+    cases = []
+    for n in (7, 11):
+        hr = build_hr_family(HRParams(n, 2, 3))
+        circuits = [or_of_ands(n, hr.family.members)] if n == 11 else []
+        circuits += [or_of_ands(n, [sum(1 << b for b in rng.sample(range(n), rng.randint(1, 3)))
+                                    for _ in range(rng.randint(1, 6))]) for _ in range(3)]
+        cases += [(circuit, PositiveTestDistribution(hr), params) for circuit in circuits
+                  for params in (ClosureParams(eps=0.1, c=c), ClosureParams(eps=0.45, c=2))]
+    return cases
+
+
+class TestLedgerShortcut:
+    """A side equal to either reads 0 with no reading; the ledger stays the four-reading one."""
+
+    def test_exact_ledger_is_the_four_reading_ledger(self):
+        charged = 0
+        for circuit, pos, params in _shortcut_cases():
+            neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
+            ap, ledger = approximate_circuit(circuit, params, pos, neg)
+            final, per_gate = gate_functions(circuit, params)
+            want = reading_ledger(circuit, per_gate, pos, neg)
+            assert ap == final
+            assert _ledger_rows(ledger) == want
+            assert [tuple(map(type, r)) for r in _ledger_rows(ledger)] == [
+                tuple(map(type, r)) for r in want]
+            charged += sum(1 for r in want if r[2] or r[3])
+        assert charged > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mc_ledger_is_the_four_reading_ledger(self, seed):
+        charged = 0
+        for circuit, pos, params in _shortcut_cases(c=2):  # a Monte-Carlo scan of c = 4 is slow
+            neg = PBiasedDistribution(circuit.n, Fraction(1, 2))
+            ap, ledger = approximate_circuit(circuit, params, pos, neg, "mc", 200, seed)
+            final, per_gate = gate_functions(circuit, params, engine="mc", samples=200, seed=seed)
+            want = reading_ledger(circuit, per_gate, pos, neg, 200,
+                                  lambda k: CounterStream(seed, k))
+            assert ap == final
+            assert _ledger_rows(ledger) == want
+            assert [tuple(map(type, r)) for r in _ledger_rows(ledger)] == [
+                tuple(map(type, r)) for r in want]
+            charged += sum(1 for r in want if r[2] or r[3])
+        assert charged > 0
+
+    def test_certified_gates_make_no_negative_reading(self, monkeypatch):
+        # every closure of the HR(11,2,3) circuit at eps 1/10, c 4 is certified, so
+        # ap = trim(raw) <= raw and either = raw: only positive pairs with ap != raw are read
+        hr = build_hr_family(HRParams(11, 2, 3))
+        circuit = or_of_ands(11, hr.family.members)
+        params = ClosureParams(eps=0.1, c=4)
+        pos, neg = PositiveTestDistribution(hr), PBiasedDistribution(11, Fraction(1, 2))
+        reads = {"pos": 0, "neg": 0}
+        for name, dist in (("pos", pos), ("neg", neg)):
+            real = dist.acceptance
+            monkeypatch.setattr(dist, "acceptance",
+                                lambda f, name=name, real=real: reads.__setitem__(
+                                    name, reads[name] + 1) or real(f))
+        approximate_circuit(circuit, params, pos, neg)
+        _, per_gate = gate_functions(circuit, params)
+        changed = sum(1 for fs in per_gate if fs is not None and fs[0] != fs[1])
+        assert reads == {"pos": 2 * changed, "neg": 0}
+        assert 0 < changed < circuit.size
+
+    def test_equal_sides_still_refuse_few_samples(self, monkeypatch):
+        # OR(x1, x1) with closures that add nothing: both sides equal either at every gate,
+        # and the Monte-Carlo reading still refuses fewer than 100 samples without drawing
+        monkeypatch.setattr(monotone, "closure", lambda f, *a: f)
+        circuit = circuit_from_text("INPUT 1\nOR 1 1\nOUTPUT 2\n", 3)
+        params = ClosureParams(eps=0.1, c=2)
+        dist = PBiasedDistribution(3, Fraction(1, 2))
+        with pytest.raises(ValueError, match="100 samples"):
+            approximate_circuit(circuit, params, dist, dist, "mc", 50, 1)
+        _, ledger = approximate_circuit(circuit, params, dist, dist, "mc", 100, 1)
+        assert _ledger_rows(ledger) == [(1, "input", 0, 0), (2, "or", 0.0, 0.0)]
+        assert type(ledger.entries[1].positive_error) is float
+
+
 class TestClosureErrorBound:
     def test_closed_function_has_zero_error(self):
         n = 6
@@ -847,6 +936,65 @@ class TestOneAntichainPass:
                  if not f(m)]
         want = MonotoneFunction.from_masks(n, f.minterms + tuple(masks)).minterms
         assert antichain_extend(f.minterms, masks) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_the_table_extension_is_antichain_extend(self, data, n):
+        # members are unions of two masks, so that many masks contain none of them; the
+        # violators are distinct, in any order, up to 80 of them (the crossover is 32 here)
+        full = (1 << n) - 1
+        pairs = st.tuples(st.integers(0, full), st.integers(0, full)).map(lambda ab: ab[0] | ab[1])
+        antichain = antichain_minimize(data.draw(st.lists(pairs, max_size=10)))
+        masks = data.draw(st.sets(st.integers(0, full), max_size=80))
+        if data.draw(st.booleans()):
+            masks.add(0)
+        violators = data.draw(st.permutations(
+            [v for v in masks if not any(m & v == m for m in antichain)]))
+        assert monotone._table_extend(antichain, violators, n) == antichain_extend(
+            antichain, violators)
+        assert monotone._table_extend(antichain, [], n) == antichain == antichain_extend(
+            antichain, [])
+
+    def test_the_table_extension_sees_both_sides_of_the_crossover(self):
+        # violator counts just below, at and above the crossover max(MIN, 2^n >> SHIFT)
+        rng = random.Random(7)
+        for n in (10, 14, 17, 18):
+            crossover = max(monotone._TABLE_EXTEND_MIN, (1 << n) >> monotone._TABLE_EXTEND_SHIFT)
+            antichain = antichain_minimize(rng.getrandbits(n) | rng.getrandbits(n)
+                                           for _ in range(20))
+            pool = [v for v in range(1 << n) if not any(m & v == m for m in antichain)]
+            for count in (crossover - 1, crossover, crossover + 1):
+                violators = rng.sample(pool, count)
+                assert monotone._table_extend(antichain, violators, n) == antichain_extend(
+                    antichain, violators)
+
+    def test_large_exact_rounds_take_the_table(self, monkeypatch):
+        # the exact closures of random functions, with the table path on and off
+        rng = random.Random(11)
+        calls, real = [], monotone._table_extend
+        monkeypatch.setattr(monotone, "_table_extend", lambda *a: calls.append(len(a[1])) or real(*a))
+        for _ in range(12):
+            n = rng.randint(8, 12)
+            f = random_monotone(n, rng, max_minterms=12)
+            params = ClosureParams(eps=rng.choice((0.3, 0.45, 0.6)), c=rng.randint(2, 4))
+            got = closure(f, params)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(monotone, "_TABLE_EXTEND_MIN", 1 << 30)
+                assert closure(f, params) == got
+        assert calls and min(calls) >= monotone._TABLE_EXTEND_MIN
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_monte_carlo_closure_never_takes_the_table(self, monkeypatch, seed):
+        # one violator a round is below the crossover at every n
+        def fail(*a):
+            raise AssertionError("a Monte-Carlo round took the table extension")
+        monkeypatch.setattr(monotone, "_table_extend", fail)
+        f, params = _MC_SCANS["plain"]
+        rounds, real = [], monotone.is_closed
+        monkeypatch.setattr(monotone, "is_closed", lambda *a: rounds.append(1) or real(*a))
+        got = closure(f, params, "mc", 200, seed)
+        assert len(rounds) >= 4 and got != f
+        assert monotone._TABLE_EXTEND_MIN > 1
 
     def test_both_constructors_refuse_bad_input(self):
         with pytest.raises(ValueError, match="outside"):

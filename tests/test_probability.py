@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from sunflower_circuits.probability import (
     Estimate,
     ExactProbability,
     PBiasedDistribution,
+    count_covered,
     coverage_exact,
     coverage_mc,
     is_robust_sunflower,
@@ -22,7 +24,7 @@ from sunflower_circuits.probability import (
 from sunflower_circuits.rng import CounterStream
 from sunflower_circuits.setfamily import SetFamily, mask_of
 
-from oracles import brute_coverage, brute_probability, p_subset_draw
+from oracles import brute_coverage, brute_probability, p_subset_draw, rows_containing
 
 
 def fam(n, *sets):
@@ -219,6 +221,27 @@ class TestRobustCheck:
     def test_empty_family_raises(self):
         with pytest.raises(EmptyFamilyError):
             is_robust_sunflower(SetFamily.from_masks(3, []), 0.5, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_count_covered_reads_no_bit_past_the_rows(data):
+    # a mask with a bit past the rows' columns, in the last word or past it, lies in no row
+    width = data.draw(st.integers(0, 130))
+    rows = [[bool(r >> j & 1) for j in range(width)]
+            for r in data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))]
+    bit = st.integers(0, width + 140)
+    masks = data.draw(st.lists(st.lists(bit, max_size=3).map(lambda bs: sum({1 << b for b in bs})),
+                               max_size=4))
+    bits = np.array(rows, dtype=bool).reshape(len(rows), width)
+    assert count_covered(bits, masks) == rows_containing(rows, masks)
+
+
+def test_count_covered_of_a_mask_past_the_last_word():
+    ones = np.ones((5, 3), dtype=bool)
+    for mask in (1 << 10, 1 << 63, 1 << 64, 1 << 70, 0b1 | 1 << 70):
+        assert count_covered(ones, [mask]) == 0 == rows_containing(ones.tolist(), [mask])
+    assert count_covered(ones, [1 << 70, 0b11]) == 5
 
 
 def test_pbiased_distribution_exact_items_sum_to_one():
