@@ -13,7 +13,9 @@ Polynomials are indexed 0 .. n^c - 1: coefficient j of polynomial i
 family's image table, which the positive sampler reads.  The exact positive
 readings (``PositiveTestDistribution.acceptance`` and the exact minterm
 spread) read its transpose, ``HRFamily.holders``: per element, the
-polynomials whose value set holds it, as the bits of one int.
+polynomials whose value set holds it, as the bits of one int.  These are
+the columns of the one row counter, ``probability.count_holding``, with
+one row per polynomial.
 
 The positive test distribution draws a uniformly random polynomial and
 returns the indicator vector of S_P -- including non-qualifying P, whose
@@ -37,6 +39,7 @@ from .errors import EnumerationTooLargeError
 from .probability import (
     Estimate,
     bernoulli_hits,
+    count_holding,
     coverage_exact,
     exact_engine,
     pack_rows,
@@ -124,6 +127,7 @@ class HRFamily:
     def holders(self) -> tuple[int, ...]:
         """Per element (bit e), the int whose bit i is set iff image i holds e.
 
+        These are the image table's columns for ``probability.count_holding``.
         Built on first use, once per family: the image table is unpacked to
         boolean rows in chunks of at most 2^21 entries, each packed along
         the polynomial axis.  Repeated images keep their own bits.
@@ -134,26 +138,6 @@ class HRFamily:
                                              bitorder="little")
                                  for i in range(0, len(images), step)])
         return tuple(int.from_bytes(column.tobytes(), "little") for column in packed.T)
-
-    def count_holding(self, masks) -> int:
-        """The number of polynomials whose value set contains some mask.
-
-        Per mask, the AND of its elements' ``holders``, ORed over masks; an
-        element outside [n] lies in no value set.
-        """
-        holders, n = self.holders, self.params.n
-        everyone = (1 << len(self.images)) - 1
-        hit = 0
-        for m in masks:
-            if m >> n:
-                continue
-            both = everyone
-            while m and both:
-                low = m & -m
-                both &= holders[low.bit_length() - 1]
-                m ^= low
-            hit |= both
-        return hit.bit_count()
 
 
 def build_hr_family(params: HRParams) -> HRFamily:
@@ -220,14 +204,15 @@ class PositiveTestDistribution:
     """Distribution of value-set masks of a uniform random polynomial.
 
     ``acceptance(f)`` is the exact share of the polynomials, repeats
-    included, whose value set contains some minterm of f: the popcount of
-    the OR over minterms of the AND of their elements' ``HRFamily.holders``
-    (``HRFamily.count_holding``).  ``rows(samples, stream)`` is the block
-    sampler ``positive_rows``.
+    included, whose value set contains some minterm of f:
+    ``probability.count_holding`` on the columns ``HRFamily.holders``.
+    ``rows(samples, stream)`` is the block sampler ``positive_rows``, over
+    ``n`` columns, the family's ``params.n``.
     """
 
     def __init__(self, hr: HRFamily):
         self.hr = hr
+        self.n = hr.params.n
 
     def exact_items(self):
         counts = Counter(self.hr.images)
@@ -236,7 +221,8 @@ class PositiveTestDistribution:
             yield m, Fraction(counts[m], total)
 
     def acceptance(self, f) -> Fraction:
-        return Fraction(self.hr.count_holding(f.minterms), self.hr.params.n_polynomials)
+        total = self.hr.params.n_polynomials
+        return Fraction(count_holding(self.hr.holders, total, f.minterms), total)
 
     def rows(self, samples: int, stream: CounterStream) -> Iterator[np.ndarray]:
         return positive_rows(self.hr, samples, stream)
@@ -288,8 +274,8 @@ def verify_minterm_spread(
 ):
     """(Pr[A subset of S_P], (k/n)^|A|) for |A| <= c.
 
-    Exact mode counts the polynomials holding every element of A, the AND
-    of their ``HRFamily.holders`` (``HRFamily.count_holding``).
+    Exact mode counts the polynomials holding every element of A:
+    ``probability.count_holding`` on the columns ``HRFamily.holders``.
     Monte-Carlo mode counts the ``positive_rows`` drawn from
     ``CounterStream(seed)``, as ``verify_positive_acceptance`` does, whose
     value set contains A.
@@ -301,7 +287,8 @@ def verify_minterm_spread(
         raise ValueError("|A| must be at most c")
     bound = Fraction(params.k, params.n) ** size
     if exact:
-        return Fraction(hr.count_holding([a_mask]), params.n_polynomials), bound
+        total = params.n_polynomials
+        return Fraction(count_holding(hr.holders, total, [a_mask]), total), bound
     rows = positive_rows(hr, samples, CounterStream(seed))
     return sampled_coverage(rows, [a_mask], samples, seed), float(bound)
 

@@ -16,7 +16,9 @@ plus a ledger of the per-gate approximation errors.  For monotone raw and
 ap each error is a difference, Pr[raw and not ap] = Pr[raw or ap] - Pr[ap],
 read by one identity on both engines: a test distribution answers each
 term exactly through ``acceptance(f)``, and on Monte-Carlo the rows of its
-block sampler ``rows(samples, stream)`` that each term covers are counted.
+block sampler ``rows(samples, stream)`` that each term covers are counted by
+the one row counter, ``probability.count_holding``, on each block's packed
+columns.
 
 The same algebra serves clique-shaped functions, whose minterms are vertex
 masks A standing for cliques K_A (``cliques.clique_function``): there f(A)
@@ -40,8 +42,8 @@ coordinates run on transposed blocks of the table, so that each pairs
 long contiguous runs instead of runs of 1 to 16 entries.  Monte-Carlo,
 the clique reading and larger n or denominators scan the candidates one
 at a time: one ``coverage_exact`` call per candidate, or on Monte-Carlo
-one count against a packed block of rows drawn once per compacted width
-per round (``probability.CoverageBlocks``).
+one ``count_holding`` on the columns of a block of rows drawn once per
+compacted width per round (``probability.CoverageBlocks``).
 An exact round adds every violator, a Monte-Carlo round its first; a round
 of many violators is merged into the antichain on the up-closure table of
 its violators.
@@ -62,9 +64,10 @@ from .probability import (
     Estimate,
     ExactProbability,
     above_threshold,
-    count_covered,
+    count_holding,
     coverage_exact,
     exact_engine,
+    pack_rows,
     up_closure,
 )
 from .rng import CounterStream, bias
@@ -246,10 +249,10 @@ def is_closed(
     per-candidate scan.  Otherwise the candidates are scanned one at a
     time: on ``exact`` each costs one ``coverage_exact`` call, and the scan
     goes on past the first violation to report every one; on ``mc`` each
-    is counted against the scan's ``CoverageBlocks``, one packed block of
-    rows per compacted width, drawn once, so every estimate is
-    ``coverage_mc``'s at (noise_p, samples, seed), and the scan stops at
-    the first violation.
+    is counted by ``count_holding`` on the scan's ``CoverageBlocks``, one
+    set of column bitsets per compacted width, drawn once, so every
+    estimate is ``coverage_mc``'s at (noise_p, samples, seed), and the
+    scan stops at the first violation.
     """
     exact = exact_engine(engine)
     if exact and type(params) is ClosureParams:
@@ -592,8 +595,11 @@ def _difference(dist, f, g, exact: bool, samples: int, seed: int, stream: int):
         return Fraction(0) if exact else Estimate.from_hits(0, samples, seed).value
     if exact:
         return dist.acceptance(f) - dist.acceptance(g)
-    rows = dist.rows(samples, CounterStream(seed, stream))
-    hits = sum(count_covered(b, f.minterms) - count_covered(b, g.minterms) for b in rows)
+    hits = 0
+    for bits in dist.rows(samples, CounterStream(seed, stream)):
+        columns = pack_rows(np.ascontiguousarray(bits.T))  # packed once for both counts
+        hits += (count_holding(columns, len(bits), f.minterms)
+                 - count_holding(columns, len(bits), g.minterms))
     return Estimate.from_hits(hits, samples, seed).value
 
 
@@ -625,9 +631,13 @@ def approximate_circuit(
     A side equal to either reads 0 without a reading (``_difference``).  A
     closure that adds nothing (a certified one, say) gives ap = trim(raw)
     <= raw, so either is raw there and is not built.  Each reading has its
-    own stream, so a skipped one moves no other.
+    own stream, so a skipped one moves no other.  Both distributions must
+    have the circuit's ``n``; otherwise ``ValueError`` names the three.
     """
     exact = exact_engine(engine)
+    if not circuit.n == pos_dist.n == neg_dist.n:
+        raise ValueError(f"the circuit has n = {circuit.n}, but the positive distribution "
+                         f"has n = {pos_dist.n} and the negative n = {neg_dist.n}")
     approx: list[MonotoneFunction] = []
     entries: list[GateError] = []
     for idx, gate in enumerate(circuit.gates, start=1):

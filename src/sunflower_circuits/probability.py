@@ -42,10 +42,13 @@ Coverage is Pr[some mask lies inside the random set], and
   ``bernoulli_hits``, counts the rows containing some mask: pairwise
   disjoint masks (petals over their core) slot by slot, reading a slot
   only while its row is uncovered and its mask not yet rejected, other
-  masks on the packed rows (``count_covered``: ``pack_words``, then
-  ``count_matched``).  ``sampled_coverage`` reads any block sampler;
-  ``CoverageBlocks`` answers many ``coverage_mc`` calls at one (p,
-  samples, seed) from one packed block per compacted width.
+  masks on the rows' columns (``count_covered``).  One row counter,
+  ``count_holding``, reads per-column bitsets (bit s of column j is row
+  s's column j): ``count_covered`` packs a block's transpose with
+  ``pack_rows``, and the exact positive readings of ``harnik_raz`` pass
+  their per-element polynomial bitsets.  ``sampled_coverage`` reads any
+  block sampler; ``CoverageBlocks`` answers many ``coverage_mc`` calls at
+  one (p, samples, seed) from one set of columns per compacted width.
 
 Every exact strategy refuses when its work exceeds the cap
 ``DEFAULT_WORK_CAP_BITS``; every component is planned before any is
@@ -529,36 +532,29 @@ def bernoulli_rows(stream: CounterStream, samples: int, width: int, split: int, 
         yield rows
 
 
-def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows as uint64 words, column j at bit j % 64 of word j // 64 (one word at least)."""
-    rows, width = bits.shape
-    words = -(-width // 64) or 1
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    packed[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
+def count_holding(columns, rows: int, masks) -> int:
+    """Number of the ``rows`` rows containing some mask, read from their column bitsets.
 
-
-def count_matched(words: np.ndarray, masks) -> int:
-    """Number of ``pack_words`` rows containing some mask, matched per 64-column word.
-
-    A mask with a bit past the last word lies in no row.
+    Bit s of ``columns[j]`` is row s's column j.  The count is the popcount
+    of the OR over masks of the AND of each mask's columns.  A mask with a
+    bit past the last column lies in no row; the zero mask lies in every row.
     """
-    covered = np.zeros(len(words), dtype=bool)
-    for r in masks:
-        if r >> (64 * words.shape[1]):
+    width, everyone, hit = len(columns), (1 << rows) - 1, 0
+    for m in masks:
+        if m >> width:
             continue
-        hit = True  # the zero mask lies in every row
-        for k in range(words.shape[1]):
-            part = np.uint64(r >> (64 * k) & _MAX_U64)
-            if part:
-                hit &= (words[:, k] & part) == part
-        covered |= hit
-    return int(covered.sum())
+        both = everyone
+        while m and both:
+            low = m & -m
+            both &= columns[low.bit_length() - 1]
+            m ^= low
+        hit |= both
+    return hit.bit_count()
 
 
 def count_covered(bits: np.ndarray, masks) -> int:
-    """Number of rows of ``bits`` containing some mask."""
-    return count_matched(pack_words(bits), masks)
+    """Number of rows of ``bits`` containing some mask: ``count_holding`` on its packed columns."""
+    return count_holding(pack_rows(np.ascontiguousarray(bits.T)), len(bits), masks)
 
 
 def bernoulli_hits(stream: CounterStream, samples: int, width: int, split: int, p, q, masks) -> int:
@@ -652,25 +648,30 @@ class CoverageBlocks:
     """``coverage_mc`` at one (p, samples, seed) for many (family, Y).
 
     Its rows depend only on the compacted width w, so the rows of each w
-    are drawn once, on first use, and packed once (``pack_words``); every
-    call counts ``coverage_mc``'s reduced, compacted masks against them
-    (``count_matched``).  The estimates are ``coverage_mc``'s, bit for bit.
+    are drawn once, on first use, and kept as w column ints (``pack_rows``
+    of each chunk's transpose, shifted to the chunk's first row); every
+    call counts ``coverage_mc``'s reduced, compacted masks on them
+    (``count_holding``).  The estimates are ``coverage_mc``'s, bit for bit.
     """
 
     def __init__(self, p, samples: int, seed: int):
         self.p, self.samples, self.seed = p, samples, seed
-        self.words: dict[int, np.ndarray] = {}
+        self.columns: dict[int, list[int]] = {}
 
     def coverage(self, family: SetFamily, y: int) -> Estimate:
         reduced = reduce_coverage((m & ~y for m in family.members), family.n, self.p, self.p)
         masks, width = compact(reduced)
-        words = self.words.get(width)
-        if words is None:
-            stream = CounterStream(self.seed)
-            rows = bernoulli_rows(stream, self.samples, width, width, self.p, self.p)
-            empty = np.zeros((0, -(-width // 64) or 1), dtype=np.uint64)  # for no rows at all
-            words = self.words[width] = np.concatenate([empty, *map(pack_words, rows)])
-        return _coverage_estimate(count_matched(words, masks), masks, self.samples, self.seed)
+        columns = self.columns.get(width)
+        if columns is None:
+            columns, done = [0] * width, 0
+            for bits in bernoulli_rows(CounterStream(self.seed), self.samples, width, width,
+                                       self.p, self.p):
+                for j, column in enumerate(pack_rows(np.ascontiguousarray(bits.T))):
+                    columns[j] |= column << done
+                done += len(bits)
+            self.columns[width] = columns
+        hits = count_holding(columns, self.samples, masks)
+        return _coverage_estimate(hits, masks, self.samples, self.seed)
 
 
 @dataclass(frozen=True)

@@ -407,6 +407,22 @@ class TestApproximateCircuit:
             assert abs(float(ee.positive_error) - me.positive_error) < 0.02
             assert abs(float(ee.negative_error) - me.negative_error) < 0.02
 
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    def test_distributions_must_have_the_circuit_n(self, engine):
+        # AND(x1, x12) over n = 12 against distributions over 11 columns: exact would read x12
+        # as biased past the split and mc as absent from every row, so either side is refused
+        circ = circuit_from_text("INPUT 1\nINPUT 12\nAND 1 2\nOUTPUT 3\n", 12)
+        params = ClosureParams(eps=0.1, c=1)
+        short, full = self.neg(11), self.neg(12)
+        positive = PositiveTestDistribution(build_hr_family(HRParams(11, 2, 3)))
+        assert positive.n == 11
+        for pos, neg in ((short, short), (short, full), (full, short), (positive, full)):
+            with pytest.raises(ValueError, match=f"n = 12.* n = {pos.n} .* n = {neg.n}"):
+                approximate_circuit(circ, params, pos, neg, engine, 20_000, 1)
+        # with the circuit's n both engines charge the trimmed AND gate Pr[x1 and x12] = 1/4
+        _, ledger = approximate_circuit(circ, params, full, full, engine, 20_000, 1)
+        assert abs(ledger.entries[-1].positive_error - Fraction(1, 4)) < 0.02
+
 
 def random_circuit(n, rng, size):
     gates = [("input", j) for j in range(1, n + 1)]

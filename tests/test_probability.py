@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunflower_circuits import cliques, harnik_raz, monotone
+from sunflower_circuits import cliques, harnik_raz, monotone, probability
 from sunflower_circuits.cli import _plain
 from sunflower_circuits.errors import EmptyFamilyError, ExactIntractableError
 from sunflower_circuits.probability import (
+    CoverageBlocks,
     Estimate,
     ExactProbability,
     PBiasedDistribution,
+    compact,
     count_covered,
     coverage_exact,
     coverage_mc,
     is_robust_sunflower,
     mc_event_probability,
+    reduce_coverage,
     sample_p_subset,
     wilson_half_width,
 )
@@ -226,10 +229,11 @@ class TestRobustCheck:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_count_covered_reads_no_bit_past_the_rows(data):
-    # a mask with a bit past the rows' columns, in the last word or past it, lies in no row
+    # a mask with a bit past the rows' columns, in the last word or past it, lies in no row;
+    # up to 200 rows, so the packed columns cross byte and word boundaries
     width = data.draw(st.integers(0, 130))
     rows = [[bool(r >> j & 1) for j in range(width)]
-            for r in data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))]
+            for r in data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=200))]
     bit = st.integers(0, width + 140)
     masks = data.draw(st.lists(st.lists(bit, max_size=3).map(lambda bs: sum({1 << b for b in bs})),
                                max_size=4))
@@ -242,6 +246,60 @@ def test_count_covered_of_a_mask_past_the_last_word():
     for mask in (1 << 10, 1 << 63, 1 << 64, 1 << 70, 0b1 | 1 << 70):
         assert count_covered(ones, [mask]) == 0 == rows_containing(ones.tolist(), [mask])
     assert count_covered(ones, [1 << 70, 0b11]) == 5
+
+
+_BLOCK_PS = [Fraction(1, 3), 0.3, 0, 1]
+
+
+def _check_blocks(p, samples: int, seed: int, cases) -> None:
+    """One ``CoverageBlocks`` reads every (family, y) of ``cases`` as ``coverage_mc`` does, bit
+    for bit, and draws ``bernoulli_rows`` once per compacted width."""
+    drawn, real = [], probability.bernoulli_rows
+
+    def counted(stream, rows, width, *rest):
+        drawn.append(width)
+        return real(stream, rows, width, *rest)
+
+    blocks = CoverageBlocks(p, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probability, "bernoulli_rows", counted)
+        got = [blocks.coverage(family, y) for family, y in cases]
+    assert got == [coverage_mc(family, y, p, samples, seed) for family, y in cases]
+    widths = {compact(reduce_coverage((m & ~y for m in family.members), family.n, p, p))[1]
+              for family, y in cases}
+    assert sorted(drawn) == sorted(widths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coverage_blocks_is_coverage_mc(data):
+    n = data.draw(st.integers(1, 10))
+    family = st.lists(st.integers(1, (1 << n) - 1), max_size=5).map(
+        lambda ms: SetFamily.from_masks(n, ms))
+    cases = data.draw(st.lists(st.tuples(family, st.integers(0, (1 << n) - 1)),
+                               min_size=1, max_size=6))
+    _check_blocks(data.draw(st.sampled_from(_BLOCK_PS)), data.draw(st.sampled_from([100, 700])),
+                  data.draw(st.integers(0, 3)), cases)
+
+
+@pytest.mark.parametrize("p", _BLOCK_PS)
+def test_coverage_blocks_of_the_zero_mask_and_of_no_mask(p):
+    # Y = a member clears it to the zero mask; the empty family (and at p = 0 any Y that
+    # clears no member) leaves no mask; each is read again from the same blocks
+    family = SetFamily.from_masks(6, [0b111, 0b11100, 0b110001])
+    empty = SetFamily.from_masks(6, [])
+    cases = [(family, 0b111), (family, 0), (empty, 0), (family, 0b1000), (family, 0b111),
+             (empty, 0b11), (family, 0)]
+    _check_blocks(p, 300, 2, cases)
+
+
+def test_coverage_blocks_across_two_chunks():
+    # two families over 40 columns, at 60,000 samples: the rows of bernoulli_rows come in
+    # two chunks, the first of 2^21 // 40 = 52,428 rows (not a whole number of bytes)
+    assert probability._CHUNK_SLOTS // 40 < 60_000
+    pairs = SetFamily.from_masks(40, [0b11 << i for i in range(39)])
+    triples = SetFamily.from_masks(40, [0b111 << i for i in range(0, 38, 2)] + [1 << 39])
+    _check_blocks(Fraction(1, 3), 60_000, 5, [(pairs, 0), (triples, 0), (pairs, 0)])
 
 
 def test_pbiased_distribution_exact_items_sum_to_one():
